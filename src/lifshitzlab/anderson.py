@@ -10,7 +10,8 @@ Resolvent columns (H + E + i eta)^{-1} delta_y come from a direct sparse
 factorization with an explicit residual contract; the large boxes of the
 finite-volume criterion instead use matrix-free conjugate gradients (the
 shifted operator is positive definite throughout the admissible window) with
-the same residual contract and a factorization fallback.
+the same true-residual contract and a counted factorization fallback at the
+same eta.
 
 Fractional moments E|R(x,y)|^s are eta-resolved disorder averages; the
 finite-volume criterion assembles B_s L^4 lam^{-2s} sum_{boundary}
@@ -211,16 +212,23 @@ def _cg_column(side, shift, pot, rhs_index, tol=1e-11, maxit=5000):
 
 
 def _criterion_column(box: Box, potential, lam, energy, eta):
-    """Column at the origin for the criterion: CG first, factorization fallback."""
-    pot_grid = None if lam == 0.0 else (lam * potential).reshape((box.side,) * 3)
+    """Column at the origin for the criterion and whether it fell back to splu.
+
+    At eta = 0, CG runs first and its true residual must meet RESIDUAL_TOL;
+    otherwise (or for eta > 0) the factorization solves at the same eta.
+    """
+    origin = box.index((0, 0, 0))
     if eta == 0.0:
-        u = _cg_column(box.side, energy, pot_grid, box.index((0, 0, 0)))
+        pot_grid = None if lam == 0.0 else (lam * potential).reshape((box.side,) * 3)
+        u = _cg_column(box.side, energy, pot_grid, origin)
         if u is not None:
-            return u
+            res = _apply_stencil(u.reshape((box.side,) * 3), energy, pot_grid).ravel()
+            res[origin] -= 1.0
+            if float(np.linalg.norm(res)) <= RESIDUAL_TOL:
+                return u, False
     h = build_hamiltonian(box, potential if potential is not None
                           else np.zeros(box.n_sites), lam)
-    col = resolvent_column(h, energy, eta if eta > 0 else 1e-4, box, (0, 0, 0))
-    return col.values
+    return resolvent_column(h, energy, eta, box, (0, 0, 0)).values, eta == 0.0
 
 
 @dataclass(frozen=True)
@@ -333,6 +341,7 @@ class CriterionResult:
     raw_boundary_sum: float
     samples: int
     lambda_factor_applied: bool
+    fallbacks: int  # eta = 0 CG solves redone by factorization
 
     @property
     def passes(self) -> bool:
@@ -366,9 +375,11 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
     bidx = box.boundary_indices()
     lam = context.lam
     vals = np.zeros(samples)
+    fallbacks = 0
     for isamp in range(samples):
         pot = sample_potential(box, density, seed, isamp) if lam != 0.0 else None
-        u = _criterion_column(box, pot, lam, context.energy, eta)
+        u, fell_back = _criterion_column(box, pot, lam, context.energy, eta)
+        fallbacks += fell_back
         vals[isamp] = float(np.sum(np.abs(u[bidx]) ** s))
         if lam == 0.0:
             vals = np.full(samples, vals[0])  # deterministic
@@ -378,7 +389,8 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
     factor = B_s * L**4 * (lam ** (-2.0 * s) if lam > 0 else 1.0)
     return CriterionResult(L=L, s=s, b=b, B_s=B_s, value=factor * raw,
                            stderr=factor * raw_err, raw_boundary_sum=raw,
-                           samples=samples, lambda_factor_applied=lam > 0)
+                           samples=samples, lambda_factor_applied=lam > 0,
+                           fallbacks=fallbacks)
 
 
 @dataclass(frozen=True)

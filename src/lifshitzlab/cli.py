@@ -44,7 +44,6 @@ class Field:
 COMMON = {
     "out": Field(str, None, help="output directory (default $LIFSHITZLAB_OUTDIR or '.')"),
     "seed": Field(int, 0, help="64-bit root seed for all substreams"),
-    "threads": Field(int, 1, help="worker threads; 1 guarantees bit-reproducibility"),
 }
 
 SCHEMAS = {
@@ -291,12 +290,9 @@ def run_diagram_value(cfg, manifest):
 
 
 def run_expand_verify(cfg, manifest):
-    lam, estar = cfg["lam"], cfg["estar"]
-    sigma = lam**2 * se.torus_integral_I1(estar) if lam else 0.0
-    ctx = se.EnergyContext(lam=lam, energy=estar + sigma, estar=estar, sigma=sigma)
+    ctx = se.EnergyContext.from_estar(cfg["lam"], cfg["estar"])
     box = am.Box(side=cfg["box"])
     pot = am.sample_potential(box, DensitySpec(), cfg["seed"], 0)
-    center = 0
     x = (0, 0, 0)
     y = (1, 1, 1)
     results = {}
@@ -308,7 +304,7 @@ def run_expand_verify(cfg, manifest):
     tpath = os.path.join(cfg["out"], "expansion_terms.txt")
     with open(tpath, "w") as fh:
         fh.write(dec.term_table())
-    out = {"context": {"lam": lam, "estar": estar, "sigma": sigma},
+    out = {"context": {"lam": ctx.lam, "estar": ctx.estar, "sigma": ctx.sigma},
            "residuals": results}
     if cfg["cancellation_samples"] > 0:
         cmp1 = ex.mc_moment_Al_squared(1, ctx, (0, 0, 0), (1, 0, 0),
@@ -370,10 +366,7 @@ def run_criterion(cfg, manifest):
     if cfg["energy"] > 0:
         ctx = se.solve_self_energy(cfg["energy"], lam)
     else:
-        estar = cfg["estar"]
-        sigma = lam**2 * se.torus_integral_I1(estar) if lam else 0.0
-        ctx = se.EnergyContext(lam=lam, energy=estar + sigma, estar=estar,
-                               sigma=sigma)
+        ctx = se.EnergyContext.from_estar(lam, cfg["estar"])
     res = am.finite_volume_criterion(cfg["boxl"], ctx, cfg["s"], b=cfg["b"],
                                      B_s=cfg["bs"], samples=cfg["samples"],
                                      seed=cfg["seed"])
@@ -385,7 +378,7 @@ def run_criterion(cfg, manifest):
             "passes": res.passes, "raw_boundary_sum": res.raw_boundary_sum,
             "implied_decay_rate": res.implied_decay_rate,
             "lambda_factor_applied": res.lambda_factor_applied,
-            "samples": res.samples,
+            "samples": res.samples, "fallbacks": res.fallbacks,
         }, fh, indent=1)
     manifest.outputs.append(os.path.basename(path))
 

@@ -39,7 +39,7 @@ from .anderson import Box, build_hamiltonian
 from .density import DensitySpec
 from .diagrams import cumulant_coefficient
 from .errors import CombinatorialBudgetError, SingularSolveError, TruncationError
-from .green import green_free
+from .green import _green_octant
 from .graphvalues import log_damping_constant
 from .selfenergy import EnergyContext
 
@@ -283,16 +283,8 @@ def evaluate_decomposition(box: Box, potential: np.ndarray, context: EnergyConte
 
 def _green_kernel(estar: float, radius: int) -> np.ndarray:
     """(2*radius+1)^3 array of free Green values over lattice differences."""
-    wedge = {}
-    out = np.empty((2 * radius + 1,) * 3)
-    for i in range(-radius, radius + 1):
-        for j in range(-radius, radius + 1):
-            for k in range(-radius, radius + 1):
-                key = tuple(sorted((abs(i), abs(j), abs(k))))
-                if key not in wedge:
-                    wedge[key] = green_free(key, estar)
-                out[i + radius, j + radius, k + radius] = wedge[key]
-    return out
+    a = np.abs(np.arange(-radius, radius + 1))
+    return _green_octant(estar, radius)[np.ix_(a, a, a)]
 
 
 def _shifted_field(kernel: np.ndarray, radius: int, box_radius: int, site) -> np.ndarray:

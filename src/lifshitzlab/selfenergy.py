@@ -276,6 +276,12 @@ class EnergyContext:
             return abs(self.sigma)
         return abs(self.sigma - self.lam**2 * torus_integral_I1(self.estar, self.spec))
 
+    @classmethod
+    def from_estar(cls, lam: float, estar: float) -> "EnergyContext":
+        """Context pinned at (lam, E*): sigma = lam^2 I1(E*), E = E* + sigma."""
+        sigma = lam**2 * torus_integral_I1(estar) if lam else 0.0
+        return cls(lam=lam, energy=estar + sigma, estar=estar, sigma=sigma)
+
 
 def solve_self_energy(energy: float, lam: float, spec: QuadratureSpec = DEFAULT_SPEC,
                       epsilon: float = 1.0) -> EnergyContext:

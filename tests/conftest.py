@@ -9,12 +9,7 @@ from lifshitzlab import selfenergy as se
 def context_factory():
     """Build a consistent EnergyContext directly from (lam, estar)."""
 
-    def make(lam: float, estar: float) -> se.EnergyContext:
-        sigma = lam**2 * se.torus_integral_I1(estar) if lam else 0.0
-        return se.EnergyContext(lam=lam, energy=estar + sigma, estar=estar,
-                                sigma=sigma)
-
-    return make
+    return se.EnergyContext.from_estar
 
 
 def combined_stderr(*errs):

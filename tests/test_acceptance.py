@@ -87,8 +87,7 @@ def test_criterion_04_free_green_asymptotics():
 
 def test_criterion_05_expansion_identity_and_golden_terms():
     estar, lam = 0.5, 0.5
-    sigma = lam**2 * se.torus_integral_I1(estar)
-    ctx = se.EnergyContext(lam=lam, energy=estar + sigma, estar=estar, sigma=sigma)
+    ctx = se.EnergyContext.from_estar(lam, estar)
     box = am.Box(side=8)
     worst = 0.0
     for seed in range(10):

@@ -202,6 +202,29 @@ def test_criterion_lam_zero_deterministic_and_consistent():
     assert res.raw_boundary_sum == pytest.approx(direct, rel=1e-8)
 
 
+@pytest.mark.parametrize("cg_result", ["breakdown", "bad residual"])
+def test_criterion_falls_back_to_factorization_at_same_eta(monkeypatch, cg_result):
+    ctx = se.solve_self_energy(0.85, 0.5)
+    L, s = 5, 0.24
+    box = am.Box(side=2 * L)
+    pot = am.sample_potential(box, DensitySpec(), 3, 0)
+    h = am.build_hamiltonian(box, pot, ctx.lam)
+    col = am.resolvent_column(h, ctx.energy, 0.0, box, (0, 0, 0))
+    assert not np.iscomplexobj(col.values)  # eta = 0 is a real solve
+    direct = float(np.sum(np.abs(col.values[box.boundary_indices()]) ** s))
+
+    res = am.finite_volume_criterion(L, ctx, s, samples=1, seed=3)
+    assert res.fallbacks == 0
+    assert res.raw_boundary_sum == pytest.approx(direct, rel=1e-8)
+
+    wrong = col.values + 1e-6
+    monkeypatch.setattr(am, "_cg_column",
+                        lambda *args, **kw: None if cg_result == "breakdown" else wrong)
+    res = am.finite_volume_criterion(L, ctx, s, samples=1, seed=3)
+    assert res.fallbacks == 1
+    assert res.raw_boundary_sum == direct
+
+
 def test_criterion_validates_inputs():
     ctx = se.solve_self_energy(0.3, 0.0)
     with pytest.raises(ValueError):

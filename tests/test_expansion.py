@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lifshitzlab import anderson as am
 from lifshitzlab import expansion as ex
+from lifshitzlab import green as gr
 from lifshitzlab import selfenergy as se
 from lifshitzlab.density import DensitySpec
 from lifshitzlab.errors import (CombinatorialBudgetError, SingularSolveError,
@@ -233,3 +234,16 @@ def test_decay_envelope_l2_with_factorial_prefactor(context_factory):
     c_val = rep.fitted_K * math.log(math.e + 1.0 / ctx.estar) ** 9
     for r, m in zip(rep.distances, rep.moments):
         assert m <= base * c_val**2 * math.exp(-rep.envelope_rate * r) * (1 + 1e-9)
+
+
+def test_green_kernel_symmetric_and_matches_green_free():
+    radius, estar = 6, 0.45
+    kernel = ex._green_kernel(estar, radius)
+    assert kernel.shape == (2 * radius + 1,) * 3
+    for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+        assert np.array_equal(kernel, kernel.transpose(axes))
+    for axis in range(3):
+        assert np.array_equal(kernel, np.flip(kernel, axis=axis))
+    for x in ((0, 0, 0), (1, 0, 0), (-3, 2, 5), (6, -6, 6), (4, 1, -2)):
+        value = kernel[tuple(c + radius for c in x)]
+        assert value == pytest.approx(gr.green_free(x, estar), rel=1e-13)

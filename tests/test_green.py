@@ -3,10 +3,27 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ive
 
 from lifshitzlab import green as gr
 from lifshitzlab import selfenergy as se
 from lifshitzlab.errors import NonConvergenceError, PeriodizationError
+
+
+def quad_green(x, estar):
+    """Two-piece adaptive quadrature of the heat-kernel integral (test oracle)."""
+    n1, n2, n3 = sorted(abs(int(c)) for c in x)
+
+    def integrand(t):
+        return math.exp(-estar * t) * ive(n1, t) * ive(n2, t) * ive(n3, t)
+
+    r = math.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
+    # integrand mass sits near t ~ r / sqrt(2 estar); split there for quad
+    tsplit = max(10.0, 3.0 * r / math.sqrt(2.0 * estar))
+    v1, _ = quad(integrand, 0.0, tsplit, epsabs=0.0, epsrel=1e-12, limit=500)
+    v2, _ = quad(integrand, tsplit, np.inf, epsabs=1e-300, epsrel=1e-12, limit=500)
+    return v1 + v2
 
 
 def test_origin_value_equals_torus_integral():
@@ -68,9 +85,25 @@ def test_periodization_bound_is_conservative():
     assert worst <= bound
 
 
+def resolvent_identity_residual(table: gr.GreenTable, patch_radius: int = 3) -> float:
+    """Max |(-Delta/2 + E*) R - delta| applied to the table on a small patch."""
+    best = 0.0
+    es = table.estar
+    for i in range(-patch_radius, patch_radius + 1):
+        for j in range(-patch_radius, patch_radius + 1):
+            for k in range(-patch_radius, patch_radius + 1):
+                acc = (3.0 + es) * table.value((i, j, k))
+                for d in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                          (0, 0, 1), (0, 0, -1)):
+                    acc -= 0.5 * table.value((i + d[0], j + d[1], k + d[2]))
+                target = 1.0 if (i, j, k) == (0, 0, 0) else 0.0
+                best = max(best, abs(acc - target))
+    return best
+
+
 def test_resolvent_identity_on_patch():
     table = gr.green_table_bessel(0.3, radius=6)
-    assert gr.resolvent_identity_residual(table, patch_radius=2) < 1e-8
+    assert resolvent_identity_residual(table, patch_radius=2) < 1e-8
 
 
 def test_monotone_decrease_in_estar():
@@ -94,9 +127,40 @@ def test_asymptotics_moderate_range():
         assert abs(ratio - 1.0) <= rep.c1 * math.sqrt(rep.estar) + rep.c2 / r + 1e-12
 
 
+@pytest.mark.parametrize("estar, x", [
+    (0.5, (50, 0, 0)), (2.0, (25, 0, 0)),          # deep tails, sqrt(2E*)|x| = 50
+    (1e-3, (20, 0, 0)), (1e-3, (12, 12, 12)),      # tiny E*: t_max ~ 1/E*
+    (1e-4, (20, 0, 0)), (1e-4, (12, 12, 12)),
+])
+def test_trapezoid_matches_quadrature_oracle(estar, x):
+    assert gr.green_free(x, estar) == pytest.approx(quad_green(x, estar), rel=1e-12)
+
+
+def test_table_matches_quadrature_oracle_on_every_wedge_point():
+    radius, estar = 8, 0.45
+    table = gr.green_table_bessel(estar, radius=radius)
+    wedge = [(a, b, c) for a in range(radius + 1) for b in range(a, radius + 1)
+             for c in range(b, radius + 1) if a * a + b * b + c * c <= radius**2]
+    worst = max(abs(table.value(x) / quad_green(x, estar) - 1.0) for x in wedge)
+    assert worst <= 1e-12
+
+
+def test_table_is_exactly_permutation_symmetric_with_nan_outside_ball():
+    table = gr.green_table_bessel(0.3, radius=7)
+    data = table._data
+    for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
+        assert np.array_equal(data, data.transpose(axes), equal_nan=True)
+    assert np.isnan(data[7, 7, 7]) and np.isfinite(data[0, 0, 7])
+
+
 def test_quadrature_error_contract():
+    # the summation-rounding floor makes any reltol below double precision fail
     with pytest.raises(NonConvergenceError):
         gr.green_free((2, 1, 0), 0.3, reltol=1e-16)
+    with pytest.raises(NonConvergenceError):
+        gr.green_table_bessel(0.3, radius=3, reltol=1e-16)
+    with pytest.raises(NonConvergenceError):
+        gr.green_free((0, 0, 0), 0.3, reltol=1e-14)
 
 
 def test_table_csv_roundtrip(tmp_path):

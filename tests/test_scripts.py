@@ -1,0 +1,49 @@
+"""Tiny-size smoke runs of every experiment script in `scripts/`."""
+
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    paths = [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_green_asymptotics_script_bessel_matches_fft():
+    out = run_script("green_asymptotics.py", "--estar", "0.5", "--rmin", "4",
+                     "--rmax", "12", "--fft-grid", "64")
+    worst = float(re.search(r"max \|bessel - fft\| on the axis up to 12: (\S+)", out)[1])
+    assert worst < 1e-12
+
+
+def test_selfenergy_curve_script():
+    out = run_script("selfenergy_curve.py", "--count", "3")
+    i1, closed = re.match(r"I1\(0\) = (\S+)  \(closed form (\S+)\)", out).groups()
+    assert i1 == closed
+    rows = [line.split() for line in out.splitlines() if len(line.split()) == 4]
+    residuals = [float(row[3]) for row in rows if row[0] != "E"]
+    assert len(residuals) == 9 and max(residuals) < 1e-10
+
+
+def test_diagram_census_script():
+    out = run_script("diagram_census.py", "--nmax", "2")
+    assert "n = 2: 2 pairings, 2 superficially convergent" in out
+
+
+@pytest.mark.parametrize("lam", ["0", "0.5"])
+def test_criterion_sweep_script(lam):
+    out = run_script("criterion_sweep.py", "--lam", lam, "--sweep", "3,4",
+                     "--samples", "1")
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["3", "4"]
