@@ -6,8 +6,10 @@ axis and compares the Bessel-integral route against the FFT oracle.
 """
 
 import argparse
+import sys
 
 from lifshitzlab import green as gr
+from lifshitzlab.errors import PeriodizationError
 
 
 def main():
@@ -28,8 +30,15 @@ def main():
     print(f"fitted K in value <= K/(|x|+1): {rep.envelope_constant:.4f}")
 
     if args.fft_grid:
-        radius = min(args.rmax, args.fft_grid // 4)
-        table_f = gr.green_free_fft(args.fft_grid, args.estar, radius=radius)
+        # the largest radius whose periodization bound the FFT table accepts
+        for radius in range(min(args.rmax, args.fft_grid // 4), -1, -1):
+            try:
+                table_f = gr.green_free_fft(args.fft_grid, args.estar, radius=radius)
+                break
+            except PeriodizationError as exc:
+                failure = exc
+        else:
+            sys.exit(f"no FFT cross-check on grid {args.fft_grid}: {failure}")
         worst = 0.0
         for r in range(0, radius + 1, max(radius // 8, 1)):
             worst = max(worst, abs(table_f.value((r, 0, 0))

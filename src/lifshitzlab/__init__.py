@@ -2,7 +2,8 @@
 
 Modules:
 
-* `selfenergy`: dispersion e(p), torus integrals, the self-energy fixed point
+* `selfenergy`: dispersion e(p), torus integrals under one fixed quadrature
+  policy, the self-energy fixed point
 * `green`: free lattice Green function (Bessel-integral and FFT routes)
 * `diagrams`: even-block partitions, Feynman graphs, power counting
 * `graphvalues`: Monte Carlo graph values, scaling checks, moment bounds
@@ -13,15 +14,12 @@ Modules:
 
 __version__ = "0.1.0"
 
-from .selfenergy import (EnergyContext, QuadratureSpec, TorusPoint, dispersion,
-                         energy_of_estar, solve_self_energy, threshold_E_eps,
-                         torus_integral_I1, torus_integral_I2)
+from .selfenergy import (EnergyContext, dispersion, energy_of_estar, solve_self_energy,
+                         threshold_E_eps, torus_integral_I1, torus_integral_I2)
 
 __all__ = [
     "__version__",
     "EnergyContext",
-    "QuadratureSpec",
-    "TorusPoint",
     "dispersion",
     "energy_of_estar",
     "solve_self_energy",

@@ -145,30 +145,42 @@ class ResolventColumn:
 RESIDUAL_TOL = 1e-10
 
 
+def _direct_solver(hamiltonian, energy: float, eta: float):
+    """Factor A = H + E + i eta by splu; return solve(rhs) -> (u, residual).
+
+    A failed factorization, or a solve whose true residual exceeds
+    RESIDUAL_TOL |rhs|, raises SingularSolveError advising a larger eta.
+    """
+    def singular(what):
+        return SingularSolveError(f"{what}; retry with eta > 0",
+                                  suggested_eta=max(eta * 10.0, 1e-4))
+
+    n = hamiltonian.shape[0]
+    shift = energy + 1j * eta if eta > 0 else energy
+    a = (hamiltonian + shift * sp.identity(n)).tocsc()
+    try:
+        lu = spla.splu(a)
+    except RuntimeError as exc:
+        raise singular(f"factorization failed at eta={eta:g}: {exc}") from exc
+
+    def solve(rhs):
+        u = lu.solve(rhs)
+        res = float(np.linalg.norm(a @ u - rhs))
+        if not res <= RESIDUAL_TOL * float(np.linalg.norm(rhs)):
+            raise singular(f"residual {res:.2e} above contract at eta={eta:g}")
+        return u, res
+
+    return solve
+
+
 def resolvent_column(hamiltonian, energy: float, eta: float, box: Box,
                      y_site) -> ResolventColumn:
     """Direct sparse factorization solve of (H + E + i eta) u = delta_y."""
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    n = hamiltonian.shape[0]
-    shift = energy + 1j * eta if eta > 0 else energy
-    a = (hamiltonian + shift * sp.identity(n)).tocsc()
-    rhs = np.zeros(n, dtype=complex if eta > 0 else float)
+    rhs = np.zeros(hamiltonian.shape[0], dtype=complex if eta > 0 else float)
     rhs[box.index(y_site)] = 1.0
-    try:
-        lu = spla.splu(a)
-        u = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSolveError(
-            f"factorization failed at eta={eta:g}: {exc}; retry with eta > 0",
-            suggested_eta=max(eta * 10.0, 1e-4),
-        ) from exc
-    res = float(np.linalg.norm(a @ u - rhs))
-    if not res <= RESIDUAL_TOL * float(np.linalg.norm(rhs)):
-        raise SingularSolveError(
-            f"residual {res:.2e} above contract at eta={eta:g}; retry with eta > 0",
-            suggested_eta=max(eta * 10.0, 1e-4),
-        )
+    u, res = _direct_solver(hamiltonian, energy, eta)(rhs)
     return ResolventColumn(y_site=tuple(int(c) for c in y_site), eta=eta,
                            values=u, residual=res)
 

@@ -179,7 +179,7 @@ class RunManifest:
             "finished": time.time(),
             "outputs": self.outputs,
             "tolerances": {
-                "torus_quadrature_rel": se.DEFAULT_SPEC.tolerance,
+                "torus_quadrature_rel": se.QUAD_TOL,
                 "green_bessel_rel": 1e-10,
                 "resolvent_residual": am.RESIDUAL_TOL,
             },
@@ -200,20 +200,19 @@ def _csv_writer(path, header):
 
 def run_selfenergy(cfg, manifest):
     lam, eps = cfg["lam"], cfg["epsilon"]
-    spec = se.DEFAULT_SPEC
-    lo = se.threshold_E_eps(lam, eps, spec)
-    hi = lam**2 * se.i1_zero(spec) + lam if lam > 0 else lo + 1.0
+    lo = se.threshold_E_eps(lam, eps)
+    hi = lam**2 * se.i1_zero() + lam if lam > 0 else lo + 1.0
     energies = np.linspace(lo, hi, cfg["count"])
     path = os.path.join(cfg["out"], "selfenergy.csv")
     fh, writer = _csv_writer(path, ["E", "estar", "sigma", "residual"])
     with fh:
         for energy in energies:
-            ctx = se.solve_self_energy(float(energy), lam, spec, eps)
+            ctx = se.solve_self_energy(float(energy), lam, epsilon=eps)
             writer.writerow([repr(float(energy)), repr(ctx.estar), repr(ctx.sigma),
                              repr(ctx.residual())])
     manifest.outputs.append(os.path.basename(path))
     manifest.notes["window"] = [lo, hi]
-    manifest.notes["i1_zero"] = se.i1_zero(spec)
+    manifest.notes["i1_zero"] = se.i1_zero()
 
 
 def run_green(cfg, manifest):

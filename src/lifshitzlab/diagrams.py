@@ -97,10 +97,6 @@ class Partition:
             raise ValueError("blocks must cover the index set")
 
     @property
-    def is_pairing(self) -> bool:
-        return all(len(b) == 2 for b in self.blocks)
-
-    @property
     def has_gate(self) -> bool:
         return any(_is_gate(b) for b in self.blocks)
 
@@ -415,10 +411,8 @@ def _subgraph_vertices(graph, edge_subset):
     return verts
 
 
-def _is_connected(graph, edge_subset):
-    verts = _subgraph_vertices(graph, edge_subset)
-    if not verts:
-        return False
+def _joins(graph, edge_subset, verts) -> bool:
+    """True when the lines in edge_subset connect all of verts (search from any one)."""
     start = next(iter(verts))
     seen = {start}
     frontier = [start]
@@ -433,6 +427,11 @@ def _is_connected(graph, edge_subset):
                 seen.add(t)
                 frontier.append(t)
     return seen == verts
+
+
+def _is_connected(graph, edge_subset):
+    verts = _subgraph_vertices(graph, edge_subset)
+    return bool(verts) and _joins(graph, edge_subset, verts)
 
 
 def subgraph_counts(graph: FeynmanGraph, edge_subset):
@@ -467,24 +466,7 @@ def is_one_line_reducible(graph: FeynmanGraph, edge_subset) -> bool:
     if len(edge_subset) <= 1:
         return False
     verts = _subgraph_vertices(graph, edge_subset)
-    for e in edge_subset:
-        rest = edge_subset - {e}
-        start = next(iter(verts))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for e2 in rest:
-                t, h = graph.edges[e2]
-                if t == v and h not in seen:
-                    seen.add(h)
-                    frontier.append(h)
-                elif h == v and t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        if seen != verts:  # some original vertex got cut off
-            return True
-    return False
+    return any(not _joins(graph, edge_subset - {e}, verts) for e in edge_subset)
 
 
 def is_graph_F(graph: FeynmanGraph, edge_subset) -> bool:

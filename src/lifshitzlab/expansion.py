@@ -31,14 +31,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
-from .anderson import Box, build_hamiltonian
+from .anderson import Box, _direct_solver, build_hamiltonian
 from .density import DensitySpec
 from .diagrams import cumulant_coefficient
-from .errors import CombinatorialBudgetError, SingularSolveError, TruncationError
+from .errors import CombinatorialBudgetError, TruncationError
 from .green import _green_octant
 from .graphvalues import log_damping_constant
 from .selfenergy import EnergyContext
@@ -127,9 +126,6 @@ class Decomposition:
     @property
     def all_terms(self) -> tuple:
         return self.explicit_terms + self.remainder_terms
-
-    def explicit_by_order(self, order: int) -> tuple:
-        return tuple(t for t in self.explicit_terms if t.order == order)
 
     def term_table(self) -> str:
         """Text table (insertion string, order, terminal) for golden files."""
@@ -222,16 +218,6 @@ class DecompositionCheck:
         return self.residual / self.column_norm
 
 
-def _factorized(matrix, eta: float):
-    try:
-        return spla.splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise SingularSolveError(
-            f"factorization failed at eta={eta:g}: {exc}; retry with eta > 0",
-            suggested_eta=max(10.0 * eta, 1e-3),
-        ) from exc
-
-
 def evaluate_decomposition(box: Box, potential: np.ndarray, context: EnergyContext,
                            x_site, y_site, stopping_order: int,
                            eta: float = 0.0) -> DecompositionCheck:
@@ -247,34 +233,22 @@ def evaluate_decomposition(box: Box, potential: np.ndarray, context: EnergyConte
         if box.distance_to_boundary(site) < quarter:
             raise ValueError(f"site {tuple(site)} closer than {quarter} to the boundary")
     n = box.n_sites
-    shift = 1j * eta if eta > 0 else 0.0
-    dtype = complex if eta > 0 else float
-    free_op = build_hamiltonian(box, np.zeros(n), 0.0) \
-        + (context.estar + shift) * sp.identity(n)
-    full_op = build_hamiltonian(box, potential, context.lam) \
-        + (context.energy + shift) * sp.identity(n)
-    lu_free = _factorized(free_op, eta)
-    lu_full = _factorized(full_op, eta)
-
-    ey = np.zeros(n, dtype=dtype)
+    solve_free = _direct_solver(build_hamiltonian(box, np.zeros(n), 0.0), context.estar, eta)
+    solve_full = _direct_solver(build_hamiltonian(box, potential, context.lam),
+                                context.energy, eta)
+    ey = np.zeros(n, dtype=complex if eta > 0 else float)
     ey[box.index(y_site)] = 1.0
-    column = lu_full.solve(ey)
-    res = np.linalg.norm(full_op @ column - ey)
-    if not res <= 1e-10:
-        raise SingularSolveError(
-            f"full-resolvent residual {res:.2e} at eta={eta:g}; retry with eta > 0",
-            suggested_eta=max(10.0 * eta, 1e-3),
-        )
+    column = solve_full(ey)[0]
     ix = box.index(x_site)
     lhs = column[ix]
 
     lam, sigma = context.lam, context.sigma
     rhs = 0.0
     for term in generate_terms(stopping_order).all_terms:
-        v = column.copy() if term.terminal == "full" else lu_free.solve(ey)
+        v = column.copy() if term.terminal == "full" else solve_free(ey)[0]
         for step in reversed(term.insertions):
             v = (-lam * potential) * v if step == POTENTIAL else (-sigma) * v
-            v = lu_free.solve(v)
+            v = solve_free(v)[0]
         rhs += v[ix]
     return DecompositionCheck(stopping_order=stopping_order, lhs=complex(lhs),
                               rhs=complex(rhs),
@@ -285,6 +259,17 @@ def _green_kernel(estar: float, radius: int) -> np.ndarray:
     """(2*radius+1)^3 array of free Green values over lattice differences."""
     a = np.abs(np.arange(-radius, radius + 1))
     return _green_octant(estar, radius)[np.ix_(a, a, a)]
+
+
+def _green_matrix(kernel: np.ndarray, box_radius: int) -> np.ndarray:
+    """Dense (n, n) matrix G(z_a - z_c) over the cube [-box_radius, box_radius]^3.
+
+    Entry (a, c) is kernel[z_c - z_a + 2 box_radius], read from one window view;
+    the kernel is exactly reflection-symmetric, so that is G(z_a - z_c).
+    """
+    side = 2 * box_radius + 1
+    windows = sliding_window_view(kernel, (side,) * 3)[::-1, ::-1, ::-1]
+    return windows.reshape(side**3, side**3)
 
 
 def _shifted_field(kernel: np.ndarray, radius: int, box_radius: int, site) -> np.ndarray:
@@ -375,11 +360,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
         prediction = _moment_prediction_l1(lam, rx, ry)
     else:
         prediction = _moment_prediction_l2(lam, rx, ry, kernel, b, density)
-        coords = np.stack(np.meshgrid(*([np.arange(-b, b + 1)] * 3), indexing="ij"),
-                          axis=-1).reshape(-1, 3)
-        diffs = np.abs(coords[:, None, :] - coords[None, :, :])
-        diffs.sort(axis=2)
-        gmat = kernel[2 * b:, 2 * b:, 2 * b:][diffs[..., 0], diffs[..., 1], diffs[..., 2]]
+        gmat = _green_matrix(kernel, b)
 
     from .rng import substream
 

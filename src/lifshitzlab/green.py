@@ -7,7 +7,8 @@ Two independent evaluation routes:
       R(x) = int_0^inf exp(-(3+E*)t) prod_a I_{|x_a|}(t) dt
   (scipy's scaled `ive`) by the trapezoid rule in u = ln t, exponentially
   convergent here (Trefethen & Weideman, SIAM Rev. 56, 2014), with a nested
-  half-grid error estimate; a whole octant is one matrix product.
+  half-grid error estimate (a second sum at half the step where that estimate
+  fails); a whole octant is one matrix product.
 
 * `green_free_fft` inverse-transforms 1/(e(p)+E*) sampled on an M^3 grid.
   By Poisson summation the only error is periodization: the FFT table equals
@@ -55,18 +56,26 @@ def _trapezoid(orders, estar, rmax, reltol, contract, what):
     """contract(ive(n, t_k) rows for n in orders, weights h t_k e^{-E* t_k}), checked.
 
     t_max covers the e^{-E* t} tail and the peak near t = rmax / sqrt(2 E*).  The
-    error estimate (every other node) is floored at summation rounding; NaN passes.
+    error estimate (every other node; where that fails, a second sum at h/2) is
+    floored at summation rounding; NaN passes.
     """
     if estar <= 0:
         raise ValueError("estar must be > 0")
     tmax = 60.0 / estar + 1e3 + 10.0 * rmax / math.sqrt(2.0 * estar)
     nodes = math.ceil((math.log(tmax) - _U_MIN) / _STEP) + 1
-    # u_k = u_min + k h exactly: the rounded step of np.arange biases every sum
-    t = np.exp(_U_MIN + _STEP * np.arange(nodes))
-    tab, w = ive(np.asarray(orders)[:, None], t), _STEP * t * np.exp(-estar * t)
+
+    def rows(step, count):
+        # u_k = u_min + k h exactly: the rounded step of np.arange biases every sum
+        t = np.exp(_U_MIN + step * np.arange(count))
+        return ive(np.asarray(orders)[:, None], t), step * t * np.exp(-estar * t)
+
+    tab, w = rows(_STEP, nodes)
     val = contract(tab, w)
-    err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])),
-                     nodes * np.finfo(float).eps * val)
+    floor = nodes * np.finfo(float).eps * val
+    err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])), floor)
+    if np.any(err > reltol * val):
+        # the half-grid difference is the error of the 2h rule; |S_h - S_{h/2}| is that of S_h
+        err = np.maximum(np.abs(val - contract(*rows(_STEP / 2, 2 * nodes - 1))), floor)
     bad = np.flatnonzero((val <= 0.0) | (err > reltol * val))
     if bad.size:
         i = np.unravel_index(bad[0], val.shape)

@@ -19,10 +19,17 @@ with theta_k the midpoint angles and w = A + sqrt(A^2 - 1), which makes the
 exact N^3-node rule an O(N^2) computation.  For s > 0 the rule converges
 like exp(-2N sqrt(2s)); at s = 0 the error is c/N and Richardson
 extrapolation in 1/N restores fast convergence.
+
+The quadrature runs one fixed policy, checked against Watson's closed form
+for I1(0): relative tolerance QUAD_TOL = 1e-12, a QUAD_START_GRID = 64 node
+starting grid per axis doubled until the error estimate meets the tolerance,
+a cap of QUAD_MAX_GRID = 16384 nodes per axis (NonConvergenceError beyond
+it, with the achieved estimate), and the Richardson ladder for I1 below
+E* = RICHARDSON_ESTAR = 1e-8.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,8 +38,6 @@ from scipy.special import gamma
 from .errors import BelowLifshitzWindowError, NonConvergenceError
 
 __all__ = [
-    "TorusPoint",
-    "QuadratureSpec",
     "EnergyContext",
     "dispersion",
     "torus_integral_I1",
@@ -44,58 +49,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """Momentum on T^3; components wrap modulo 1 into [-1/2, 1/2)."""
-
-    p: tuple
-
-    def __init__(self, p):
-        arr = np.atleast_1d(np.asarray(p, dtype=float))
-        if arr.shape != (3,):
-            raise ValueError("TorusPoint needs a 3-vector")
-        wrapped = (arr + 0.5) % 1.0 - 0.5
-        object.__setattr__(self, "p", tuple(wrapped))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.p)
+QUAD_TOL = 1e-12          # relative error target of the torus integrals
+QUAD_START_GRID = 64      # starting nodes per axis; escalation doubles
+QUAD_MAX_GRID = 16384     # cap on nodes per axis
+RICHARDSON_ESTAR = 1e-8   # I1 below this E* takes the Richardson ladder
 
 
 def dispersion(p):
     """Lattice dispersion e(p) = 2 sum_a sin^2(pi p_a), in [0, 6].
 
-    `p` may be a TorusPoint, a 3-vector, or an (..., 3) array.
+    `p` may be a 3-vector or an (..., 3) array.
     """
-    if isinstance(p, TorusPoint):
-        p = p.as_array()
     p = np.asarray(p, dtype=float)
     return 2.0 * np.sum(np.sin(np.pi * p) ** 2, axis=-1)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Midpoint-rule configuration for the torus integrals.
-
-    grid_points_per_axis is the *starting* grid; the driver escalates by
-    doubling until the error estimate meets `tolerance` or the grid would
-    exceed `max_grid_points`.
-    """
-
-    method: str = "tensor-midpoint-with-Richardson"
-    grid_points_per_axis: int = 64
-    tolerance: float = 1e-12
-    max_grid_points: int = 16384
-
-    def __post_init__(self):
-        if self.method not in ("tensor-midpoint", "tensor-midpoint-with-Richardson"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.grid_points_per_axis < 8 or self.grid_points_per_axis % 2:
-            raise ValueError("grid_points_per_axis must be even and >= 8")
-        if not (0 < self.tolerance < 1):
-            raise ValueError("tolerance must be in (0, 1)")
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 def _midpoint_pair(n: int, estar: float):
@@ -124,18 +90,15 @@ def _round_up4(n: int) -> int:
     return n + (-n) % 4
 
 
-def _target_grid(estar: float, tol: float, start: int) -> int:
-    """Grid size at which exp(-2N sqrt(2 estar)) drops below tol."""
-    if estar <= 0.0:
-        return _round_up4(start)
-    n = (math.log(1.0 / tol) + 8.0) / (2.0 * math.sqrt(2.0 * estar))
-    return _round_up4(max(start, int(math.ceil(n))))
+def _target_grid(estar: float) -> int:
+    """Grid size (estar > 0) at which exp(-2N sqrt(2 estar)) drops below QUAD_TOL."""
+    n = (math.log(1.0 / QUAD_TOL) + 8.0) / (2.0 * math.sqrt(2.0 * estar))
+    return _round_up4(max(QUAD_START_GRID, int(math.ceil(n))))
 
 
-def _integrate_positive(estar: float, spec: QuadratureSpec, which: int) -> float:
+def _integrate_positive(estar: float, which: int) -> float:
     """Midpoint evaluation for estar > 0 with doubling escalation."""
-    n = min(_target_grid(estar, spec.tolerance, spec.grid_points_per_axis),
-            spec.max_grid_points)
+    n = min(_target_grid(estar), QUAD_MAX_GRID)
     n = max(8, n - n % 4)
     prev = _midpoint_pair(n // 2, estar)[which]
     cur = _midpoint_pair(n, estar)[which]
@@ -144,9 +107,9 @@ def _integrate_positive(estar: float, spec: QuadratureSpec, which: int) -> float
         # smaller by exp(-sqrt(2 estar) n), applied with a safety factor
         diff = abs(cur - prev)
         err = diff * min(1.0, 100.0 * math.exp(-math.sqrt(2.0 * estar) * n))
-        if err <= spec.tolerance * max(1.0, abs(cur)):
+        if err <= QUAD_TOL * max(1.0, abs(cur)):
             return cur
-        if 2 * n > _round_up4(spec.max_grid_points):
+        if 2 * n > _round_up4(QUAD_MAX_GRID):
             raise NonConvergenceError(
                 f"midpoint rule not converged at grid {n} (estar={estar:g}); "
                 f"achieved error estimate {err:.3e}",
@@ -156,13 +119,13 @@ def _integrate_positive(estar: float, spec: QuadratureSpec, which: int) -> float
         prev, cur = cur, _midpoint_pair(n, estar)[which]
 
 
-def _integrate_richardson(estar: float, spec: QuadratureSpec) -> float:
+def _integrate_richardson(estar: float) -> float:
     """Richardson-extrapolated midpoint I1, valid down to estar = 0.
 
     The midpoint error at estar = 0 is c1/N + c3/N^3 + ...; one level of
     extrapolation removes 1/N, a second removes 1/N^3.
     """
-    n = max(spec.grid_points_per_axis, 256)
+    n = 256  # the c1/N regime needs a finer start than QUAD_START_GRID
     vals = [_midpoint_pair(n, estar)[0], _midpoint_pair(2 * n, estar)[0]]
     best = None
     while True:
@@ -172,9 +135,9 @@ def _integrate_richardson(estar: float, spec: QuadratureSpec) -> float:
         new_best = candidates[-1]
         if best is not None:
             err = abs(new_best - best)
-            if err <= spec.tolerance * max(1.0, abs(new_best)):
+            if err <= QUAD_TOL * max(1.0, abs(new_best)):
                 return new_best
-            if n * 2 ** len(vals) > spec.max_grid_points:
+            if n * 2 ** len(vals) > QUAD_MAX_GRID:
                 raise NonConvergenceError(
                     f"Richardson ladder not converged (estar={estar:g}); "
                     f"achieved error estimate {err:.3e}",
@@ -184,20 +147,20 @@ def _integrate_richardson(estar: float, spec: QuadratureSpec) -> float:
         vals.append(_midpoint_pair(n * 2 ** len(vals), estar)[0])
 
 
-def torus_integral_I1(estar: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def torus_integral_I1(estar: float) -> float:
     """int_T3 d^3p / (e(p) + estar); finite for all estar >= 0."""
     if estar < 0:
         raise ValueError("estar must be >= 0")
-    if spec.method == "tensor-midpoint-with-Richardson" and estar < 1e-8:
-        return _integrate_richardson(estar, spec)
-    return _integrate_positive(estar, spec, which=0)
+    if estar < RICHARDSON_ESTAR:
+        return _integrate_richardson(estar)
+    return _integrate_positive(estar, which=0)
 
 
-def torus_integral_I2(estar: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def torus_integral_I2(estar: float) -> float:
     """int_T3 d^3p / (e(p) + estar)^2 = -d I1 / d estar; needs estar > 0."""
     if estar <= 0:
         raise ValueError("estar must be > 0")
-    return _integrate_positive(estar, spec, which=1)
+    return _integrate_positive(estar, which=1)
 
 
 def watson_constant() -> float:
@@ -212,29 +175,22 @@ def watson_constant() -> float:
     )
 
 
-@lru_cache(maxsize=32)
-def _i1_at_zero(grid: int, tol: float, max_grid: int) -> float:
-    return _integrate_richardson(
-        0.0, QuadratureSpec(grid_points_per_axis=grid, tolerance=tol, max_grid_points=max_grid)
-    )
-
-
-def i1_zero(spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+@lru_cache(maxsize=None)
+def i1_zero() -> float:
     """Cached I1(0)."""
-    return _i1_at_zero(max(spec.grid_points_per_axis, 256), spec.tolerance, spec.max_grid_points)
+    return _integrate_richardson(0.0)
 
 
-def energy_of_estar(estar: float, lam: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def energy_of_estar(estar: float, lam: float) -> float:
     """E(E*) = E* + lam^2 I1(E*), the inverse of the self-energy map."""
     if estar < 0:
         raise ValueError("estar must be >= 0")
     if lam == 0.0:
         return estar
-    return estar + lam**2 * torus_integral_I1(estar, spec)
+    return estar + lam**2 * torus_integral_I1(estar)
 
 
-def threshold_E_eps(lam: float, epsilon: float = 1.0,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def threshold_E_eps(lam: float, epsilon: float = 1.0) -> float:
     """Lower edge of the admissible energy window: lam^2 I1(0) + lam^(4-eps)."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -242,7 +198,7 @@ def threshold_E_eps(lam: float, epsilon: float = 1.0,
         raise ValueError("epsilon must be in (0, 4)")
     if lam == 0.0:
         return 0.0
-    return lam**2 * i1_zero(spec) + lam ** (4.0 - epsilon)
+    return lam**2 * i1_zero() + lam ** (4.0 - epsilon)
 
 
 @dataclass(frozen=True)
@@ -257,16 +213,12 @@ class EnergyContext:
     energy: float
     estar: float
     sigma: float
-    epsilon: float = 1.0
-    spec: QuadratureSpec = field(default=DEFAULT_SPEC, repr=False)
 
     def __post_init__(self):
         if self.lam < 0 or self.energy <= 0 or self.estar <= 0:
             raise ValueError("need lam >= 0, E > 0, estar > 0")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if not (0 < self.epsilon < 4):
-            raise ValueError("epsilon must be in (0, 4)")
         if abs(self.sigma - (self.energy - self.estar)) > 1e-12 * max(1.0, self.energy):
             raise ValueError("sigma must equal E - estar")
 
@@ -274,7 +226,7 @@ class EnergyContext:
         """|sigma - lam^2 I1(estar)| of the fixed point."""
         if self.lam == 0.0:
             return abs(self.sigma)
-        return abs(self.sigma - self.lam**2 * torus_integral_I1(self.estar, self.spec))
+        return abs(self.sigma - self.lam**2 * torus_integral_I1(self.estar))
 
     @classmethod
     def from_estar(cls, lam: float, estar: float) -> "EnergyContext":
@@ -283,8 +235,7 @@ class EnergyContext:
         return cls(lam=lam, energy=estar + sigma, estar=estar, sigma=sigma)
 
 
-def solve_self_energy(energy: float, lam: float, spec: QuadratureSpec = DEFAULT_SPEC,
-                      epsilon: float = 1.0) -> EnergyContext:
+def solve_self_energy(energy: float, lam: float, epsilon: float = 1.0) -> EnergyContext:
     """Invert E(E*) = E on its increasing branch and return the solved context.
 
     Bisection brackets the root, a safeguarded Newton iteration polishes it;
@@ -292,24 +243,25 @@ def solve_self_energy(energy: float, lam: float, spec: QuadratureSpec = DEFAULT_
     """
     if energy <= 0:
         raise ValueError("energy must be > 0")
+    if not (0 < epsilon < 4):
+        raise ValueError("epsilon must be in (0, 4)")
     if lam == 0.0:
-        return EnergyContext(lam=0.0, energy=energy, estar=energy, sigma=0.0,
-                             epsilon=epsilon, spec=spec)
-    thresh = threshold_E_eps(lam, epsilon, spec)
+        return EnergyContext(lam=0.0, energy=energy, estar=energy, sigma=0.0)
+    thresh = threshold_E_eps(lam, epsilon)
     if energy < thresh * (1.0 - 1e-12):
         raise BelowLifshitzWindowError(
             f"E={energy:g} below the admissible window edge E_eps={thresh:g} "
             f"(lam={lam:g}, eps={epsilon:g})"
         )
 
-    i10 = i1_zero(spec)
+    i10 = i1_zero()
     # E >= E_eps guarantees the root lies on the increasing branch above
     # lo = 4 (lam^2 I1(0))^2, and f(hi) > 0 holds for hi >= E since I1 > 0.
     lo = 4.0 * (lam**2 * i10) ** 2
     hi = max(6.0, energy)
 
     def f(t):
-        return energy_of_estar(t, lam, spec) - energy
+        return energy_of_estar(t, lam) - energy
 
     # initial guess from E(E*) ~ E* + lam^2 (I1(0) - (sqrt(2)/2pi) sqrt(E*))
     beta = math.sqrt(2.0) / (2.0 * math.pi) * lam**2
@@ -326,7 +278,7 @@ def solve_self_energy(energy: float, lam: float, spec: QuadratureSpec = DEFAULT_
             lo = x
         if abs(fx) < tol:
             break
-        deriv = 1.0 - lam**2 * torus_integral_I2(x, spec)
+        deriv = 1.0 - lam**2 * torus_integral_I2(x)
         xn = x - fx / deriv if deriv > 0 else None
         if xn is None or not (lo < xn < hi):
             xn = 0.5 * (lo + hi)
@@ -335,5 +287,4 @@ def solve_self_energy(energy: float, lam: float, spec: QuadratureSpec = DEFAULT_
         raise NonConvergenceError("self-energy Newton/bisection did not converge",
                                   achieved=abs(f(x)))
 
-    return EnergyContext(lam=lam, energy=energy, estar=x, sigma=energy - x,
-                         epsilon=epsilon, spec=spec)
+    return EnergyContext(lam=lam, energy=energy, estar=x, sigma=energy - x)

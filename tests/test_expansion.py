@@ -247,3 +247,19 @@ def test_green_kernel_symmetric_and_matches_green_free():
     for x in ((0, 0, 0), (1, 0, 0), (-3, 2, 5), (6, -6, 6), (4, 1, -2)):
         value = kernel[tuple(c + radius for c in x)]
         assert value == pytest.approx(gr.green_free(x, estar), rel=1e-13)
+
+
+def dense_green_matrix(kernel, b):
+    """G(z_a - z_c) over the cube by |difference| sorting (test oracle)."""
+    coords = np.stack(np.meshgrid(*([np.arange(-b, b + 1)] * 3), indexing="ij"),
+                      axis=-1).reshape(-1, 3)
+    diffs = np.abs(coords[:, None, :] - coords[None, :, :])
+    diffs.sort(axis=2)
+    return kernel[2 * b:, 2 * b:, 2 * b:][diffs[..., 0], diffs[..., 1], diffs[..., 2]]
+
+
+@pytest.mark.parametrize("estar", [0.45, 0.1])
+def test_green_matrix_equals_dense_oracle(estar):
+    b = 5
+    kernel = ex._green_kernel(estar, 2 * b)
+    assert np.array_equal(ex._green_matrix(kernel, b), dense_green_matrix(kernel, b))

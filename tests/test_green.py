@@ -145,6 +145,13 @@ def test_table_matches_quadrature_oracle_on_every_wedge_point():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("estar, x", [(2.0, (11, 42, 47)), (5.0, (0, 22, 60))])
+def test_radius_64_table_at_large_estar_matches_oracle(estar, x):
+    # the half-grid estimate (the h = 0.1 error) fails here; the h/2 sum clears it
+    table = gr.green_table_bessel(estar, radius=64)
+    assert table.value(x) == pytest.approx(quad_green(x, estar), rel=1e-12)
+
+
 def test_table_is_exactly_permutation_symmetric_with_nan_outside_ball():
     table = gr.green_table_bessel(0.3, radius=7)
     data = table._data

@@ -10,12 +10,16 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name, *args):
+def launch(name, *args):
     env = dict(os.environ)
     paths = [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_script(name, *args):
+    proc = launch(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -25,6 +29,15 @@ def test_green_asymptotics_script_bessel_matches_fft():
                      "--rmax", "12", "--fft-grid", "64")
     worst = float(re.search(r"max \|bessel - fft\| on the axis up to 12: (\S+)", out)[1])
     assert worst < 1e-12
+
+
+def test_green_asymptotics_script_fits_fft_radius_to_periodization_bound():
+    out = run_script("green_asymptotics.py", "--estar", "0.05", "--rmin", "4",
+                     "--rmax", "20", "--fft-grid", "64")
+    assert "on the axis up to 13:" in out  # radius 16 = grid/4 breaks the bound
+    proc = launch("green_asymptotics.py", "--fft-grid", "64")  # default E* = 0.01
+    assert proc.returncode != 0 and "Traceback" not in proc.stderr
+    assert "periodization error bound" in proc.stderr
 
 
 def test_selfenergy_curve_script():

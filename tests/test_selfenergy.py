@@ -31,15 +31,6 @@ def test_dispersion_range_evenness_periodicity(p):
     assert se.dispersion(p + 1.0) == pytest.approx(val, abs=1e-9)
 
 
-@given(st.tuples(coords, coords, coords))
-@settings(max_examples=200, deadline=None)
-def test_torus_point_wraps(p):
-    tp = se.TorusPoint(p)
-    arr = tp.as_array()
-    assert np.all(arr >= -0.5) and np.all(arr < 0.5)
-    assert se.dispersion(tp) == pytest.approx(se.dispersion(np.array(p)), abs=1e-9)
-
-
 def test_pointwise_propagator_bound_dense_grid():
     # e(p) >= p^2 on the torus, so (e+E*)^{-1} <= (p^2+E*)^{-1}
     x = np.linspace(-0.5, 0.5, 41)
@@ -134,6 +125,8 @@ def test_energy_extremum_unique_on_log_grid():
 def test_solve_trivial_lam_zero():
     ctx = se.solve_self_energy(0.3, 0.0)
     assert ctx.sigma == 0.0 and ctx.estar == 0.3
+    with pytest.raises(ValueError):
+        se.solve_self_energy(0.3, 0.0, epsilon=5.0)
 
 
 def test_solve_roundtrip_and_sigma_bound():
@@ -177,20 +170,10 @@ def test_threshold_estar_scale_fitted_constant():
     assert c_fit > 0.0
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        se.QuadratureSpec(grid_points_per_axis=7)
-    with pytest.raises(ValueError):
-        se.QuadratureSpec(grid_points_per_axis=10, method="simpson")
-    with pytest.raises(ValueError):
-        se.QuadratureSpec(tolerance=2.0)
-
-
-def test_nonconvergence_reports_achieved_estimate():
-    spec = se.QuadratureSpec(method="tensor-midpoint", grid_points_per_axis=8,
-                             tolerance=1e-12, max_grid_points=64)
+def test_nonconvergence_reports_achieved_estimate(monkeypatch):
+    monkeypatch.setattr(se, "QUAD_MAX_GRID", 64)
     with pytest.raises(NonConvergenceError) as err:
-        se.torus_integral_I1(0.0, spec)  # plain midpoint stalls at c/N accuracy
+        se.torus_integral_I1(1e-6)  # near-c/N regime needs far more than 64 nodes
     assert err.value.achieved is not None and err.value.achieved > 0
 
 
