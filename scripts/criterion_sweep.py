@@ -23,10 +23,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    if args.lam == 0.0:
-        ctx = se.solve_self_energy(args.energy, 0.0)
-    else:
-        ctx = se.solve_self_energy(args.energy, args.lam)
+    ctx = se.solve_self_energy(args.energy, args.lam)
     print(f"lam = {ctx.lam}, E = {ctx.energy}, E* = {ctx.estar:.6g}, "
           f"s = {args.s}, b = {args.b}")
     print(f"{'L':>4} {'value':>12} {'stderr':>10} {'margin':>12} {'passes':>7}")

@@ -4,7 +4,8 @@ Operators live on Dirichlet boxes (simple truncation: hopping across the
 boundary dropped).  H = -Delta/2 + lam V has the 7-point stencil with
 diagonal 3 + lam V(n) and off-diagonal -1/2, so the clean operator's
 spectrum sits inside [0, 6] and the disordered one is bounded below by
-lam * min(support) plus the kinetic floor.
+-lam sqrt(3), the bottom of the uniform potential's support, plus the kinetic
+floor.  Every disorder average samples that one law (`density.DensitySpec`).
 
 Resolvent columns (H + E + i eta)^{-1} delta_y come from a direct sparse
 factorization with an explicit residual contract; the large boxes of the
@@ -32,7 +33,6 @@ from .selfenergy import EnergyContext
 
 __all__ = [
     "Box",
-    "DensitySpec",
     "sample_potential",
     "half_laplacian",
     "build_hamiltonian",
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_ETA_SCHEDULE = (1e-2, 1e-3, 1e-4)
+MAX_BOX_SITES = 1_000_000  # memory guard on box sizes
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,14 @@ class Box:
     """Dirichlet cube with `side` sites per axis, centered at the origin."""
 
     side: int
-    max_sites: int = 1_000_000
 
     def __post_init__(self):
         if self.side < 2:
             raise ValueError("side must be >= 2")
-        if self.side**3 > self.max_sites:
+        if self.side**3 > MAX_BOX_SITES:
             raise ValueError(
                 f"box with {self.side}^3 sites exceeds the memory budget "
-                f"{self.max_sites}"
+                f"{MAX_BOX_SITES}"
             )
 
     @property
@@ -199,7 +199,16 @@ def _apply_stencil(v, shift, pot):
     return out
 
 
-def _cg_column(side, shift, pot, rhs_index, tol=1e-11, maxit=5000):
+# CG stops once the recursive residual norm drops below CG_TOL.  The criterion's
+# boundary sum depends on this stop: boundary entries the Krylov space has not
+# reached yet are exact zeros (at lam = 0.5, E = 0.85, s = 0.24, seed 5, one
+# sample, L = 25: stops 1e-11 / 1e-13 / 1e-15 give sums 0.187 / 0.480 / 0.674).
+# Changing it changes printed criterion values.
+CG_TOL = 1e-11
+CG_MAXIT = 5000
+
+
+def _cg_column(side, shift, pot, rhs_index):
     """Matrix-free CG for the positive definite shifted operator; None if not PD."""
     b = np.zeros((side, side, side))
     b.ravel()[rhs_index] = 1.0
@@ -207,7 +216,7 @@ def _cg_column(side, shift, pot, rhs_index, tol=1e-11, maxit=5000):
     r = b.copy()
     p = r.copy()
     rs = 1.0
-    for _ in range(maxit):
+    for _ in range(CG_MAXIT):
         ap = _apply_stencil(p, shift, pot)
         pap = float(np.sum(p * ap))
         if pap <= 0.0:
@@ -216,7 +225,7 @@ def _cg_column(side, shift, pot, rhs_index, tol=1e-11, maxit=5000):
         x += alpha * p
         r -= alpha * ap
         rs_new = float(np.sum(r * r))
-        if math.sqrt(rs_new) < tol:
+        if math.sqrt(rs_new) < CG_TOL:
             return x.ravel()
         p = r + (rs_new / rs) * p
         rs = rs_new
@@ -268,8 +277,7 @@ class FractionalMomentEstimate:
 
 def fractional_moment(box: Box, context: EnergyContext, s: float, pairs,
                       samples: int, eta_schedule=DEFAULT_ETA_SCHEDULE,
-                      seed: int = 0,
-                      density: DensitySpec = DensitySpec()) -> FractionalMomentEstimate:
+                      seed: int = 0) -> FractionalMomentEstimate:
     """MC average of |R(x,y)|^s over disorder, resolved by eta."""
     if not (0 < s < 1):
         raise ValueError("s must be in (0, 1)")
@@ -278,7 +286,7 @@ def fractional_moment(box: Box, context: EnergyContext, s: float, pairs,
     ys = sorted({y for _, y in pairs})
     acc = np.zeros((len(etas), len(pairs), samples))
     for isamp in range(samples):
-        pot = sample_potential(box, density, seed, isamp)
+        pot = sample_potential(box, DensitySpec(), seed, isamp)
         h = build_hamiltonian(box, pot, context.lam)
         for ieta, eta in enumerate(etas):
             cols = {y: resolvent_column(h, context.energy, eta, box, y) for y in ys}
@@ -302,8 +310,8 @@ class MomentDifferenceResult:
 
 
 def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
-                      samples: int, seed: int = 0, eta: float = 0.0,
-                      density: DensitySpec = DensitySpec()) -> MomentDifferenceResult:
+                      samples: int, seed: int = 0,
+                      eta: float = 0.0) -> MomentDifferenceResult:
     """E|R(x,y) - R_r(x,y)|^s with the box-consistent free resolvent.
 
     Pairs outside the window |x-y| < (E*)^{-1/2} are excluded with notice.
@@ -322,7 +330,7 @@ def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
     free_cols = {y: resolvent_column(free_h, context.estar, eta, box, y) for y in ys}
     acc = np.zeros((len(kept), samples))
     for isamp in range(samples):
-        pot = sample_potential(box, density, seed, isamp)
+        pot = sample_potential(box, DensitySpec(), seed, isamp)
         h = build_hamiltonian(box, pot, context.lam)
         cols = {y: resolvent_column(h, context.energy, eta, box, y) for y in ys}
         for ipair, (x, y) in enumerate(kept):
@@ -371,8 +379,8 @@ class CriterionResult:
 
 def finite_volume_criterion(L: int, context: EnergyContext, s: float,
                             b: float = 0.5, B_s: float = 1.0,
-                            samples: int = 1, seed: int = 0, eta: float = 0.0,
-                            density: DensitySpec = DensitySpec()) -> CriterionResult:
+                            samples: int = 1, seed: int = 0,
+                            eta: float = 0.0) -> CriterionResult:
     """Evaluate B_s L^4 lam^{-2s} sum_{n in boundary} E|R(n,0)|^s < b.
 
     The box is the cube of side 2L centered at the origin.  At lam = 0 the
@@ -389,7 +397,7 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
     vals = np.zeros(samples)
     fallbacks = 0
     for isamp in range(samples):
-        pot = sample_potential(box, density, seed, isamp) if lam != 0.0 else None
+        pot = sample_potential(box, DensitySpec(), seed, isamp) if lam != 0.0 else None
         u, fell_back = _criterion_column(box, pot, lam, context.energy, eta)
         fallbacks += fell_back
         vals[isamp] = float(np.sum(np.abs(u[bidx]) ** s))

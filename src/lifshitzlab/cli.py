@@ -180,7 +180,7 @@ class RunManifest:
             "outputs": self.outputs,
             "tolerances": {
                 "torus_quadrature_rel": se.QUAD_TOL,
-                "green_bessel_rel": 1e-10,
+                "green_bessel_rel": gr.BESSEL_RELTOL,
                 "resolvent_residual": am.RESIDUAL_TOL,
             },
             "notes": self.notes,

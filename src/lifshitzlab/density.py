@@ -1,9 +1,9 @@
-"""Single-site disorder densities.
+"""The single-site disorder density.
 
-The default (and currently only) family is the uniform density on
-[-sqrt(3), sqrt(3)]: even, bounded, compactly supported, unit variance.
-Its even moments are available in closed form, which the cumulant tests rely
-on (m_4 = 9/5).
+The paper's potential is bounded, zero-mean and i.i.d.; lifshitzlab fixes one
+law for it, uniform on [-sqrt(3), sqrt(3)]: even, bounded, compactly
+supported, unit variance.  Its even moments are available in closed form,
+which the cumulant tests rely on (m_4 = 9/5).
 """
 
 import math
@@ -16,18 +16,7 @@ SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Even, bounded, compactly supported single-site density with variance 1."""
-
-    family: str = "uniform"
-
-    def __post_init__(self):
-        if self.family != "uniform":
-            raise ValueError(f"unsupported density family: {self.family!r}")
-
-    @property
-    def support_min(self) -> float:
-        """Lower edge of the support; lam * support_min is the a.s. spectral bottom."""
-        return -SQRT3
+    """Uniform density on [-sqrt(3), sqrt(3)]: even, bounded, variance 1."""
 
     @property
     def support_max(self) -> float:

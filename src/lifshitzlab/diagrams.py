@@ -26,6 +26,7 @@ A graph is superficially convergent when every connected subgraph satisfies
 div < -2 eps E, or div = 0 with l-div <= -eps.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 EXTERNAL = "ext"
+MAX_INDEX_SET = 16        # enumeration guard on the doubled index-set size
+CENSUS_BUDGET = 10**6     # line subsets a census visits before it gives up
 
 
 @dataclass(frozen=True)
@@ -123,12 +126,13 @@ def _even_partitions(members):
 
 
 def enumerate_partitions(index_set: IndexSet, pairings_only: bool = False,
-                         gate_free: bool = False, limit: int = 16):
+                         gate_free: bool = False):
     """All even-block partitions, duplicate-free, in sorted canonical order."""
     members = index_set.members
-    if len(members) > limit:
+    if len(members) > MAX_INDEX_SET:
         raise CombinatorialBudgetError(
-            f"index set of size {len(members)} exceeds the enumeration guard {limit}"
+            f"index set of size {len(members)} exceeds the enumeration guard "
+            f"{MAX_INDEX_SET}"
         )
     if pairings_only and len(members) % 2:
         raise ValueError("pairings need an even number of indices")
@@ -143,44 +147,37 @@ def enumerate_partitions(index_set: IndexSet, pairings_only: bool = False,
     return out
 
 
-_CUMULANT_CACHE = {}
-
-
-def cumulant_coefficient(block_size: int, density: DensitySpec = DensitySpec()) -> float:
+@functools.lru_cache(maxsize=None)
+def cumulant_coefficient(block_size: int) -> float:
     """Coefficient c_{2l} of the even-partition moment expansion.
 
-    Defined recursively so that the single-site moments satisfy
-    m_{2l} = sum over even partitions pi of 2l slots of prod_j c_{|S_j|};
-    in particular c_2 = 1 for a unit-variance density.
+    Defined recursively so that the single-site moments of the uniform law
+    satisfy m_{2l} = sum over even partitions pi of 2l slots of
+    prod_j c_{|S_j|}; in particular c_2 = 1 (unit variance).
     """
     if block_size % 2 or block_size <= 0:
         raise ValueError("block size must be a positive even integer")
-    key = (block_size, density.family)
-    if key in _CUMULANT_CACHE:
-        return _CUMULANT_CACHE[key]
+    density = DensitySpec()
     if block_size == 2:
-        val = density.moment(2)  # = 1 by the unit-variance assumption
-    else:
-        total = 0.0
-        for blocks in _even_partitions(tuple(range(block_size))):
-            if len(blocks) == 1:
-                continue
-            prod = 1.0
-            for b in blocks:
-                prod *= cumulant_coefficient(len(b), density)
-            total += prod
-        val = density.moment(block_size) - total
-    _CUMULANT_CACHE[key] = val
-    return val
+        return density.moment(2)  # = 1 by the unit-variance assumption
+    total = 0.0
+    for blocks in _even_partitions(tuple(range(block_size))):
+        if len(blocks) == 1:
+            continue
+        prod = 1.0
+        for b in blocks:
+            prod *= cumulant_coefficient(len(b))
+        total += prod
+    return density.moment(block_size) - total
 
 
-def moment_from_partition_sum(order: int, density: DensitySpec = DensitySpec()) -> float:
+def moment_from_partition_sum(order: int) -> float:
     """Reconstruct m_{2l} from the partition sum (consistency oracle)."""
     total = 0.0
     for blocks in _even_partitions(tuple(range(order))):
         prod = 1.0
         for b in blocks:
-            prod *= cumulant_coefficient(len(b), density)
+            prod *= cumulant_coefficient(len(b))
         total += prod
     return total
 
@@ -316,9 +313,6 @@ class DeltaSystem:
     def forces(self, row) -> bool:
         """True when `row` = 0 holds on the subspace (lies in the row space)."""
         return _rank_exact(list(self.constraints) + [tuple(row)]) == self.rank()
-
-    def contains_constraint(self, row) -> bool:
-        return tuple(row) in self.constraints
 
 
 def spanning_tree_decomposition(graph: FeynmanGraph):
@@ -532,8 +526,8 @@ class CensusReport:
         return json.dumps(payload, indent=1)
 
 
-def classify_superficial_convergence(graph: FeynmanGraph, eps=Fraction(1, 10),
-                                     budget: int = 10**6) -> CensusReport:
+def classify_superficial_convergence(graph: FeynmanGraph,
+                                     eps=Fraction(1, 10)) -> CensusReport:
     """Enumerate all connected subgraphs with their power-counting verdicts."""
     eps = Fraction(eps)
     ids = graph.edge_ids
@@ -543,7 +537,7 @@ def classify_superficial_convergence(graph: FeynmanGraph, eps=Fraction(1, 10),
     for r in range(1, len(ids) + 1):
         for subset in itertools.combinations(ids, r):
             count += 1
-            if count > budget:
+            if count > CENSUS_BUDGET:
                 complete = False
                 break
             fs = frozenset(subset)
@@ -565,11 +559,3 @@ def classify_superficial_convergence(graph: FeynmanGraph, eps=Fraction(1, 10),
             break
     return CensusReport(graph_label=graph.label(), eps=eps,
                         records=tuple(records), complete=complete)
-
-
-def double_factorial_count(n_pairs: int) -> int:
-    """(2n-1)!! pairings of 2n indices."""
-    out = 1
-    for k in range(2 * n_pairs - 1, 0, -2):
-        out *= k
-    return out

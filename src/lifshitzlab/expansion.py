@@ -40,6 +40,7 @@ from .diagrams import cumulant_coefficient
 from .errors import CombinatorialBudgetError, TruncationError
 from .green import _green_octant
 from .graphvalues import log_damping_constant
+from .rng import substream
 from .selfenergy import EnergyContext
 
 __all__ = [
@@ -62,6 +63,8 @@ POTENTIAL = "V"
 BULLET = "B"
 _ORDER = {POTENTIAL: 1, BULLET: 2}
 MAX_STOPPING_ORDER = 12
+TRUNCATION_TOL = 1e-3  # largest boundary-shell share of a truncated lattice sum
+MC_BATCH = 500         # potential samples drawn per batch in the moment MC
 
 
 def term_order(insertions) -> int:
@@ -239,13 +242,14 @@ def evaluate_decomposition(box: Box, potential: np.ndarray, context: EnergyConte
     ey = np.zeros(n, dtype=complex if eta > 0 else float)
     ey[box.index(y_site)] = 1.0
     column = solve_full(ey)[0]
+    free_column = solve_free(ey)[0]
     ix = box.index(x_site)
     lhs = column[ix]
 
     lam, sigma = context.lam, context.sigma
     rhs = 0.0
     for term in generate_terms(stopping_order).all_terms:
-        v = column.copy() if term.terminal == "full" else solve_free(ey)[0]
+        v = column if term.terminal == "full" else free_column
         for step in reversed(term.insertions):
             v = (-lam * potential) * v if step == POTENTIAL else (-sigma) * v
             v = solve_free(v)[0]
@@ -299,7 +303,7 @@ def _moment_prediction_l1(lam, rx, ry):
     return lam**2 * float(np.sum(rx**2 * ry**2))
 
 
-def _moment_prediction_l2(lam, rx, ry, kernel, box_radius, density):
+def _moment_prediction_l2(lam, rx, ry, kernel, box_radius):
     """lam^4 [ S_{{1,4},{2,5}} + S_{{1,5},{2,4}} + c_4 S_{4-block} ] via convolutions."""
     b = box_radius
     side = 2 * b + 1
@@ -311,29 +315,22 @@ def _moment_prediction_l2(lam, rx, ry, kernel, box_radius, density):
     mixed = rx3 * ry3
     conv2 = fftconvolve(mixed, k2, mode="same")
     s2 = float(np.sum(mixed * conv2))
-    c4 = cumulant_coefficient(4, density)
+    c4 = cumulant_coefficient(4)
     s3 = g0**2 * float(np.sum(rx3**2 * ry3**2))
     return lam**4 * (s1 + s2 + c4 * s3)
 
 
 def _truncation_ratio(rx, ry, box_radius):
     """Boundary-shell share of the l=1 lattice sum (truncation health check)."""
-    b = box_radius
-    side = 2 * b + 1
-    w = (rx**2 * ry**2).reshape(side, side, side)
-    shell = np.zeros_like(w, dtype=bool)
-    shell[0, :, :] = shell[-1, :, :] = True
-    shell[:, 0, :] = shell[:, -1, :] = True
-    shell[:, :, 0] = shell[:, :, -1] = True
+    w = rx**2 * ry**2
+    shell = Box(side=2 * box_radius + 1).boundary_indices()
     total = float(np.sum(w))
     return float(np.sum(w[shell])) / total if total > 0 else 0.0
 
 
 def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
-                         samples: int, box_radius: int = 5, seed: int = 0,
-                         density: DensitySpec = DensitySpec(),
-                         truncation_tol: float = 1e-3,
-                         batch: int = 500) -> MomentComparison:
+                         samples: int, box_radius: int = 5,
+                         seed: int = 0) -> MomentComparison:
     """Disorder-MC of A_l(x,y)^2 vs the gate-free diagram sum, l in {1, 2}.
 
     Lattice sums run over the cube [-box_radius, box_radius]^3; both the MC
@@ -348,10 +345,10 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     rx = _shifted_field(kernel, 2 * b, b, x_site)
     ry = _shifted_field(kernel, 2 * b, b, y_site)
     trunc = _truncation_ratio(rx, ry, b)
-    if trunc > truncation_tol:
+    if trunc > TRUNCATION_TOL:
         raise TruncationError(
             f"boundary shell carries {trunc:.2e} of the lattice sum "
-            f"(tolerance {truncation_tol:g}); enlarge box_radius beyond {b}"
+            f"(tolerance {TRUNCATION_TOL:g}); enlarge box_radius beyond {b}"
         )
 
     side = 2 * b + 1
@@ -359,17 +356,16 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     if order == 1:
         prediction = _moment_prediction_l1(lam, rx, ry)
     else:
-        prediction = _moment_prediction_l2(lam, rx, ry, kernel, b, density)
+        prediction = _moment_prediction_l2(lam, rx, ry, kernel, b)
         gmat = _green_matrix(kernel, b)
 
-    from .rng import substream
-
+    density = DensitySpec()
     rng = substream(seed, "moment-mc", order)
     vals = np.empty(samples)
     done = 0
     pxy = float(np.sum(rx * ry))
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(MC_BATCH, samples - done)
         v = density.sample(rng, (m, n_sites))
         if order == 1:
             a = lam * (v @ (rx * ry))
@@ -386,8 +382,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
 
 
 def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
-                   box_radius: int, density: DensitySpec = DensitySpec(),
-                   kernel: np.ndarray = None) -> float:
+                   box_radius: int, kernel: np.ndarray = None) -> float:
     """Gate-free partition lattice sum for E A_l^2 (no Monte Carlo)."""
     if order not in (1, 2):
         raise ValueError("l must be 1 or 2")
@@ -398,7 +393,7 @@ def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
     ry = _shifted_field(kernel, 2 * b, b, y_site)
     if order == 1:
         return _moment_prediction_l1(context.lam, rx, ry)
-    return _moment_prediction_l2(context.lam, rx, ry, kernel, b, density)
+    return _moment_prediction_l2(context.lam, rx, ry, kernel, b)
 
 
 @dataclass(frozen=True)
@@ -417,8 +412,7 @@ class DecayEnvelopeReport:
 
 
 def check_decay_envelope(order: int, context: EnergyContext, distances,
-                         box_margin: int = 5,
-                         density: DensitySpec = DensitySpec()) -> DecayEnvelopeReport:
+                         box_margin: int = 5) -> DecayEnvelopeReport:
     """Fit the decay rate of the diagram-sum E A_l^2 along an axis.
 
     The envelope rate sqrt(E*/3) is an upper bound on the kernel, hence a
@@ -436,7 +430,7 @@ def check_decay_envelope(order: int, context: EnergyContext, distances,
         half = r // 2
         x = (-half, 0, 0)
         y = (r - half, 0, 0)
-        vals.append(diagram_moment(order, context, x, y, b, density, kernel=kernel))
+        vals.append(diagram_moment(order, context, x, y, b, kernel=kernel))
     rates = np.polyfit(np.array(distances, dtype=float), np.log(vals), 1)
     fitted_rate = -float(rates[0])
     env_rate = math.sqrt(context.estar / 3.0)

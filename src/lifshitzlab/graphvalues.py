@@ -113,16 +113,20 @@ def _proposal_density(q, scale=1.0):
     return (scale / math.pi**2) / (scale * scale + q2) ** 2
 
 
-def _loop_expansion(graph: FeynmanGraph):
+def _loop_momentum_mc(graph: FeynmanGraph, mc: MCParams, stream: str, sample,
+                      loop_weight, line_weight):
+    """MC mean and stderr of prod_loops loop_weight(w) prod_tree line_weight(u).
+
+    `sample(rng, shape)` draws the loop momenta w, shape (samples, loops, 3);
+    the tree momenta are u_i = sum_j a_ij w_j from the spanning-tree split.
+    """
     tree, loops, a = spanning_tree_decomposition(graph)
-    return tree, loops, np.array(a, dtype=float) if tree else np.zeros((0, len(loops)))
-
-
-def _mc_mean(rng_values):
-    vals = np.asarray(rng_values)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
-    return mean, stderr
+    w = sample(substream(mc.seed, stream, 0), (mc.samples, len(loops)))
+    est = np.prod(loop_weight(w), axis=1)
+    if tree:
+        u = np.einsum("ij,mjc->mic", np.array(a, dtype=float), w)
+        est = est * np.prod(line_weight(u), axis=1)
+    return float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(est.size))
 
 
 def graph_value(graph: FeynmanGraph, mc: MCParams = MCParams()) -> GraphValueEstimate:
@@ -133,15 +137,10 @@ def graph_value(graph: FeynmanGraph, mc: MCParams = MCParams()) -> GraphValueEst
             f"graph {graph.label()} is not superficially convergent; "
             "its momentum integral diverges"
         )
-    tree, loops, a = _loop_expansion(graph)
-    rng = substream(mc.seed, mc.stream, 0)
-    w = _sample_isotropic(rng, (mc.samples, len(loops)))          # (m, l, 3)
-    weights = propagator_log_damped(np.sum(w * w, axis=-1)) / _proposal_density(w)
-    est = np.prod(weights, axis=1)
-    if len(tree):
-        u = np.einsum("ij,mjc->mic", a, w)                        # (m, k, 3)
-        est = est * np.prod(propagator_log_damped(np.sum(u * u, axis=-1)), axis=1)
-    value, stderr = _mc_mean(est)
+    propagator = lambda q: propagator_log_damped(np.sum(q * q, axis=-1))
+    value, stderr = _loop_momentum_mc(
+        graph, mc, mc.stream, _sample_isotropic,
+        lambda w: propagator(w) / _proposal_density(w), propagator)
     return GraphValueEstimate(graph_id=graph.label(), value=value, stderr=stderr,
                               samples=mc.samples, method="importance-MC")
 
@@ -162,14 +161,11 @@ def torus_pairing_integral(graph: FeynmanGraph, estar: float,
     """Torus integral of prod 1/(e(p)+E*) over the graph's delta-constrained momenta."""
     if estar <= 0:
         raise ValueError("estar must be > 0")
-    tree, loops, a = _loop_expansion(graph)
-    rng = substream(mc.seed, mc.stream + ".torus", 0)
-    w = rng.uniform(-0.5, 0.5, size=(mc.samples, len(loops), 3))
-    est = np.prod(1.0 / (dispersion(w) + estar), axis=1)
-    if len(tree):
-        u = np.einsum("ij,mjc->mic", a, w)
-        est = est * np.prod(1.0 / (dispersion(u) + estar), axis=1)
-    value, stderr = _mc_mean(est)
+    propagator = lambda p: 1.0 / (dispersion(p) + estar)
+    value, stderr = _loop_momentum_mc(
+        graph, mc, mc.stream + ".torus",
+        lambda rng, shape: rng.uniform(-0.5, 0.5, size=(*shape, 3)),
+        propagator, propagator)
     return GraphValueEstimate(graph_id=graph.label() + f"@torus(E*={estar:g})",
                               value=value, stderr=stderr, samples=mc.samples,
                               method="importance-MC")
@@ -180,17 +176,12 @@ def continuum_pairing_integral(graph: FeynmanGraph, estar: float,
     """Continuum surrogate: propagators 1/(q^2+E*) over R^3 (exact scaling E*^{1-n/2})."""
     if estar <= 0:
         raise ValueError("estar must be > 0")
-    tree, loops, a = _loop_expansion(graph)
     scale = math.sqrt(estar)
-    rng = substream(mc.seed, mc.stream + ".continuum", 0)
-    w = _sample_isotropic(rng, (mc.samples, len(loops)), scale=scale)
-    q2 = np.sum(w * w, axis=-1)
-    weights = (1.0 / (q2 + estar)) / _proposal_density(w, scale=scale)
-    est = np.prod(weights, axis=1)
-    if len(tree):
-        u = np.einsum("ij,mjc->mic", a, w)
-        est = est * np.prod(1.0 / (np.sum(u * u, axis=-1) + estar), axis=1)
-    value, stderr = _mc_mean(est)
+    propagator = lambda q: 1.0 / (np.sum(q * q, axis=-1) + estar)
+    value, stderr = _loop_momentum_mc(
+        graph, mc, mc.stream + ".continuum",
+        lambda rng, shape: _sample_isotropic(rng, shape, scale=scale),
+        lambda w: propagator(w) / _proposal_density(w, scale=scale), propagator)
     return GraphValueEstimate(graph_id=graph.label() + f"@continuum(E*={estar:g})",
                               value=value, stderr=stderr, samples=mc.samples,
                               method="importance-MC")

@@ -8,12 +8,12 @@ Two independent evaluation routes:
   (scipy's scaled `ive`) by the trapezoid rule in u = ln t, exponentially
   convergent here (Trefethen & Weideman, SIAM Rev. 56, 2014), with a nested
   half-grid error estimate (a second sum at half the step where that estimate
-  fails); a whole octant is one matrix product.
+  fails) held to BESSEL_RELTOL; a whole octant is one matrix product.
 
 * `green_free_fft` inverse-transforms 1/(e(p)+E*) sampled on an M^3 grid.
   By Poisson summation the only error is periodization: the FFT table equals
   sum_m R(x + M m), so the documented bound is a wrapped-image sum of the
-  exponential envelope.
+  exponential envelope, which must stay below FFT_TOL.
 
 Fourier phases follow the e^{i 2 pi p.x} convention with p in [-1/2, 1/2]^3.
 Both routes are real: E* > 0 sits below the spectrum, so the +i0 limit is
@@ -50,9 +50,11 @@ def _wedge_key(x):
 
 
 _STEP, _U_MIN = 0.05, -36.0  # ln-t grid; below t = e^-36 the integrand is rounding
+BESSEL_RELTOL = 1e-10  # relative error contract of the Bessel-integral route
+FFT_TOL = 1e-8         # largest periodization bound an FFT table may carry
 
 
-def _trapezoid(orders, estar, rmax, reltol, contract, what):
+def _trapezoid(orders, estar, rmax, contract, what):
     """contract(ive(n, t_k) rows for n in orders, weights h t_k e^{-E* t_k}), checked.
 
     t_max covers the e^{-E* t} tail and the peak near t = rmax / sqrt(2 E*).  The
@@ -73,10 +75,10 @@ def _trapezoid(orders, estar, rmax, reltol, contract, what):
     val = contract(tab, w)
     floor = nodes * np.finfo(float).eps * val
     err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])), floor)
-    if np.any(err > reltol * val):
+    if np.any(err > BESSEL_RELTOL * val):
         # the half-grid difference is the error of the 2h rule; |S_h - S_{h/2}| is that of S_h
         err = np.maximum(np.abs(val - contract(*rows(_STEP / 2, 2 * nodes - 1))), floor)
-    bad = np.flatnonzero((val <= 0.0) | (err > reltol * val))
+    bad = np.flatnonzero((val <= 0.0) | (err > BESSEL_RELTOL * val))
     if bad.size:
         i = np.unravel_index(bad[0], val.shape)
         raise NonConvergenceError(
@@ -85,8 +87,7 @@ def _trapezoid(orders, estar, rmax, reltol, contract, what):
     return val
 
 
-def _green_octant(estar: float, radius: int, reltol: float = 1e-10,
-                  rmax: float = math.inf) -> np.ndarray:
+def _green_octant(estar: float, radius: int, rmax: float = math.inf) -> np.ndarray:
     """R over [0, radius]^3, exactly permutation-symmetric, NaN beyond |x| = rmax."""
     # the product is symmetric only to rounding: every entry copies its sorted key
     keys = tuple(np.sort(np.indices((radius + 1,) * 3), axis=0))
@@ -98,13 +99,13 @@ def _green_octant(estar: float, radius: int, reltol: float = 1e-10,
         return out
 
     return _trapezoid(range(radius + 1), estar, min(rmax, math.sqrt(3.0) * radius),
-                      reltol, contract, "octant entry ")
+                      contract, "octant entry ")
 
 
-def green_free(x, estar: float, reltol: float = 1e-10) -> float:
+def green_free(x, estar: float) -> float:
     """Free Green function at lattice vector x, energy distance estar > 0."""
     key = _wedge_key(x)
-    return float(_trapezoid(key, estar, math.hypot(*key), reltol,
+    return float(_trapezoid(key, estar, math.hypot(*key),
                             lambda tab, w: np.prod(tab, axis=0) @ w, f"x={tuple(x)}"))
 
 
@@ -131,7 +132,7 @@ class GreenTable:
     estar: float
     radius: int
     method: str  # "bessel-integral" or "fft-grid"
-    tolerance: float
+    tolerance: float  # the route's contract: BESSEL_RELTOL or FFT_TOL
     grid_size: int = 0  # fft only
     symmetry_defect: float = 0.0  # measured octahedral asymmetry (fft route)
     _data: np.ndarray = field(repr=False, default=None)  # wedge-indexed cube
@@ -171,41 +172,37 @@ class GreenTable:
         return d2 <= r * r
 
 
-MAX_DEFAULT_RADIUS = 64  # beyond this, tail underflow degrades table checks
+MAX_RADIUS = 64  # beyond this, tail underflow degrades table checks
 
 
-def _check_radius(radius: int, allow_large_radius: bool):
-    if radius > MAX_DEFAULT_RADIUS and not allow_large_radius:
+def _check_radius(radius: int):
+    if radius > MAX_RADIUS:
         raise ValueError(
-            f"radius {radius} beyond {MAX_DEFAULT_RADIUS} needs "
-            "allow_large_radius=True (exponential tails underflow the "
-            "table tolerances)"
+            f"radius {radius} beyond {MAX_RADIUS} (exponential tails underflow "
+            "the table tolerances)"
         )
 
 
-def green_table_bessel(estar: float, radius: int = 20, reltol: float = 1e-10,
-                       allow_large_radius: bool = False) -> GreenTable:
+def green_table_bessel(estar: float, radius: int = 20) -> GreenTable:
     """Tabulate via the Bessel-integral representation over the octant."""
-    _check_radius(radius, allow_large_radius)
+    _check_radius(radius)
     table = GreenTable(estar=estar, radius=radius, method="bessel-integral",
-                       tolerance=reltol, _data=_green_octant(estar, radius, reltol, radius))
+                       tolerance=BESSEL_RELTOL, _data=_green_octant(estar, radius, radius))
     table.validate()
     return table
 
 
-def green_free_fft(grid_size: int, estar: float, radius: int = 20,
-                   tolerance: float = 1e-8,
-                   allow_large_radius: bool = False) -> GreenTable:
+def green_free_fft(grid_size: int, estar: float, radius: int = 20) -> GreenTable:
     """Tabulate via inverse DFT of 1/(e(p)+E*) on a grid_size^3 momentum grid."""
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     if estar <= 0:
         raise ValueError("estar must be > 0")
-    _check_radius(radius, allow_large_radius)
+    _check_radius(radius)
     bound = periodization_bound(grid_size, radius, estar)
-    if not bound < tolerance:
+    if not bound < FFT_TOL:
         raise PeriodizationError(
-            f"periodization error bound {bound:.3e} exceeds tolerance {tolerance:g} "
+            f"periodization error bound {bound:.3e} exceeds tolerance {FFT_TOL:g} "
             f"for grid {grid_size}, radius {radius}, estar {estar:g}",
             bound=bound,
         )
@@ -227,7 +224,7 @@ def green_free_fft(grid_size: int, estar: float, radius: int = 20,
     defect = max(defect, float(np.max(np.abs(data - data.transpose(0, 2, 1)))))
     del table_full
     table = GreenTable(estar=estar, radius=radius, method="fft-grid",
-                       tolerance=tolerance, grid_size=grid_size,
+                       tolerance=FFT_TOL, grid_size=grid_size,
                        symmetry_defect=defect, _data=data)
     table.validate()
     return table
@@ -283,7 +280,7 @@ def check_asymptotics(distances, estar: float) -> AsymptoticsReport:
     kappa = math.sqrt(2.0 * estar)
     if kappa * max(distances) > 50.0:
         raise ValueError("range too deep: sqrt(2E*) |x| must stay below 50")
-    vals = _trapezoid([0, *distances], estar, max(distances), 1e-10,
+    vals = _trapezoid([0, *distances], estar, max(distances),
                       lambda tab, w: (tab[1:] * tab[0] ** 2) @ w,
                       f"axis distances {tuple(distances)}, entry ")
     rs = np.array(distances, dtype=float)

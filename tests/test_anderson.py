@@ -41,7 +41,7 @@ def test_box_indexing_roundtrip_and_boundary():
 
 def test_box_memory_budget():
     with pytest.raises(ValueError):
-        am.Box(side=200, max_sites=10**6)
+        am.Box(side=200)
 
 
 def test_hamiltonian_row_sums_interior():

@@ -1,7 +1,10 @@
 import json
 
 
+from lifshitzlab import anderson as am
 from lifshitzlab import cli
+from lifshitzlab import green as gr
+from lifshitzlab import selfenergy as se
 
 
 def run(args):
@@ -28,6 +31,14 @@ def test_manifest_hash_tracks_config(tmp_path):
     h1 = json.loads((out1 / "selfenergy_manifest.json").read_text())["config_sha256"]
     h2 = json.loads((out2 / "selfenergy_manifest.json").read_text())["config_sha256"]
     assert h1 != h2
+
+
+def test_manifest_tolerances_are_the_module_constants(tmp_path):
+    assert run(["selfenergy", "--lam", "0.1", "--count", "2", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "selfenergy_manifest.json").read_text())
+    assert manifest["tolerances"] == {"torus_quadrature_rel": se.QUAD_TOL,
+                                      "green_bessel_rel": gr.BESSEL_RELTOL,
+                                      "resolvent_residual": am.RESIDUAL_TOL}
 
 
 def test_config_file_with_flag_override(tmp_path):

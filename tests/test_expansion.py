@@ -117,6 +117,21 @@ def test_identity_residual_solver_precision(box_and_context, n):
     assert chk.residual < 1e-12  # in practice machine precision
 
 
+def test_identity_solves_the_free_column_once(box_and_context, monkeypatch):
+    box, pot, ctx = box_and_context
+    calls = []
+
+    def counting_solver(*args):
+        solve = am._direct_solver(*args)
+        return lambda rhs: calls.append(1) or solve(rhs)
+
+    monkeypatch.setattr(ex, "_direct_solver", counting_solver)
+    ex.evaluate_decomposition(box, pot, ctx, (0, 0, 0), (1, 1, 1), 3)
+    # R delta_y and R_r delta_y once each, then one R_r solve per insertion
+    insertions = sum(len(t.insertions) for t in ex.generate_terms(3).all_terms)
+    assert len(calls) == 2 + insertions
+
+
 def test_identity_residual_independent_of_order(box_and_context):
     box, pot, ctx = box_and_context
     residuals = [ex.evaluate_decomposition(box, pot, ctx, (0, 0, 0), (1, 0, 1), n).residual

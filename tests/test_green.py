@@ -73,12 +73,13 @@ def test_periodization_rejection():
     assert err.value.bound > 1e-8
 
 
-def test_periodization_bound_is_conservative():
+def test_periodization_bound_is_conservative(monkeypatch):
     # in an aliasing-dominated regime the measured error sits below the bound
     estar, m, radius = 0.05, 64, 20
     bound = gr.periodization_bound(m, radius, estar)
     assert bound > 1e-9  # aliasing well above double-precision noise here
-    table = gr.green_free_fft(m, estar, radius=radius, tolerance=1e-6)
+    monkeypatch.setattr(gr, "FFT_TOL", 1e-6)
+    table = gr.green_free_fft(m, estar, radius=radius)
     worst = 0.0
     for x in ((radius, 0, 0), (14, 14, 0), (0, 0, radius), (11, 9, 7), (19, 5, 0)):
         worst = max(worst, abs(table.value(x) - gr.green_free(x, estar)))
@@ -160,14 +161,16 @@ def test_table_is_exactly_permutation_symmetric_with_nan_outside_ball():
     assert np.isnan(data[7, 7, 7]) and np.isfinite(data[0, 0, 7])
 
 
-def test_quadrature_error_contract():
-    # the summation-rounding floor makes any reltol below double precision fail
+def test_quadrature_error_contract(monkeypatch):
+    # the summation-rounding floor makes any tolerance below double precision fail
+    monkeypatch.setattr(gr, "BESSEL_RELTOL", 1e-16)
     with pytest.raises(NonConvergenceError):
-        gr.green_free((2, 1, 0), 0.3, reltol=1e-16)
+        gr.green_free((2, 1, 0), 0.3)
     with pytest.raises(NonConvergenceError):
-        gr.green_table_bessel(0.3, radius=3, reltol=1e-16)
+        gr.green_table_bessel(0.3, radius=3)
+    monkeypatch.setattr(gr, "BESSEL_RELTOL", 1e-14)
     with pytest.raises(NonConvergenceError):
-        gr.green_free((0, 0, 0), 0.3, reltol=1e-14)
+        gr.green_free((0, 0, 0), 0.3)
 
 
 def test_table_csv_roundtrip(tmp_path):
@@ -195,7 +198,7 @@ def test_table_rejects_out_of_ball_lookup():
         table.value((3, 3, 3))
 
 
-def test_large_radius_needs_opt_in():
+def test_large_radius_is_rejected():
     with pytest.raises(ValueError):
         gr.green_table_bessel(0.4, radius=80)
     with pytest.raises(ValueError):
