@@ -2,9 +2,10 @@
 
 Modules:
 
-* `selfenergy`: dispersion e(p), torus integrals under one fixed quadrature
-  policy, the self-energy fixed point
-* `green`: free lattice Green function (Bessel-integral and FFT routes)
+* `selfenergy`: dispersion e(p), torus integrals I1 and I2 (the Green function
+  at the origin), the self-energy fixed point
+* `green`: free lattice Green function (the one heat-kernel provider, which
+  also serves I1 and I2, and the FFT oracle)
 * `diagrams`: even-block partitions, Feynman graphs, power counting
 * `graphvalues`: Monte Carlo graph values, scaling checks, moment bounds
 * `expansion`: renormalized resolvent expansion with the stopping rule

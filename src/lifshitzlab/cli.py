@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     manifest = RunManifest(command=args.command, config=cfg)
     try:
         RUNNERS[args.command](cfg, manifest)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # the library rejects out-of-range values
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LifshitzLabError as exc:

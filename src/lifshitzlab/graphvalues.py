@@ -39,7 +39,6 @@ __all__ = [
     "GraphValueEstimate",
     "propagator_log_damped",
     "graph_value",
-    "radial_quadrature_two_line_value",
     "torus_pairing_integral",
     "continuum_pairing_integral",
     "BoundAssembly",
@@ -145,17 +144,6 @@ def graph_value(graph: FeynmanGraph, mc: MCParams = MCParams()) -> GraphValueEst
                               samples=mc.samples, method="importance-MC")
 
 
-def radial_quadrature_two_line_value() -> GraphValueEstimate:
-    """Oracle for the two-vertex, two-line loop: int_R3 F(q)^2 d^3q by 1D quadrature."""
-    from scipy.integrate import quad
-
-    val = 4.0 * math.pi * quad(
-        lambda r: r * r * propagator_log_damped(r * r) ** 2, 0.0, np.inf, limit=300
-    )[0]
-    return GraphValueEstimate(graph_id="two-line-loop", value=val, stderr=0.0,
-                              samples=0, method="radial-quadrature")
-
-
 def torus_pairing_integral(graph: FeynmanGraph, estar: float,
                            mc: MCParams = MCParams()) -> GraphValueEstimate:
     """Torus integral of prod 1/(e(p)+E*) over the graph's delta-constrained momenta."""
@@ -185,16 +173,6 @@ def continuum_pairing_integral(graph: FeynmanGraph, estar: float,
     return GraphValueEstimate(graph_id=graph.label() + f"@continuum(E*={estar:g})",
                               value=value, stderr=stderr, samples=mc.samples,
                               method="importance-MC")
-
-
-def torus_continuum_constant(estar: float, grid: int = 64) -> float:
-    """Fitted C = max over T^3 of (p^2+E*)/(e(p)+E*) (pointwise domination constant)."""
-    k = np.arange(grid)
-    x = (k + 0.5) / grid - 0.5
-    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-    p2 = X**2 + Y**2 + Z**2
-    e = 2.0 * (np.sin(np.pi * X) ** 2 + np.sin(np.pi * Y) ** 2 + np.sin(np.pi * Z) ** 2)
-    return float(np.max((p2 + estar) / (e + estar)))
 
 
 def log_damping_constant(estar: float, k_const: float = 1.0) -> float:
@@ -247,20 +225,6 @@ def assemble_An_bound(n: int, lam: float, estar: float, k_const: float = 1.0,
                          c_of_estar=c_val, ratio=ratio, bound_value=bound,
                          log_bound_value=log_bound, chosen_N=chosen,
                          lambda_exponent=b_exp)
-
-
-def bound_minimum(lam: float, estar: float, k_const: float = 1.0,
-                  n_max: int = None):
-    """(argmin_n, min log bound) of the order-n bound; minimum sits near chosen_N."""
-    first = assemble_An_bound(1, lam, estar, k_const)
-    if n_max is None:
-        n_max = 4 * first.chosen_N
-    best_n, best = 1, first.log_bound_value
-    for n in range(2, n_max + 1):
-        lb = assemble_An_bound(n, lam, estar, k_const).log_bound_value
-        if lb < best:
-            best_n, best = n, lb
-    return best_n, best
 
 
 def stopping_rule_holds_exact(ratio: float, chosen_N: int) -> bool:

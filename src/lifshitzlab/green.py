@@ -8,7 +8,11 @@ Two independent evaluation routes:
   (scipy's scaled `ive`) by the trapezoid rule in u = ln t, exponentially
   convergent here (Trefethen & Weideman, SIAM Rev. 56, 2014), with a nested
   half-grid error estimate (a second sum at half the step where that estimate
-  fails) held to BESSEL_RELTOL; a whole octant is one matrix product.
+  fails) plus a bound on the tail beyond the grid, held to BESSEL_RELTOL; a
+  whole octant is one matrix product.  E* = 0 is allowed: the grid then ends
+  at T_FAR.  Where `ive` is NaN (t >= 2^30) its three-term Hankel expansion
+  takes over.  The same provider, `_trapezoid`, with an extra power of t,
+  gives the torus integrals I1 = R(0) and I2 = -dR(0)/dE* of `selfenergy`.
 
 * `green_free_fft` inverse-transforms 1/(e(p)+E*) sampled on an M^3 grid.
   By Poisson summation the only error is periodization: the FFT table equals
@@ -16,8 +20,8 @@ Two independent evaluation routes:
   exponential envelope, which must stay below FFT_TOL.
 
 Fourier phases follow the e^{i 2 pi p.x} convention with p in [-1/2, 1/2]^3.
-Both routes are real: E* > 0 sits below the spectrum, so the +i0 limit is
-real-valued.
+Both routes are real: E* >= 0 sits at or below the spectrum, so the +i0 limit
+is real-valued (the FFT route needs E* > 0).
 
 Tables are immutable after construction and symmetric under coordinate
 permutations and sign flips, so evaluation reduces to the sorted-|x| wedge.
@@ -50,35 +54,65 @@ def _wedge_key(x):
 
 
 _STEP, _U_MIN = 0.05, -36.0  # ln-t grid; below t = e^-36 the integrand is rounding
+T_FAR = 1e32           # grid end at E* = 0; the dropped tail is below 2.6e-17
+HANKEL_TOL = 1e-5      # largest mu / (8t) at which three Hankel terms are exact
 BESSEL_RELTOL = 1e-10  # relative error contract of the Bessel-integral route
 FFT_TOL = 1e-8         # largest periodization bound an FFT table may carry
 
 
-def _trapezoid(orders, estar, rmax, contract, what):
-    """contract(ive(n, t_k) rows for n in orders, weights h t_k e^{-E* t_k}), checked.
+def _ive_rows(orders, t):
+    """ive(n, t) rows; where scipy gives NaN (t >= 2^30), three Hankel terms."""
+    n = np.asarray(orders)[:, None]
+    tab = ive(n, t)
+    far = np.isnan(tab)
+    if far.any():
+        mu, z = 4.0 * n * n, 8.0 * t
+        ratio = float(np.max(np.where(far, mu / z, 0.0)))
+        if ratio > HANKEL_TOL:
+            # the first dropped term is of relative size (mu / 8t)^3
+            raise NonConvergenceError(
+                f"Hankel expansion of ive inexact: mu/(8t) = {ratio:.2e} "
+                f"at order {int(n.max())}", achieved=ratio**3)
+        hankel = (1.0 - (mu - 1.0) / z + (mu - 1.0) * (mu - 9.0) / (2.0 * z * z)) \
+            / np.sqrt(2.0 * np.pi * t)
+        tab = np.where(far, hankel, tab)
+    return tab
 
-    t_max covers the e^{-E* t} tail and the peak near t = rmax / sqrt(2 E*).  The
-    error estimate (every other node; where that fails, a second sum at h/2) is
-    floored at summation rounding; NaN passes.
+
+def _trapezoid(orders, estar, rmax, reltol, power, contract, what):
+    """contract(ive(n, t_k) rows for n in orders, weights h t_k^(1+p) e^{-E* t_k}), checked.
+
+    With p = power this is int_0^inf t^p e^{-E* t} prod_n ive(n, t) dt, held to
+    reltol.  t_max covers the e^{-E* t} tail and the peak near t = rmax / sqrt(2 E*),
+    capped at T_FAR.  The error estimate (every other node; where that fails, a
+    second sum at h/2) is floored at summation rounding and carries a bound on the
+    tail beyond t_max.
     """
-    if estar <= 0:
-        raise ValueError("estar must be > 0")
-    tmax = 60.0 / estar + 1e3 + 10.0 * rmax / math.sqrt(2.0 * estar)
+    if estar < 0:
+        raise ValueError("estar must be >= 0")
+    tmax = T_FAR if estar == 0 else \
+        min(T_FAR, 60.0 / estar + 1e3 + 10.0 * rmax / math.sqrt(2.0 * estar))
     nodes = math.ceil((math.log(tmax) - _U_MIN) / _STEP) + 1
+    # past t_max >= 1e3, ive(n, t) <= ive(0, t) < 1.001 (2 pi t)^{-1/2}: the three-row
+    # integrand is below 2 (2 pi)^{-3/2} t^{power-3/2} e^{-E* t}, whose tail integral is
+    slack = 0.5 - power + estar * tmax
+    tail = 2.0 * (2.0 * math.pi) ** -1.5 * tmax ** (power - 0.5) \
+        * math.exp(-estar * tmax) / slack if slack > 0 else math.inf
 
     def rows(step, count):
         # u_k = u_min + k h exactly: the rounded step of np.arange biases every sum
         t = np.exp(_U_MIN + step * np.arange(count))
-        return ive(np.asarray(orders)[:, None], t), step * t * np.exp(-estar * t)
+        return _ive_rows(orders, t), step * t * np.exp(-estar * t) * t**power
 
     tab, w = rows(_STEP, nodes)
     val = contract(tab, w)
     floor = nodes * np.finfo(float).eps * val
-    err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])), floor)
-    if np.any(err > BESSEL_RELTOL * val):
+    err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])), floor) + tail
+    if np.any(err > reltol * val):
         # the half-grid difference is the error of the 2h rule; |S_h - S_{h/2}| is that of S_h
-        err = np.maximum(np.abs(val - contract(*rows(_STEP / 2, 2 * nodes - 1))), floor)
-    bad = np.flatnonzero((val <= 0.0) | (err > BESSEL_RELTOL * val))
+        err = np.maximum(np.abs(val - contract(*rows(_STEP / 2, 2 * nodes - 1))),
+                         floor) + tail
+    bad = np.flatnonzero((val <= 0.0) | (err > reltol * val))
     if bad.size:
         i = np.unravel_index(bad[0], val.shape)
         raise NonConvergenceError(
@@ -99,13 +133,13 @@ def _green_octant(estar: float, radius: int, rmax: float = math.inf) -> np.ndarr
         return out
 
     return _trapezoid(range(radius + 1), estar, min(rmax, math.sqrt(3.0) * radius),
-                      contract, "octant entry ")
+                      BESSEL_RELTOL, 0, contract, "octant entry ")
 
 
 def green_free(x, estar: float) -> float:
-    """Free Green function at lattice vector x, energy distance estar > 0."""
+    """Free Green function at lattice vector x, energy distance estar >= 0."""
     key = _wedge_key(x)
-    return float(_trapezoid(key, estar, math.hypot(*key),
+    return float(_trapezoid(key, estar, math.hypot(*key), BESSEL_RELTOL, 0,
                             lambda tab, w: np.prod(tab, axis=0) @ w, f"x={tuple(x)}"))
 
 
@@ -276,11 +310,13 @@ class AsymptoticsReport:
 
 def check_asymptotics(distances, estar: float) -> AsymptoticsReport:
     """Fit rate and prefactor of R(x) ~ e^{-sqrt(2E*)|x|} / (2 pi (|x|+1)) on an axis."""
+    if estar <= 0:
+        raise ValueError("estar must be > 0")
     distances = sorted(int(r) for r in distances)
     kappa = math.sqrt(2.0 * estar)
     if kappa * max(distances) > 50.0:
         raise ValueError("range too deep: sqrt(2E*) |x| must stay below 50")
-    vals = _trapezoid([0, *distances], estar, max(distances),
+    vals = _trapezoid([0, *distances], estar, max(distances), BESSEL_RELTOL, 0,
                       lambda tab, w: (tab[1:] * tab[0] ** 2) @ w,
                       f"axis distances {tuple(distances)}, entry ")
     rs = np.array(distances, dtype=float)

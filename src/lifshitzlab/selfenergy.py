@@ -9,23 +9,17 @@ The self-energy sigma at coupling lam and energy E > 0 solves
 which we invert through the strictly increasing branch of
 E(E*) = E* + lam^2 I1(E*).
 
-Torus integrals use a tensor-product midpoint rule with an even number of
-nodes per axis (the singular point p = 0 is never a node).  The innermost
-axis is summed in closed form,
+The torus integrals are the free Green function at the origin.  By the
+Laplace identity 1/(e + s)^(p+1) = int_0^inf t^p e^{-(e+s)t} dt / p! and
+int_T3 e^{-e(p) t} d^3p = (e^{-t} I_0(t))^3,
 
-    (1/N) sum_k 1/(A - cos theta_k) = tanh((N/2) ln w) / sqrt(A^2 - 1),
+    I1(s) = int_0^inf e^{-s t} ive(0, t)^3 dt,
+    I2(s) = int_0^inf t e^{-s t} ive(0, t)^3 dt = -dI1/ds,
 
-with theta_k the midpoint angles and w = A + sqrt(A^2 - 1), which makes the
-exact N^3-node rule an O(N^2) computation.  For s > 0 the rule converges
-like exp(-2N sqrt(2s)); at s = 0 the error is c/N and Richardson
-extrapolation in 1/N restores fast convergence.
-
-The quadrature runs one fixed policy, checked against Watson's closed form
-for I1(0): relative tolerance QUAD_TOL = 1e-12, a QUAD_START_GRID = 64 node
-starting grid per axis doubled until the error estimate meets the tolerance,
-a cap of QUAD_MAX_GRID = 16384 nodes per axis (NonConvergenceError beyond
-it, with the achieved estimate), and the Richardson ladder for I1 below
-E* = RICHARDSON_ESTAR = 1e-8.
+which `green._trapezoid`, the one heat-kernel provider, evaluates by the
+ln-t trapezoid rule held to QUAD_TOL = 1e-12 relative.  Below s ~ 5e-8 the
+grid reaches t >= 2^30, where its Hankel expansion stands in for scipy's ive;
+at s = 0 it ends at T_FAR.  I1(0) is checked against Watson's closed form.
 """
 
 import math
@@ -36,6 +30,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .errors import BelowLifshitzWindowError, NonConvergenceError
+from .green import _trapezoid
 
 __all__ = [
     "EnergyContext",
@@ -49,10 +44,7 @@ __all__ = [
 ]
 
 
-QUAD_TOL = 1e-12          # relative error target of the torus integrals
-QUAD_START_GRID = 64      # starting nodes per axis; escalation doubles
-QUAD_MAX_GRID = 16384     # cap on nodes per axis
-RICHARDSON_ESTAR = 1e-8   # I1 below this E* takes the Richardson ladder
+QUAD_TOL = 1e-12  # relative error contract of the torus integrals
 
 
 def dispersion(p):
@@ -64,103 +56,24 @@ def dispersion(p):
     return 2.0 * np.sum(np.sin(np.pi * p) ** 2, axis=-1)
 
 
-def _midpoint_pair(n: int, estar: float):
-    """Exact tensor-midpoint values of (I1, I2) on an n^3 grid, n even.
-
-    Works with d = A - 1 = estar + e1(x) + e1(y) > 0 throughout to avoid
-    cancellation near the dispersion minimum.
-    """
-    k = np.arange(n // 2)
-    x = (k + 0.5) / n - 0.5
-    s = 2.0 * np.sin(np.pi * x) ** 2
-    d = estar + s[:, None] + s[None, :]
-    root = np.sqrt(d * (2.0 + d))  # sqrt(A^2 - 1)
-    t = 0.5 * n * np.log1p(d + root)
-    T = np.tanh(t)
-    g = T / root
-    i1 = 4.0 * float(np.sum(g)) / n**2
-    # d/dA of the closed-form inner sum; I2 = -dI1/dE*
-    A = 1.0 + d
-    gprime = -A * T / root**3 + 0.5 * n * (1.0 - T * T) / (d * (2.0 + d))
-    i2 = -4.0 * float(np.sum(gprime)) / n**2
-    return i1, i2
-
-
-def _round_up4(n: int) -> int:
-    return n + (-n) % 4
-
-
-def _target_grid(estar: float) -> int:
-    """Grid size (estar > 0) at which exp(-2N sqrt(2 estar)) drops below QUAD_TOL."""
-    n = (math.log(1.0 / QUAD_TOL) + 8.0) / (2.0 * math.sqrt(2.0 * estar))
-    return _round_up4(max(QUAD_START_GRID, int(math.ceil(n))))
-
-
-def _integrate_positive(estar: float, which: int) -> float:
-    """Midpoint evaluation for estar > 0 with doubling escalation."""
-    n = min(_target_grid(estar), QUAD_MAX_GRID)
-    n = max(8, n - n % 4)
-    prev = _midpoint_pair(n // 2, estar)[which]
-    cur = _midpoint_pair(n, estar)[which]
-    while True:
-        # |I(n) - I(n/2)| ~ err(n/2); in the exponential regime err(n) is
-        # smaller by exp(-sqrt(2 estar) n), applied with a safety factor
-        diff = abs(cur - prev)
-        err = diff * min(1.0, 100.0 * math.exp(-math.sqrt(2.0 * estar) * n))
-        if err <= QUAD_TOL * max(1.0, abs(cur)):
-            return cur
-        if 2 * n > _round_up4(QUAD_MAX_GRID):
-            raise NonConvergenceError(
-                f"midpoint rule not converged at grid {n} (estar={estar:g}); "
-                f"achieved error estimate {err:.3e}",
-                achieved=err,
-            )
-        n *= 2
-        prev, cur = cur, _midpoint_pair(n, estar)[which]
-
-
-def _integrate_richardson(estar: float) -> float:
-    """Richardson-extrapolated midpoint I1, valid down to estar = 0.
-
-    The midpoint error at estar = 0 is c1/N + c3/N^3 + ...; one level of
-    extrapolation removes 1/N, a second removes 1/N^3.
-    """
-    n = 256  # the c1/N regime needs a finer start than QUAD_START_GRID
-    vals = [_midpoint_pair(n, estar)[0], _midpoint_pair(2 * n, estar)[0]]
-    best = None
-    while True:
-        r1 = [2.0 * b - a for a, b in zip(vals, vals[1:])]
-        r2 = [(8.0 * b - a) / 7.0 for a, b in zip(r1, r1[1:])]
-        candidates = r2 if r2 else r1
-        new_best = candidates[-1]
-        if best is not None:
-            err = abs(new_best - best)
-            if err <= QUAD_TOL * max(1.0, abs(new_best)):
-                return new_best
-            if n * 2 ** len(vals) > QUAD_MAX_GRID:
-                raise NonConvergenceError(
-                    f"Richardson ladder not converged (estar={estar:g}); "
-                    f"achieved error estimate {err:.3e}",
-                    achieved=err,
-                )
-        best = new_best
-        vals.append(_midpoint_pair(n * 2 ** len(vals), estar)[0])
+def _origin_moment(estar: float, power: int) -> float:
+    """int_T3 d^3p / (e(p) + estar)^(power+1) from the heat-kernel provider."""
+    return float(_trapezoid((0,), estar, 0.0, QUAD_TOL, power,
+                            lambda tab, w: tab[0] ** 3 @ w, f"origin, power {power}"))
 
 
 def torus_integral_I1(estar: float) -> float:
     """int_T3 d^3p / (e(p) + estar); finite for all estar >= 0."""
     if estar < 0:
         raise ValueError("estar must be >= 0")
-    if estar < RICHARDSON_ESTAR:
-        return _integrate_richardson(estar)
-    return _integrate_positive(estar, which=0)
+    return _origin_moment(estar, 0)
 
 
 def torus_integral_I2(estar: float) -> float:
     """int_T3 d^3p / (e(p) + estar)^2 = -d I1 / d estar; needs estar > 0."""
     if estar <= 0:
         raise ValueError("estar must be > 0")
-    return _integrate_positive(estar, which=1)
+    return _origin_moment(estar, 1)
 
 
 def watson_constant() -> float:
@@ -178,7 +91,7 @@ def watson_constant() -> float:
 @lru_cache(maxsize=None)
 def i1_zero() -> float:
     """Cached I1(0)."""
-    return _integrate_richardson(0.0)
+    return _origin_moment(0.0, 0)
 
 
 def energy_of_estar(estar: float, lam: float) -> float:

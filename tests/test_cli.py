@@ -62,6 +62,22 @@ def test_missing_required_key_is_error(tmp_path):
     assert run(["selfenergy", "--out", str(tmp_path)]) == 2
 
 
+def test_out_of_range_flags_are_config_errors(tmp_path):
+    # the library's range guards raise ValueError; the CLI maps it to status 2
+    assert run(["green", "--estar", "0.5", "--radius", "80", "--out", str(tmp_path)]) == 2
+    assert run(["criterion", "--boxl", "60", "--out", str(tmp_path)]) == 2
+
+
+def test_selfenergy_at_the_window_edge(tmp_path):
+    # at lam = 0.01, eps = 0.5 the window edge sits at E* ~ 1e-7
+    assert run(["selfenergy", "--lam", "0.01", "--epsilon", "0.5", "--count", "3",
+                "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "selfenergy.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert min(float(row.split(",")[1]) for row in rows) < 1e-6
+    assert all(float(row.split(",")[3]) < 1e-10 for row in rows)
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # energy far below the admissible window
     assert run(["fracmom", "--lam", "0.5", "--energy", "0.01", "--samples", "2",

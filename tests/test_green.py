@@ -9,6 +9,7 @@ from scipy.special import ive
 from lifshitzlab import green as gr
 from lifshitzlab import selfenergy as se
 from lifshitzlab.errors import NonConvergenceError, PeriodizationError
+from test_selfenergy import midpoint_pair
 
 
 def quad_green(x, estar):
@@ -29,7 +30,30 @@ def quad_green(x, estar):
 def test_origin_value_equals_torus_integral():
     for estar in (0.05, 0.3, 1.0):
         assert gr.green_free((0, 0, 0), estar) == pytest.approx(
-            se.torus_integral_I1(estar), rel=1e-10)
+            midpoint_pair(1024, estar)[0], rel=1e-10)
+
+
+def test_small_estar_values_are_finite_and_tables_build():
+    # ive is NaN for t >= 2^30; the Hankel rows keep every entry finite
+    table = gr.green_table_bessel(1e-9, radius=4)
+    assert table.value((0, 0, 0)) == pytest.approx(se.torus_integral_I1(1e-9),
+                                                   rel=1e-12, abs=0.0)
+    for estar in (0.0, 1e-12, 1e-9):
+        v = gr.green_free((7, 2, 1), estar)
+        assert math.isfinite(v) and v > gr.green_free((7, 2, 1), 1e-6)
+
+
+def test_far_orders_beyond_the_hankel_range_raise():
+    # at t >= 2^30, mu / (8t) = 4 * 1000^2 / (8 * 2^30) > HANKEL_TOL
+    with pytest.raises(NonConvergenceError):
+        gr.green_free((1000, 0, 0), 1e-9)
+
+
+def test_estar_bounds():
+    with pytest.raises(ValueError):
+        gr.green_free((1, 0, 0), -1e-3)
+    with pytest.raises(ValueError):
+        gr.check_asymptotics(range(4, 9), 0.0)
 
 
 def test_sigma_identity_on_solved_context():

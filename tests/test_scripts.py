@@ -41,12 +41,15 @@ def test_green_asymptotics_script_fits_fft_radius_to_periodization_bound():
 
 
 def test_selfenergy_curve_script():
-    out = run_script("selfenergy_curve.py", "--count", "3")
-    i1, closed = re.match(r"I1\(0\) = (\S+)  \(closed form (\S+)\)", out).groups()
-    assert i1 == closed
-    rows = [line.split() for line in out.splitlines() if len(line.split()) == 4]
-    residuals = [float(row[3]) for row in rows if row[0] != "E"]
-    assert len(residuals) == 9 and max(residuals) < 1e-10
+    # the default couplings, then the window edge at E* ~ 1e-7 (lam = 0.01, eps = 0.5)
+    for args, count in ((("--count", "3"), 9),
+                        (("--couplings", "0.01", "--epsilon", "0.5", "--count", "3"), 3)):
+        out = run_script("selfenergy_curve.py", *args)
+        i1, closed = re.match(r"I1\(0\) = (\S+)  \(closed form (\S+)\)", out).groups()
+        assert i1 == closed
+        rows = [line.split() for line in out.splitlines() if len(line.split()) == 4]
+        residuals = [float(row[3]) for row in rows if row[0] != "E"]
+        assert len(residuals) == count and max(residuals) < 1e-10
 
 
 def test_diagram_census_script():

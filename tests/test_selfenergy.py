@@ -5,11 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifshitzlab import green as gr
 from lifshitzlab import selfenergy as se
 from lifshitzlab.errors import BelowLifshitzWindowError, NonConvergenceError
-from lifshitzlab.selfenergy import _midpoint_pair
 
-WATSON = 0.5054620  # Richardson target, cross-checked against the closed form
+WATSON = 0.5054620  # I1(0), cross-checked against the closed form
+MIDPOINT_GRID = 4096  # nodes per axis of the converged midpoint oracle
+
+
+def midpoint_pair(n: int, estar: float):
+    """Exact tensor-midpoint values of (I1, I2) on an n^3 grid, n even (test oracle).
+
+    The innermost axis is summed in closed form,
+    (1/N) sum_k 1/(A - cos theta_k) = tanh((N/2) ln w) / sqrt(A^2 - 1) with
+    w = A + sqrt(A^2 - 1), which makes the N^3-node rule an O(N^2) computation;
+    for estar > 0 it converges like exp(-2N sqrt(2 estar)).  Works with
+    d = A - 1 = estar + e1(x) + e1(y) > 0 to avoid cancellation near the
+    dispersion minimum.
+    """
+    k = np.arange(n // 2)
+    x = (k + 0.5) / n - 0.5
+    s = 2.0 * np.sin(np.pi * x) ** 2
+    d = estar + s[:, None] + s[None, :]
+    root = np.sqrt(d * (2.0 + d))  # sqrt(A^2 - 1)
+    t = 0.5 * n * np.log1p(d + root)
+    T = np.tanh(t)
+    g = T / root
+    i1 = 4.0 * float(np.sum(g)) / n**2
+    # d/dA of the closed-form inner sum; I2 = -dI1/dE*
+    A = 1.0 + d
+    gprime = -A * T / root**3 + 0.5 * n * (1.0 - T * T) / (d * (2.0 + d))
+    i2 = -4.0 * float(np.sum(gprime)) / n**2
+    return i1, i2
 
 
 def test_dispersion_trivial_points():
@@ -49,11 +76,11 @@ def test_midpoint_closed_form_matches_brute_force(n, estar):
     grid = e1[:, None, None] + e1[None, :, None] + e1[None, None, :]
     if estar == 0.0:
         brute1 = float(np.mean(1.0 / grid))  # even n: p=0 is never a node
-        assert _midpoint_pair(n, estar)[0] == pytest.approx(brute1, abs=1e-13)
+        assert midpoint_pair(n, estar)[0] == pytest.approx(brute1, abs=1e-13)
     else:
         brute1 = float(np.mean(1.0 / (grid + estar)))
         brute2 = float(np.mean(1.0 / (grid + estar) ** 2))
-        i1, i2 = _midpoint_pair(n, estar)
+        i1, i2 = midpoint_pair(n, estar)
         assert i1 == pytest.approx(brute1, abs=1e-13)
         assert i2 == pytest.approx(brute2, abs=1e-11)
 
@@ -62,6 +89,45 @@ def test_i1_zero_matches_watson_closed_form():
     val = se.torus_integral_I1(0.0)
     assert val == pytest.approx(se.watson_constant(), abs=1e-8)
     assert val == pytest.approx(WATSON, abs=1e-5)
+    assert se.i1_zero() == pytest.approx(se.watson_constant(), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("which, estar", [(0, 1e-4), (1, 0.1)])
+def test_torus_integrals_match_converged_midpoint_oracle(which, estar):
+    value = (se.torus_integral_I1, se.torus_integral_I2)[which](estar)
+    assert value == pytest.approx(midpoint_pair(MIDPOINT_GRID, estar)[which],
+                                   rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("estar", [0.0, 1e-9, 1e-7, 1e-4, 0.3])
+def test_lattice_equation_links_i1_to_the_nearest_neighbour(estar):
+    # (-Delta/2 + E*) G = delta at the origin: (3 + E*) G(0) - 3 G(e1) = 1
+    expected = ((3.0 + estar) * se.torus_integral_I1(estar) - 1.0) / 3.0
+    assert gr.green_free((1, 0, 0), estar) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_small_estar_asymptotics():
+    # I1(0) - I1(E*) ~ (sqrt(2)/2pi) sqrt(E*) and sqrt(E*) I2(E*) -> sqrt(2)/(4pi)
+    estar = 1e-10
+    slope = (se.i1_zero() - se.torus_integral_I1(estar)) / math.sqrt(estar)
+    assert slope == pytest.approx(math.sqrt(2.0) / (2.0 * math.pi), rel=1e-4)
+    scaled = math.sqrt(estar) * se.torus_integral_I2(estar)
+    assert scaled == pytest.approx(math.sqrt(2.0) / (4.0 * math.pi), rel=1e-4)
+
+
+@pytest.mark.parametrize("estar", [1e-14, 1e-12, 1e-9, 1e-7, 5e-7])
+def test_torus_integrals_finite_below_1e_minus_6(estar):
+    i1, i2 = se.torus_integral_I1(estar), se.torus_integral_I2(estar)
+    assert math.isfinite(i1) and math.isfinite(i2)
+    assert se.torus_integral_I1(1e-6) < i1 < se.i1_zero()
+    assert i2 > se.torus_integral_I2(1e-6)
+
+
+def test_i2_at_zero_is_rejected():
+    with pytest.raises(ValueError):
+        se.torus_integral_I2(0.0)
+    with pytest.raises(ValueError):
+        se.torus_integral_I1(-1e-9)
 
 
 def test_i1_large_estar_flat_limit():
@@ -171,9 +237,9 @@ def test_threshold_estar_scale_fitted_constant():
 
 
 def test_nonconvergence_reports_achieved_estimate(monkeypatch):
-    monkeypatch.setattr(se, "QUAD_MAX_GRID", 64)
+    monkeypatch.setattr(se, "QUAD_TOL", 1e-16)  # below the summation-rounding floor
     with pytest.raises(NonConvergenceError) as err:
-        se.torus_integral_I1(1e-6)  # near-c/N regime needs far more than 64 nodes
+        se.torus_integral_I1(1e-6)
     assert err.value.achieved is not None and err.value.achieved > 0
 
 
