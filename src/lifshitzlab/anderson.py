@@ -7,12 +7,15 @@ spectrum sits inside [0, 6] and the disordered one is bounded below by
 -lam sqrt(3), the bottom of the uniform potential's support, plus the kinetic
 floor.  Every disorder average samples that one law (`density.DensitySpec`).
 
-Resolvent columns (H + E + i eta)^{-1} delta_y come from a direct sparse
-factorization with an explicit residual contract; the large boxes of the
-finite-volume criterion instead use matrix-free conjugate gradients (the
-shifted operator is positive definite throughout the admissible window) with
-the same true-residual contract and a counted factorization fallback at the
-same eta.
+Resolvent columns (H + E + i eta)^{-1} delta_y are matrix-free Krylov
+solves: H + E is real symmetric and positive definite throughout the
+admissible window, so one conjugate-gradient run on it per (sample, y)
+carries every eta of the schedule by the shifted-CG recurrence.  Fractional
+moments stop at KRYLOV_TOL, the criterion's eta = 0 columns at CG_TOL.
+Every column must meet |(H + E + i eta) u - delta_y| <= RESIDUAL_TOL; one
+that does not, or a seed that breaks down, is solved again by the direct
+sparse factorization `resolvent_column` at the same eta and counted as a
+fallback in the result.
 
 Fractional moments E|R(x,y)|^s are eta-resolved disorder averages; the
 finite-volume criterion assembles B_s L^4 lam^{-2s} sum_{boundary}
@@ -199,25 +202,44 @@ def _apply_stencil(v, shift, pot):
     return out
 
 
-# CG stops once the recursive residual norm drops below CG_TOL.  The criterion's
-# boundary sum depends on this stop: boundary entries the Krylov space has not
-# reached yet are exact zeros (at lam = 0.5, E = 0.85, s = 0.24, seed 5, one
-# sample, L = 25: stops 1e-11 / 1e-13 / 1e-15 give sums 0.187 / 0.480 / 0.674).
-# Changing it changes printed criterion values.
+# The criterion's eta = 0 columns stop once the recursive residual norm drops
+# below CG_TOL.  Its boundary sum depends on this stop: boundary entries the
+# Krylov space has not reached yet are exact zeros (at lam = 0.5, E = 0.85,
+# s = 0.24, seed 5, one sample, L = 25: stops 1e-11 / 1e-13 / 1e-15 give sums
+# 0.187 / 0.480 / 0.674).  Changing it changes printed criterion values.
 CG_TOL = 1e-11
-CG_MAXIT = 5000
+# Fractional-moment columns stop at KRYLOV_TOL.  At box 12 (lam = 0.5,
+# E = 0.45, 40 samples) a 1e-14 stop left |R| within distance 5 up to 1.7e-12
+# relative from the direct solve; 1e-15 leaves 1.2e-13 for ~7% more iterations.
+KRYLOV_TOL = 1e-15
+KRYLOV_MAXIT = 5000
 
 
-def _cg_column(side, shift, pot, rhs_index):
-    """Matrix-free CG for the positive definite shifted operator; None if not PD."""
+def _krylov_columns(side, energy, pot_grid, rhs_index, etas, tol):
+    """Columns (H + E + i eta)^{-1} delta_y for every eta from one CG run.
+
+    CG runs matrix-free on the real seed H + E; each eta > 0 is carried by
+    the shifted-CG zeta recurrence (Jegerlehner, hep-lat/9612014), whose
+    residual is zeta times the seed's, with |zeta| <= 1 for imaginary shifts.
+    An eta = 0 column is the seed iterate itself.  Stops once
+    max |zeta| |r| < tol and returns (columns, iterations); returns None if
+    the seed is not positive definite (p.Ap <= 0) or KRYLOV_MAXIT is reached.
+    True residuals are the caller's to check.
+    """
     b = np.zeros((side, side, side))
     b.ravel()[rhs_index] = 1.0
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     rs = 1.0
-    for _ in range(CG_MAXIT):
-        ap = _apply_stencil(p, shift, pot)
+    sigma = np.array([1j * eta for eta in etas if eta > 0])
+    xs = np.zeros((sigma.size, b.size), dtype=complex)
+    ps = np.repeat(b.reshape(1, -1), sigma.size, axis=0).astype(complex)
+    zeta = zeta_old = np.ones(sigma.size, dtype=complex)
+    alpha_old, beta_old = 1.0, 0.0
+    seed_weight = 1.0 if 0.0 in etas else 0.0
+    for it in range(1, KRYLOV_MAXIT + 1):
+        ap = _apply_stencil(p, energy, pot_grid)
         pap = float(np.sum(p * ap))
         if pap <= 0.0:
             return None
@@ -225,31 +247,51 @@ def _cg_column(side, shift, pot, rhs_index):
         x += alpha * p
         r -= alpha * ap
         rs_new = float(np.sum(r * r))
-        if math.sqrt(rs_new) < CG_TOL:
-            return x.ravel()
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        zeta_new = zeta * zeta_old * alpha_old / (
+            alpha_old * zeta_old * (1.0 + sigma * alpha)
+            + alpha * beta_old * (zeta_old - zeta))
+        xs += (alpha * zeta_new / zeta)[:, None] * ps
+        if np.abs(zeta_new).max(initial=seed_weight) * math.sqrt(rs_new) < tol:
+            cols = iter(xs)
+            return [x.ravel() if eta == 0.0 else next(cols) for eta in etas], it
+        beta = rs_new / rs
+        p = r + beta * p
+        ps = (zeta_new[:, None] * r.reshape(1, -1)
+              + (beta * (zeta_new / zeta) ** 2)[:, None] * ps)
+        zeta_old, zeta = zeta, zeta_new
+        alpha_old, beta_old, rs = alpha, beta, rs_new
     return None
 
 
-def _criterion_column(box: Box, potential, lam, energy, eta):
-    """Column at the origin for the criterion and whether it fell back to splu.
+def _resolvent_columns(box: Box, potential, lam, energy, y_site, etas, tol):
+    """Columns R(., y) for every eta, the splu fallback count and iterations.
 
-    At eta = 0, CG runs first and its true residual must meet RESIDUAL_TOL;
-    otherwise (or for eta > 0) the factorization solves at the same eta.
+    Each Krylov column must meet |(H + E + i eta) u - delta_y| <= RESIDUAL_TOL;
+    a column that does not, or every column when the seed breaks down, is
+    solved by `resolvent_column` at the same eta and counted as a fallback.
     """
-    origin = box.index((0, 0, 0))
-    if eta == 0.0:
-        pot_grid = None if lam == 0.0 else (lam * potential).reshape((box.side,) * 3)
-        u = _cg_column(box.side, energy, pot_grid, origin)
+    if any(eta < 0 for eta in etas):
+        raise ValueError("eta must be >= 0")
+    shape = (box.side,) * 3
+    pot_grid = None if lam == 0.0 else (lam * potential).reshape(shape)
+    rhs_index = box.index(y_site)
+    run = _krylov_columns(box.side, energy, pot_grid, rhs_index, etas, tol)
+    cols, iterations = run if run is not None else ([None] * len(etas), 0)
+    fallbacks = 0
+    h = None
+    for k, (eta, u) in enumerate(zip(etas, cols)):
         if u is not None:
-            res = _apply_stencil(u.reshape((box.side,) * 3), energy, pot_grid).ravel()
-            res[origin] -= 1.0
+            shift = energy + 1j * eta if eta > 0 else energy
+            res = _apply_stencil(u.reshape(shape), shift, pot_grid).ravel()
+            res[rhs_index] -= 1.0
             if float(np.linalg.norm(res)) <= RESIDUAL_TOL:
-                return u, False
-    h = build_hamiltonian(box, potential if potential is not None
-                          else np.zeros(box.n_sites), lam)
-    return resolvent_column(h, energy, eta, box, (0, 0, 0)).values, eta == 0.0
+                continue
+        if h is None:
+            h = build_hamiltonian(box, potential if potential is not None
+                                  else np.zeros(box.n_sites), lam)
+        cols[k] = resolvent_column(h, energy, eta, box, y_site).values
+        fallbacks += 1
+    return cols, fallbacks, iterations
 
 
 @dataclass(frozen=True)
@@ -262,6 +304,8 @@ class FractionalMomentEstimate:
     estimates: np.ndarray = field(repr=False)   # (n_eta, n_pairs)
     stderrs: np.ndarray = field(repr=False)
     samples: int = 0
+    fallbacks: int = 0          # columns redone by factorization
+    krylov_iterations: int = 0  # largest seed CG iteration count
 
     def __post_init__(self):
         if not (0 < self.s < 1):
@@ -285,17 +329,23 @@ def fractional_moment(box: Box, context: EnergyContext, s: float, pairs,
     etas = tuple(eta_schedule)
     ys = sorted({y for _, y in pairs})
     acc = np.zeros((len(etas), len(pairs), samples))
+    fallbacks = iterations = 0
     for isamp in range(samples):
         pot = sample_potential(box, DensitySpec(), seed, isamp)
-        h = build_hamiltonian(box, pot, context.lam)
-        for ieta, eta in enumerate(etas):
-            cols = {y: resolvent_column(h, context.energy, eta, box, y) for y in ys}
-            for ipair, (x, y) in enumerate(pairs):
-                acc[ieta, ipair, isamp] = abs(cols[y].value(box, x)) ** s
+        cols = {}
+        for y in ys:
+            cols[y], fell_back, its = _resolvent_columns(box, pot, context.lam,
+                                                         context.energy, y, etas, KRYLOV_TOL)
+            fallbacks += fell_back
+            iterations = max(iterations, its)
+        for ipair, (x, y) in enumerate(pairs):
+            for ieta, col in enumerate(cols[y]):
+                acc[ieta, ipair, isamp] = abs(col[box.index(x)]) ** s
     est = acc.mean(axis=2)
     err = acc.std(axis=2, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros_like(est)
     return FractionalMomentEstimate(s=s, pairs=pairs, eta_schedule=etas,
-                                    estimates=est, stderrs=err, samples=samples)
+                                    estimates=est, stderrs=err, samples=samples,
+                                    fallbacks=fallbacks, krylov_iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -307,6 +357,8 @@ class MomentDifferenceResult:
     fitted_c1: float = 0.0
     excluded_pairs: tuple = ()
     samples: int = 0
+    fallbacks: int = 0          # columns redone by factorization
+    krylov_iterations: int = 0  # largest seed CG iteration count
 
 
 def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
@@ -326,15 +378,23 @@ def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
     if not kept:
         raise ValueError(f"no pairs inside the window |x-y| < {window:g}")
     ys = sorted({y for _, y in kept})
-    free_h = build_hamiltonian(box, np.zeros(box.n_sites), 0.0)
-    free_cols = {y: resolvent_column(free_h, context.estar, eta, box, y) for y in ys}
+    fallbacks = iterations = 0
+
+    def column(potential, lam, energy, y):
+        nonlocal fallbacks, iterations
+        cols, fell_back, its = _resolvent_columns(box, potential, lam, energy, y, (eta,),
+                                                  KRYLOV_TOL)
+        fallbacks += fell_back
+        iterations = max(iterations, its)
+        return cols[0]
+
+    free_cols = {y: column(None, 0.0, context.estar, y) for y in ys}
     acc = np.zeros((len(kept), samples))
     for isamp in range(samples):
         pot = sample_potential(box, DensitySpec(), seed, isamp)
-        h = build_hamiltonian(box, pot, context.lam)
-        cols = {y: resolvent_column(h, context.energy, eta, box, y) for y in ys}
+        cols = {y: column(pot, context.lam, context.energy, y) for y in ys}
         for ipair, (x, y) in enumerate(kept):
-            diff = cols[y].value(box, x) - free_cols[y].value(box, x)
+            diff = cols[y][box.index(x)] - free_cols[y][box.index(x)]
             acc[ipair, isamp] = abs(diff) ** s
     est = acc.mean(axis=1)
     err = acc.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros_like(est)
@@ -345,7 +405,8 @@ def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
         c1 = 0.0
     return MomentDifferenceResult(s=s, pairs=tuple(kept), estimates=est, stderrs=err,
                                   fitted_c1=float(c1), excluded_pairs=tuple(excluded),
-                                  samples=samples)
+                                  samples=samples, fallbacks=fallbacks,
+                                  krylov_iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -361,7 +422,7 @@ class CriterionResult:
     raw_boundary_sum: float
     samples: int
     lambda_factor_applied: bool
-    fallbacks: int  # eta = 0 CG solves redone by factorization
+    fallbacks: int  # Krylov columns redone by factorization
 
     @property
     def passes(self) -> bool:
@@ -398,9 +459,10 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
     fallbacks = 0
     for isamp in range(samples):
         pot = sample_potential(box, DensitySpec(), seed, isamp) if lam != 0.0 else None
-        u, fell_back = _criterion_column(box, pot, lam, context.energy, eta)
+        cols, fell_back, _ = _resolvent_columns(box, pot, lam, context.energy, (0, 0, 0),
+                                                (eta,), CG_TOL)
         fallbacks += fell_back
-        vals[isamp] = float(np.sum(np.abs(u[bidx]) ** s))
+        vals[isamp] = float(np.sum(np.abs(cols[0][bidx]) ** s))
         if lam == 0.0:
             vals = np.full(samples, vals[0])  # deterministic
             break

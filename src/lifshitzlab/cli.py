@@ -325,7 +325,7 @@ def run_fracmom(cfg, manifest):
     box = am.Box(side=cfg["box"])
     distances = [int(t) for t in cfg["distances"].split(",")]
     etas = [float(t) for t in cfg["etas"].split(",")]
-    # common y = origin: one factorized column serves every pair
+    # common y = origin: one Krylov run per sample serves every pair and eta
     pairs = [((d, 0, 0), (0, 0, 0)) for d in distances]
     est = am.fractional_moment(box, ctx, cfg["s"], pairs, cfg["samples"],
                                eta_schedule=etas, seed=cfg["seed"])
@@ -349,6 +349,7 @@ def run_fracmom(cfg, manifest):
     summary = {
         "estar": ctx.estar, "sigma": ctx.sigma,
         "eta_variation": [est.eta_variation(i) for i in range(len(pairs))],
+        "fallbacks": est.fallbacks, "krylov_iterations": est.krylov_iterations,
     }
     if fit is not None:
         summary["xi"] = fit.xi

@@ -45,6 +45,7 @@ __all__ = [
 
 
 QUAD_TOL = 1e-12  # relative error contract of the torus integrals
+NEWTON_TOL = 1e-14  # Newton stop on |E(E*) - E|, relative to max(1, E)
 
 
 def dispersion(p):
@@ -152,7 +153,7 @@ def solve_self_energy(energy: float, lam: float, epsilon: float = 1.0) -> Energy
     """Invert E(E*) = E on its increasing branch and return the solved context.
 
     Bisection brackets the root, a safeguarded Newton iteration polishes it;
-    the fixed-point residual is driven below 1e-11 * max(1, E).
+    the fixed-point residual is driven below NEWTON_TOL * max(1, E).
     """
     if energy <= 0:
         raise ValueError("energy must be > 0")
@@ -182,7 +183,7 @@ def solve_self_energy(energy: float, lam: float, epsilon: float = 1.0) -> Energy
     x = ((beta + math.sqrt(disc)) / 2.0) ** 2 if disc > 0 else 0.5 * (lo + hi)
     x = min(max(x, lo), hi)
 
-    tol = 1e-11 * max(1.0, energy)  # above the quadrature jitter scale
+    tol = NEWTON_TOL * max(1.0, energy)
     for _ in range(200):
         fx = f(x)
         if fx > 0:

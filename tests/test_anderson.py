@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,11 +219,123 @@ def test_criterion_falls_back_to_factorization_at_same_eta(monkeypatch, cg_resul
     assert res.raw_boundary_sum == pytest.approx(direct, rel=1e-8)
 
     wrong = col.values + 1e-6
-    monkeypatch.setattr(am, "_cg_column",
-                        lambda *args, **kw: None if cg_result == "breakdown" else wrong)
+    monkeypatch.setattr(am, "_krylov_columns",
+                        lambda *args, **kw: None if cg_result == "breakdown"
+                        else ([wrong], 1))
     res = am.finite_volume_criterion(L, ctx, s, samples=1, seed=3)
     assert res.fallbacks == 1
     assert res.raw_boundary_sum == direct
+
+
+def plain_cg(side, shift, pot, rhs_index, tol):
+    """Unshifted CG on the stencil: the reference for the engine's seed."""
+    b = np.zeros((side, side, side))
+    b.ravel()[rhs_index] = 1.0
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = 1.0
+    for _ in range(am.KRYLOV_MAXIT):
+        ap = am._apply_stencil(p, shift, pot)
+        alpha = rs / float(np.sum(p * ap))
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = float(np.sum(r * r))
+        if math.sqrt(rs_new) < tol:
+            return x.ravel()
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    raise AssertionError("plain CG did not converge")
+
+
+def test_unshifted_engine_is_plain_cg():
+    box = am.Box(side=14)
+    pot = 0.5 * am.sample_potential(box, DensitySpec(), 5, 0).reshape((14,) * 3)
+    origin = box.index((0, 0, 0))
+    (u,), _ = am._krylov_columns(14, 0.85, pot, origin, (0.0,), am.CG_TOL)
+    assert np.array_equal(u, plain_cg(14, 0.85, pot, origin, am.CG_TOL))
+
+
+def _within(box, y, radius):
+    off = box.origin_offset
+    return [box.index((a - off, b - off, c - off))
+            for a, b, c in np.ndindex((box.side,) * 3)
+            if abs(a - off - y[0]) + abs(b - off - y[1]) + abs(c - off - y[2]) <= radius]
+
+
+@pytest.mark.parametrize("side, lam, energy, etas", [
+    (12, 0.5, 0.45, (1e-2, 1e-3, 1e-4)),
+    (18, 0.3, se.energy_of_estar(0.1, 0.3), (1e-3,)),  # E* = 0.1
+])
+def test_krylov_columns_match_factorization(side, lam, energy, etas):
+    box = am.Box(side=side)
+    y = (0, 0, 0)
+    near = _within(box, y, 5)
+    for index in range(2):
+        pot = am.sample_potential(box, DensitySpec(), 3, index)
+        pot_grid = (lam * pot).reshape((side,) * 3)
+        cols, its = am._krylov_columns(side, energy, pot_grid, box.index(y), etas,
+                                       am.KRYLOV_TOL)
+        assert 0 < its < am.KRYLOV_MAXIT
+        h = am.build_hamiltonian(box, pot, lam)
+        for eta, u in zip(etas, cols):
+            res = am._apply_stencil(u.reshape((side,) * 3), energy + 1j * eta,
+                                    pot_grid).ravel()
+            res[box.index(y)] -= 1.0
+            assert np.linalg.norm(res) <= am.RESIDUAL_TOL
+            ref = np.abs(am.resolvent_column(h, energy, eta, box, y).values[near])
+            assert np.max(np.abs(np.abs(u[near]) - ref) / ref) <= 1e-12
+
+
+def test_moments_need_no_sparse_hamiltonian(monkeypatch):
+    def no_matrix(*args, **kw):
+        raise AssertionError("the Krylov path built a sparse Hamiltonian")
+
+    monkeypatch.setattr(am, "build_hamiltonian", no_matrix)
+    box = am.Box(side=8)
+    ctx = se.solve_self_energy(0.45, 0.5)
+    pairs = [((1, 0, 0), (0, 0, 0)), ((0, 1, 1), (1, 0, 0))]
+    est = am.fractional_moment(box, ctx, 0.3, pairs, samples=3, seed=2)
+    assert est.fallbacks == 0
+    assert 0 < est.krylov_iterations < am.KRYLOV_MAXIT
+    diff = am.moment_difference(box, ctx, 0.3, pairs[:1], samples=2, seed=2, eta=1e-3)
+    assert diff.fallbacks == 0
+    assert 0 < diff.krylov_iterations < am.KRYLOV_MAXIT
+
+
+def _splu_column(box, context, eta, y, seed):
+    pot = am.sample_potential(box, DensitySpec(), seed, 0)
+    h = am.build_hamiltonian(box, pot, context.lam)
+    return am.resolvent_column(h, context.energy, eta, box, y)
+
+
+@pytest.mark.parametrize("engine_result", ["breakdown", "bad residual"])
+def test_fractional_moment_falls_back_to_factorization(monkeypatch, engine_result):
+    box = am.Box(side=8)
+    ctx = se.solve_self_energy(0.45, 0.5)
+    x, y, eta = (1, 0, 0), (0, 0, 0), 1e-3
+    col = _splu_column(box, ctx, eta, y, seed=4)
+    wrong = col.values + 1e-6
+    monkeypatch.setattr(am, "_krylov_columns",
+                        lambda *args, **kw: None if engine_result == "breakdown"
+                        else ([wrong], 1))
+    est = am.fractional_moment(box, ctx, 0.3, [(x, y)], samples=1, eta_schedule=(eta,),
+                               seed=4)
+    assert est.fallbacks == 1
+    assert est.estimates[0, 0] == abs(col.value(box, x)) ** 0.3
+
+
+def test_indefinite_seed_falls_back_to_factorization():
+    # at lam = 0 and E = -7, H + E is negative definite (H sits in [0, 6])
+    box = am.Box(side=6)
+    ctx = SimpleNamespace(lam=0.0, energy=-7.0)
+    x, y, eta = (1, 0, 0), (0, 0, 0), 1e-3
+    est = am.fractional_moment(box, ctx, 0.3, [(x, y)], samples=1, eta_schedule=(eta,),
+                               seed=1)
+    assert est.fallbacks == 1
+    assert est.krylov_iterations == 0
+    col = _splu_column(box, ctx, eta, y, seed=1)
+    assert est.estimates[0, 0] == abs(col.value(box, x)) ** 0.3
 
 
 def test_criterion_validates_inputs():

@@ -78,6 +78,12 @@ def test_selfenergy_at_the_window_edge(tmp_path):
     assert all(float(row.split(",")[3]) < 1e-10 for row in rows)
 
 
+def test_readme_selfenergy_residuals_reach_rounding(tmp_path):
+    assert run(["selfenergy", "--lam", "0.1", "--epsilon", "1", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "selfenergy.csv").read_text().splitlines()[1:]
+    assert max(float(row.split(",")[3]) for row in rows) <= 1e-13
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # energy far below the admissible window
     assert run(["fracmom", "--lam", "0.5", "--energy", "0.01", "--samples", "2",
@@ -137,6 +143,8 @@ def test_fracmom_run(tmp_path):
     assert len(rows) == 1 + 2 * 2
     summary = json.loads((tmp_path / "fracmom_summary.json").read_text())
     assert "eta_variation" in summary
+    assert summary["fallbacks"] == 0
+    assert 0 < summary["krylov_iterations"] < am.KRYLOV_MAXIT
 
 
 def test_criterion_run(tmp_path):
