@@ -9,7 +9,8 @@ Modules:
 * `diagrams`: even-block partitions, Feynman graphs, power counting
 * `graphvalues`: Monte Carlo graph values, scaling checks, moment bounds
 * `expansion`: renormalized resolvent expansion with the stopping rule
-* `anderson`: finite boxes, sparse resolvents, fractional-moment diagnostics
+* `anderson`: finite boxes, matrix-free Krylov resolvent columns with an splu
+  fallback, fractional-moment diagnostics
 * `cli`: reproducible experiment runner
 """
 

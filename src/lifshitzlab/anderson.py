@@ -37,9 +37,7 @@ from .selfenergy import EnergyContext
 __all__ = [
     "Box",
     "sample_potential",
-    "half_laplacian",
     "build_hamiltonian",
-    "ResolventColumn",
     "resolvent_column",
     "FractionalMomentEstimate",
     "fractional_moment",
@@ -111,38 +109,21 @@ def sample_potential(box: Box, density: DensitySpec, seed: int, index: int) -> n
     return density.sample(rng, box.n_sites)
 
 
-def half_laplacian(side: int) -> sp.csc_matrix:
-    """-Delta/2 with Dirichlet truncation: diagonal 3, off-diagonal -1/2."""
+def build_hamiltonian(box: Box, potential: np.ndarray, lam: float) -> sp.csc_matrix:
+    """H = -Delta/2 + lam V, Dirichlet: diagonal 3 + lam V, off-diagonal -1/2."""
+    if potential.shape != (box.n_sites,):
+        raise ValueError("potential must be a flat field over the box")
+    side = box.side
     ones = np.ones(side - 1)
     d1 = sp.diags([ones, ones], [-1, 1], shape=(side, side))
     eye = sp.identity(side)
     adj = (sp.kron(sp.kron(d1, eye), eye)
            + sp.kron(sp.kron(eye, d1), eye)
            + sp.kron(sp.kron(eye, eye), d1))
-    return (3.0 * sp.identity(side**3) - 0.5 * adj).tocsc()
-
-
-def build_hamiltonian(box: Box, potential: np.ndarray, lam: float) -> sp.csc_matrix:
-    """H = -Delta/2 + lam V as a real symmetric sparse matrix."""
-    if potential.shape != (box.n_sites,):
-        raise ValueError("potential must be a flat field over the box")
-    h = half_laplacian(box.side)
+    h = (3.0 * sp.identity(box.n_sites) - 0.5 * adj).tocsc()
     if lam != 0.0:
         h = h + sp.diags(lam * potential)
     return h.tocsc()
-
-
-@dataclass(frozen=True)
-class ResolventColumn:
-    """One column R(., y) of (H + E + i eta)^{-1} with its solve residual."""
-
-    y_site: tuple
-    eta: float
-    values: np.ndarray = field(repr=False)
-    residual: float = 0.0
-
-    def value(self, box: Box, x_site) -> complex:
-        return self.values[box.index(x_site)]
 
 
 RESIDUAL_TOL = 1e-10
@@ -177,15 +158,13 @@ def _direct_solver(hamiltonian, energy: float, eta: float):
 
 
 def resolvent_column(hamiltonian, energy: float, eta: float, box: Box,
-                     y_site) -> ResolventColumn:
-    """Direct sparse factorization solve of (H + E + i eta) u = delta_y."""
+                     y_site) -> np.ndarray:
+    """Column u of (H + E + i eta) u = delta_y by direct sparse factorization."""
     if eta < 0:
         raise ValueError("eta must be >= 0")
     rhs = np.zeros(hamiltonian.shape[0], dtype=complex if eta > 0 else float)
     rhs[box.index(y_site)] = 1.0
-    u, res = _direct_solver(hamiltonian, energy, eta)(rhs)
-    return ResolventColumn(y_site=tuple(int(c) for c in y_site), eta=eta,
-                           values=u, residual=res)
+    return _direct_solver(hamiltonian, energy, eta)(rhs)[0]
 
 
 def _apply_stencil(v, shift, pot):
@@ -263,8 +242,8 @@ def _krylov_columns(side, energy, pot_grid, rhs_index, etas, tol):
     return None
 
 
-def _resolvent_columns(box: Box, potential, lam, energy, y_site, etas, tol):
-    """Columns R(., y) for every eta, the splu fallback count and iterations.
+def _resolvent_columns(box: Box, potential, lam, energy, ys, etas, tol):
+    """Columns {y: [R(., y) per eta]}, splu fallbacks, largest iteration count.
 
     Each Krylov column must meet |(H + E + i eta) u - delta_y| <= RESIDUAL_TOL;
     a column that does not, or every column when the seed breaks down, is
@@ -274,24 +253,54 @@ def _resolvent_columns(box: Box, potential, lam, energy, y_site, etas, tol):
         raise ValueError("eta must be >= 0")
     shape = (box.side,) * 3
     pot_grid = None if lam == 0.0 else (lam * potential).reshape(shape)
-    rhs_index = box.index(y_site)
-    run = _krylov_columns(box.side, energy, pot_grid, rhs_index, etas, tol)
-    cols, iterations = run if run is not None else ([None] * len(etas), 0)
-    fallbacks = 0
-    h = None
-    for k, (eta, u) in enumerate(zip(etas, cols)):
-        if u is not None:
-            shift = energy + 1j * eta if eta > 0 else energy
-            res = _apply_stencil(u.reshape(shape), shift, pot_grid).ravel()
-            res[rhs_index] -= 1.0
-            if float(np.linalg.norm(res)) <= RESIDUAL_TOL:
-                continue
-        if h is None:
-            h = build_hamiltonian(box, potential if potential is not None
-                                  else np.zeros(box.n_sites), lam)
-        cols[k] = resolvent_column(h, energy, eta, box, y_site).values
-        fallbacks += 1
-    return cols, fallbacks, iterations
+    out, fallbacks, iterations, h = {}, 0, 0, None
+    for y in ys:
+        rhs_index = box.index(y)
+        run = _krylov_columns(box.side, energy, pot_grid, rhs_index, etas, tol)
+        cols, its = run if run is not None else ([None] * len(etas), 0)
+        iterations = max(iterations, its)
+        for k, (eta, u) in enumerate(zip(etas, cols)):
+            if u is not None:
+                shift = energy + 1j * eta if eta > 0 else energy
+                res = _apply_stencil(u.reshape(shape), shift, pot_grid).ravel()
+                res[rhs_index] -= 1.0
+                if float(np.linalg.norm(res)) <= RESIDUAL_TOL:
+                    continue
+            if h is None:
+                h = build_hamiltonian(box, potential, lam)
+            cols[k] = resolvent_column(h, energy, eta, box, y)
+            fallbacks += 1
+        out[y] = cols
+    return out, fallbacks, iterations
+
+
+def _sample_average(box: Box, context: EnergyContext, ys, etas, samples: int,
+                    seed: int, tol: float, observe):
+    """Mean and stderr of observe({y: [R(., y) per eta]}) over disorder samples.
+
+    Also returns the summed splu fallbacks and the largest Krylov iteration
+    count.  At lam = 0 every sample sees the same operator, so one solve
+    serves them all and the stderr is exactly 0.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    lam = context.lam
+    obs, fallbacks, iterations = [], 0, 0
+    for isamp in range(samples if lam != 0.0 else 1):
+        pot = (sample_potential(box, DensitySpec(), seed, isamp) if lam != 0.0
+               else np.zeros(box.n_sites))
+        cols, fell_back, its = _resolvent_columns(box, pot, lam, context.energy, ys,
+                                                  etas, tol)
+        fallbacks += fell_back
+        iterations = max(iterations, its)
+        obs.append(observe(cols))
+    if lam == 0.0:
+        obs *= samples
+    acc = np.stack(obs, axis=-1)
+    mean = acc.mean(axis=-1)
+    err = (acc.std(axis=-1, ddof=1) / math.sqrt(samples) if samples > 1 and lam != 0.0
+           else np.zeros_like(mean))
+    return mean, err, fallbacks, iterations
 
 
 @dataclass(frozen=True)
@@ -307,12 +316,6 @@ class FractionalMomentEstimate:
     fallbacks: int = 0          # columns redone by factorization
     krylov_iterations: int = 0  # largest seed CG iteration count
 
-    def __post_init__(self):
-        if not (0 < self.s < 1):
-            raise ValueError("s must be in (0, 1)")
-        if np.any(self.estimates < 0):
-            raise ValueError("estimates must be >= 0")
-
     def eta_variation(self, pair_index: int = 0) -> float:
         """max/min - 1 of the estimate across the eta schedule."""
         col = self.estimates[:, pair_index]
@@ -327,22 +330,14 @@ def fractional_moment(box: Box, context: EnergyContext, s: float, pairs,
         raise ValueError("s must be in (0, 1)")
     pairs = tuple((tuple(x), tuple(y)) for x, y in pairs)
     etas = tuple(eta_schedule)
-    ys = sorted({y for _, y in pairs})
-    acc = np.zeros((len(etas), len(pairs), samples))
-    fallbacks = iterations = 0
-    for isamp in range(samples):
-        pot = sample_potential(box, DensitySpec(), seed, isamp)
-        cols = {}
-        for y in ys:
-            cols[y], fell_back, its = _resolvent_columns(box, pot, context.lam,
-                                                         context.energy, y, etas, KRYLOV_TOL)
-            fallbacks += fell_back
-            iterations = max(iterations, its)
-        for ipair, (x, y) in enumerate(pairs):
-            for ieta, col in enumerate(cols[y]):
-                acc[ieta, ipair, isamp] = abs(col[box.index(x)]) ** s
-    est = acc.mean(axis=2)
-    err = acc.std(axis=2, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros_like(est)
+
+    def observe(cols):
+        return [[abs(cols[y][ieta][box.index(x)]) ** s for x, y in pairs]
+                for ieta in range(len(etas))]
+
+    est, err, fallbacks, iterations = _sample_average(
+        box, context, sorted({y for _, y in pairs}), etas, samples, seed, KRYLOV_TOL,
+        observe)
     return FractionalMomentEstimate(s=s, pairs=pairs, eta_schedule=etas,
                                     estimates=est, stderrs=err, samples=samples,
                                     fallbacks=fallbacks, krylov_iterations=iterations)
@@ -378,26 +373,15 @@ def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
     if not kept:
         raise ValueError(f"no pairs inside the window |x-y| < {window:g}")
     ys = sorted({y for _, y in kept})
-    fallbacks = iterations = 0
+    free, free_fallbacks, free_its = _resolvent_columns(
+        box, np.zeros(box.n_sites), 0.0, context.estar, ys, (eta,), KRYLOV_TOL)
 
-    def column(potential, lam, energy, y):
-        nonlocal fallbacks, iterations
-        cols, fell_back, its = _resolvent_columns(box, potential, lam, energy, y, (eta,),
-                                                  KRYLOV_TOL)
-        fallbacks += fell_back
-        iterations = max(iterations, its)
-        return cols[0]
+    def observe(cols):
+        return [abs(cols[y][0][box.index(x)] - free[y][0][box.index(x)]) ** s
+                for x, y in kept]
 
-    free_cols = {y: column(None, 0.0, context.estar, y) for y in ys}
-    acc = np.zeros((len(kept), samples))
-    for isamp in range(samples):
-        pot = sample_potential(box, DensitySpec(), seed, isamp)
-        cols = {y: column(pot, context.lam, context.energy, y) for y in ys}
-        for ipair, (x, y) in enumerate(kept):
-            diff = cols[y][box.index(x)] - free_cols[y][box.index(x)]
-            acc[ipair, isamp] = abs(diff) ** s
-    est = acc.mean(axis=1)
-    err = acc.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros_like(est)
+    est, err, fallbacks, iterations = _sample_average(
+        box, context, ys, (eta,), samples, seed, KRYLOV_TOL, observe)
     if context.lam > 0:
         c1 = max(e * (math.dist(x, y) + 1.0) ** (s / 2.0) / context.lam**s
                  for e, (x, y) in zip(est, kept))
@@ -405,8 +389,8 @@ def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
         c1 = 0.0
     return MomentDifferenceResult(s=s, pairs=tuple(kept), estimates=est, stderrs=err,
                                   fitted_c1=float(c1), excluded_pairs=tuple(excluded),
-                                  samples=samples, fallbacks=fallbacks,
-                                  krylov_iterations=iterations)
+                                  samples=samples, fallbacks=fallbacks + free_fallbacks,
+                                  krylov_iterations=max(iterations, free_its))
 
 
 @dataclass(frozen=True)
@@ -440,8 +424,7 @@ class CriterionResult:
 
 def finite_volume_criterion(L: int, context: EnergyContext, s: float,
                             b: float = 0.5, B_s: float = 1.0,
-                            samples: int = 1, seed: int = 0,
-                            eta: float = 0.0) -> CriterionResult:
+                            samples: int = 1, seed: int = 0) -> CriterionResult:
     """Evaluate B_s L^4 lam^{-2s} sum_{n in boundary} E|R(n,0)|^s < b.
 
     The box is the cube of side 2L centered at the origin.  At lam = 0 the
@@ -454,20 +437,11 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
         raise ValueError("b must be in (0, 1)")
     box = Box(side=2 * L)
     bidx = box.boundary_indices()
-    lam = context.lam
-    vals = np.zeros(samples)
-    fallbacks = 0
-    for isamp in range(samples):
-        pot = sample_potential(box, DensitySpec(), seed, isamp) if lam != 0.0 else None
-        cols, fell_back, _ = _resolvent_columns(box, pot, lam, context.energy, (0, 0, 0),
-                                                (eta,), CG_TOL)
-        fallbacks += fell_back
-        vals[isamp] = float(np.sum(np.abs(cols[0][bidx]) ** s))
-        if lam == 0.0:
-            vals = np.full(samples, vals[0])  # deterministic
-            break
-    raw = float(np.mean(vals))
-    raw_err = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 and lam != 0 else 0.0
+    origin = (0, 0, 0)
+    raw, raw_err, fallbacks, _ = _sample_average(
+        box, context, [origin], (0.0,), samples, seed, CG_TOL,
+        lambda cols: np.sum(np.abs(cols[origin][0][bidx]) ** s))
+    raw, raw_err, lam = float(raw), float(raw_err), context.lam
     factor = B_s * L**4 * (lam ** (-2.0 * s) if lam > 0 else 1.0)
     return CriterionResult(L=L, s=s, b=b, B_s=B_s, value=factor * raw,
                            stderr=factor * raw_err, raw_boundary_sum=raw,

@@ -363,6 +363,8 @@ def run_fracmom(cfg, manifest):
 
 def run_criterion(cfg, manifest):
     lam = cfg["lam"]
+    if cfg["energy"] < 0:
+        raise ConfigError("energy must be >= 0 (0 means use estar)")
     if cfg["energy"] > 0:
         ctx = se.solve_self_energy(cfg["energy"], lam)
     else:

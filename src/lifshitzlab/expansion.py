@@ -339,6 +339,8 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     """
     if order not in (1, 2):
         raise ValueError("closed-form comparison targets are l = 1 and l = 2")
+    if samples < 2:
+        raise ValueError("samples must be >= 2 for a standard error")
     b = box_radius
     estar, lam, sigma = context.estar, context.lam, context.sigma
     kernel = _green_kernel(estar, 2 * b)

@@ -78,8 +78,10 @@ def test_resolvent_residual_and_symmetry():
     h = am.build_hamiltonian(box, pot, 0.5)
     col_a = am.resolvent_column(h, 0.45, 1e-3, box, (1, 0, 0))
     col_b = am.resolvent_column(h, 0.45, 1e-3, box, (0, 2, -1))
-    assert col_a.residual < 1e-10
-    assert abs(col_a.value(box, (0, 2, -1)) - col_b.value(box, (1, 0, 0))) < 1e-10
+    residual = h @ col_a + (0.45 + 1e-3j) * col_a
+    residual[box.index((1, 0, 0))] -= 1.0
+    assert np.linalg.norm(residual) < 1e-10
+    assert abs(col_a[box.index((0, 2, -1))] - col_b[box.index((1, 0, 0))]) < 1e-10
 
 
 def test_free_resolvent_matches_lattice_green_within_envelope():
@@ -90,7 +92,7 @@ def test_free_resolvent_matches_lattice_green_within_envelope():
     kappa = math.sqrt(2.0 * estar)
     envelope = 10.0 * math.exp(-kappa * box.distance_to_boundary((0, 0, 0)))
     for x in ((0, 0, 0), (1, 0, 0), (2, 2, 1), (3, 0, 0)):
-        diff = abs(col.value(box, x).real - gr.green_free(x, estar))
+        diff = abs(col[box.index(x)] - gr.green_free(x, estar))
         assert diff < envelope
 
 
@@ -102,7 +104,7 @@ def test_finite_size_control_under_box_doubling():
         box = am.Box(side=side)
         h = am.build_hamiltonian(box, np.zeros(box.n_sites), 0.0)
         col = am.resolvent_column(h, estar, 0.0, box, (0, 0, 0))
-        vals[side] = col.value(box, (1, 1, 0)).real
+        vals[side] = col[box.index((1, 1, 0))]
     envelope = 10.0 * math.exp(-kappa * am.Box(side=8).distance_to_boundary((1, 1, 0)))
     assert abs(vals[8] - vals[16]) < envelope
 
@@ -118,7 +120,7 @@ def test_fractional_moment_lam_zero_zero_variance():
     col = am.resolvent_column(h, 0.3, 0.0, box, (0, 0, 0))
     for i, (x, y) in enumerate(est.pairs):
         # x is the origin here, so R(x, y) = col_origin(y) by symmetry
-        assert est.estimates[0, i] == pytest.approx(abs(col.value(box, y)) ** 0.3,
+        assert est.estimates[0, i] == pytest.approx(abs(col[box.index(y)]) ** 0.3,
                                                     rel=1e-12)
         # equals the infinite-lattice moment up to the finite-size envelope
         kappa = math.sqrt(2.0 * ctx.estar)
@@ -165,6 +167,27 @@ def test_moment_difference_lam_zero_identically_zero():
     assert res.fitted_c1 == 0.0
 
 
+def test_lam_zero_solves_each_column_once(monkeypatch):
+    # at lam = 0 every disorder sample sees the same operator
+    solve, calls = am._resolvent_columns, []
+
+    def counted(box, potential, lam, energy, ys, etas, tol):
+        calls.extend(ys)
+        return solve(box, potential, lam, energy, ys, etas, tol)
+
+    monkeypatch.setattr(am, "_resolvent_columns", counted)
+    box = am.Box(side=8)
+    ctx = se.solve_self_energy(0.3, 0.0)
+    pairs = [((1, 0, 0), (0, 0, 0)), ((0, 1, 0), (1, 0, 0))]
+    est = am.fractional_moment(box, ctx, 0.3, pairs, samples=6, seed=2)
+    assert sorted(calls) == [(0, 0, 0), (1, 0, 0)]
+    assert np.all(est.stderrs == 0.0)
+    calls.clear()
+    am.moment_difference(box, ctx, 0.3, pairs, samples=6, seed=2)
+    # one free column and one lam = 0 column per y
+    assert sorted(calls) == [(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 0, 0)]
+
+
 def test_moment_difference_window_exclusion():
     box = am.Box(side=10)
     ctx = se.solve_self_energy(0.45, 0.5)  # E* ~ 0.36: window ~ 1.67
@@ -199,7 +222,7 @@ def test_criterion_lam_zero_deterministic_and_consistent():
     box = am.Box(side=14)
     h = am.build_hamiltonian(box, np.zeros(box.n_sites), 0.0)
     col = am.resolvent_column(h, 0.3, 0.0, box, (0, 0, 0))
-    direct = float(np.sum(np.abs(col.values[box.boundary_indices()]) ** 0.2))
+    direct = float(np.sum(np.abs(col[box.boundary_indices()]) ** 0.2))
     assert res.raw_boundary_sum == pytest.approx(direct, rel=1e-8)
 
 
@@ -211,14 +234,14 @@ def test_criterion_falls_back_to_factorization_at_same_eta(monkeypatch, cg_resul
     pot = am.sample_potential(box, DensitySpec(), 3, 0)
     h = am.build_hamiltonian(box, pot, ctx.lam)
     col = am.resolvent_column(h, ctx.energy, 0.0, box, (0, 0, 0))
-    assert not np.iscomplexobj(col.values)  # eta = 0 is a real solve
-    direct = float(np.sum(np.abs(col.values[box.boundary_indices()]) ** s))
+    assert not np.iscomplexobj(col)  # eta = 0 is a real solve
+    direct = float(np.sum(np.abs(col[box.boundary_indices()]) ** s))
 
     res = am.finite_volume_criterion(L, ctx, s, samples=1, seed=3)
     assert res.fallbacks == 0
     assert res.raw_boundary_sum == pytest.approx(direct, rel=1e-8)
 
-    wrong = col.values + 1e-6
+    wrong = col + 1e-6
     monkeypatch.setattr(am, "_krylov_columns",
                         lambda *args, **kw: None if cg_result == "breakdown"
                         else ([wrong], 1))
@@ -283,7 +306,7 @@ def test_krylov_columns_match_factorization(side, lam, energy, etas):
                                     pot_grid).ravel()
             res[box.index(y)] -= 1.0
             assert np.linalg.norm(res) <= am.RESIDUAL_TOL
-            ref = np.abs(am.resolvent_column(h, energy, eta, box, y).values[near])
+            ref = np.abs(am.resolvent_column(h, energy, eta, box, y)[near])
             assert np.max(np.abs(np.abs(u[near]) - ref) / ref) <= 1e-12
 
 
@@ -315,14 +338,14 @@ def test_fractional_moment_falls_back_to_factorization(monkeypatch, engine_resul
     ctx = se.solve_self_energy(0.45, 0.5)
     x, y, eta = (1, 0, 0), (0, 0, 0), 1e-3
     col = _splu_column(box, ctx, eta, y, seed=4)
-    wrong = col.values + 1e-6
+    wrong = col + 1e-6
     monkeypatch.setattr(am, "_krylov_columns",
                         lambda *args, **kw: None if engine_result == "breakdown"
                         else ([wrong], 1))
     est = am.fractional_moment(box, ctx, 0.3, [(x, y)], samples=1, eta_schedule=(eta,),
                                seed=4)
     assert est.fallbacks == 1
-    assert est.estimates[0, 0] == abs(col.value(box, x)) ** 0.3
+    assert est.estimates[0, 0] == abs(col[box.index(x)]) ** 0.3
 
 
 def test_indefinite_seed_falls_back_to_factorization():
@@ -335,7 +358,7 @@ def test_indefinite_seed_falls_back_to_factorization():
     assert est.fallbacks == 1
     assert est.krylov_iterations == 0
     col = _splu_column(box, ctx, eta, y, seed=1)
-    assert est.estimates[0, 0] == abs(col.value(box, x)) ** 0.3
+    assert est.estimates[0, 0] == abs(col[box.index(x)]) ** 0.3
 
 
 def test_criterion_validates_inputs():

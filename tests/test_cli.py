@@ -66,6 +66,14 @@ def test_out_of_range_flags_are_config_errors(tmp_path):
     # the library's range guards raise ValueError; the CLI maps it to status 2
     assert run(["green", "--estar", "0.5", "--radius", "80", "--out", str(tmp_path)]) == 2
     assert run(["criterion", "--boxl", "60", "--out", str(tmp_path)]) == 2
+    # empty or too small Monte Carlo runs, and a negative energy, are config errors
+    assert run(["criterion", "--boxl", "4", "--lam", "0.5", "--energy", "0.85",
+                "--samples", "0", "--out", str(tmp_path)]) == 2
+    assert run(["fracmom", "--lam", "0.5", "--energy", "0.45", "--box", "6",
+                "--samples", "0", "--distances", "1,2", "--out", str(tmp_path)]) == 2
+    assert run(["expand-verify", "--N", "2", "--box", "8", "--cancellation-samples", "1",
+                "--out", str(tmp_path)]) == 2
+    assert run(["criterion", "--boxl", "4", "--energy", "-1", "--out", str(tmp_path)]) == 2
 
 
 def test_selfenergy_at_the_window_edge(tmp_path):
