@@ -84,12 +84,6 @@ class Box:
             raise ValueError(f"site {tuple(site)} outside box side {s}")
         return (i * s + j) * s + k
 
-    def site(self, index: int):
-        s, off = self.side, self.origin_offset
-        i, rem = divmod(int(index), s * s)
-        j, k = divmod(rem, s)
-        return (i - off, j - off, k - off)
-
     def boundary_indices(self) -> np.ndarray:
         s = self.side
         grid = np.zeros((s, s, s), dtype=bool)
@@ -365,6 +359,8 @@ def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
     """
     if not (0 < s < 0.5):
         raise ValueError("s must be in (0, 1/2)")
+    if samples < 1:  # before the free columns are solved
+        raise ValueError("samples must be >= 1")
     window = context.estar ** -0.5
     kept, excluded = [], []
     for x, y in pairs:

@@ -300,9 +300,6 @@ def run_expand_verify(cfg, manifest):
         results[n_stop] = {"residual": chk.residual,
                            "relative": chk.relative_residual}
     dec = ex.generate_terms(cfg["order"])
-    tpath = os.path.join(cfg["out"], "expansion_terms.txt")
-    with open(tpath, "w") as fh:
-        fh.write(dec.term_table())
     out = {"context": {"lam": ctx.lam, "estar": ctx.estar, "sigma": ctx.sigma},
            "residuals": results}
     if cfg["cancellation_samples"] > 0:
@@ -312,6 +309,10 @@ def run_expand_verify(cfg, manifest):
         out["cancellation_l1"] = {"mc": cmp1.mc_estimate, "stderr": cmp1.mc_stderr,
                                   "prediction": cmp1.prediction,
                                   "z": cmp1.z_score}
+    # a rejected run leaves no partial output: write only after every computation
+    tpath = os.path.join(cfg["out"], "expansion_terms.txt")
+    with open(tpath, "w") as fh:
+        fh.write(dec.term_table())
     rpath = os.path.join(cfg["out"], "expand_verify.json")
     with open(rpath, "w") as fh:
         json.dump(out, fh, indent=1)

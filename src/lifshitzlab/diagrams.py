@@ -28,7 +28,6 @@ div < -2 eps E, or div = 0 with l-div <= -eps.
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,7 +51,7 @@ __all__ = [
 
 EXTERNAL = "ext"
 MAX_INDEX_SET = 16        # enumeration guard on the doubled index-set size
-CENSUS_BUDGET = 10**6     # line subsets a census visits before it gives up
+CENSUS_BUDGET = 10**6     # enumeration guard on the line subsets of a census
 
 
 @dataclass(frozen=True)
@@ -232,12 +231,6 @@ class FeynmanGraph:
         row[2 * self.n + 1] = -1
         return tuple(row)
 
-    def to_edge_list(self):
-        """Exchange format: (edge id, tail label, head label, special flag)."""
-        lab = lambda v: "ext" if v == EXTERNAL else "-".join(map(str, sorted(v)))
-        return [(e, lab(t), lab(h), e in self.special_edges)
-                for e, (t, h) in sorted(self.edges.items())]
-
     def label(self) -> str:
         if self.partition is not None:
             return self.partition.label()
@@ -396,71 +389,57 @@ def reduced_delta_system(graph: FeynmanGraph, tree, loops, a) -> DeltaSystem:
     return DeltaSystem(dim=dim, constraints=tuple(rows))
 
 
-def _subgraph_vertices(graph, edge_subset):
-    verts = set()
-    for e in edge_subset:
-        t, h = graph.edges[e]
-        verts.add(t)
-        verts.add(h)
-    return verts
+def _components(graph, lines, verts) -> int:
+    """Number of components of the vertex set `verts` joined by `lines` (union-find)."""
+    parent = {v: v for v in verts}
 
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-def _joins(graph, edge_subset, verts) -> bool:
-    """True when the lines in edge_subset connect all of verts (search from any one)."""
-    start = next(iter(verts))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for e in edge_subset:
-            t, h = graph.edges[e]
-            if t == v and h not in seen:
-                seen.add(h)
-                frontier.append(h)
-            elif h == v and t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return seen == verts
-
-
-def _is_connected(graph, edge_subset):
-    verts = _subgraph_vertices(graph, edge_subset)
-    return bool(verts) and _joins(graph, edge_subset, verts)
+    count = len(parent)
+    for e in lines:
+        t, h = map(root, graph.edges[e])
+        if t != h:
+            parent[t] = h
+            count -= 1
+    return count
 
 
 def subgraph_counts(graph: FeynmanGraph, edge_subset):
-    """(N, I, E, Lambda) for a connected line subset; E counts external hooks."""
-    verts = _subgraph_vertices(graph, edge_subset)
-    n_v = len(verts)
+    """(N, I, E, Lambda) of a line subset, or None when it is not connected.
+
+    E counts external hooks: the line ends on the subset's vertices that do
+    not belong to its own lines.
+    """
+    verts = {v for e in edge_subset for v in graph.edges[e]}
+    if not verts or _components(graph, edge_subset, verts) != 1:
+        return None
     i_lines = len(edge_subset)
-    hooks = 0
-    for e in graph.edge_ids:
-        if e in edge_subset:
-            continue
-        t, h = graph.edges[e]
-        hooks += (t in verts) + (h in verts)
-    lam = i_lines - n_v + 1
-    return n_v, i_lines, hooks, lam
+    ends = sum((t in verts) + (h in verts) for t, h in graph.edges.values())
+    return len(verts), i_lines, ends - 2 * i_lines, i_lines - len(verts) + 1
 
 
 def divergence_degree(graph: FeynmanGraph, edge_subset=None):
     """(div, l-div) of a connected subgraph; defaults to the whole graph."""
     if edge_subset is None:
-        edge_subset = frozenset(graph.edge_ids)
-    edge_subset = frozenset(edge_subset)
-    if not _is_connected(graph, edge_subset):
+        edge_subset = graph.edge_ids
+    counts = subgraph_counts(graph, frozenset(edge_subset))
+    if counts is None:
         raise ValueError("subgraph must be connected")
-    _, i_lines, _, lam = subgraph_counts(graph, edge_subset)
+    _, i_lines, _, lam = counts
     return 3 * lam - 2 * i_lines, lam - 4 * i_lines
 
 
 def is_one_line_reducible(graph: FeynmanGraph, edge_subset) -> bool:
-    """Removing some line increases the component count (stranded vertices count)."""
+    """Removing some line disconnects the subset's vertices (stranded ones count)."""
     edge_subset = frozenset(edge_subset)
     if len(edge_subset) <= 1:
         return False
-    verts = _subgraph_vertices(graph, edge_subset)
-    return any(not _joins(graph, edge_subset - {e}, verts) for e in edge_subset)
+    verts = {v for e in edge_subset for v in graph.edges[e]}
+    return any(_components(graph, edge_subset - {e}, verts) > 1 for e in edge_subset)
 
 
 def is_graph_F(graph: FeynmanGraph, edge_subset) -> bool:
@@ -468,8 +447,7 @@ def is_graph_F(graph: FeynmanGraph, edge_subset) -> bool:
     edge_subset = frozenset(edge_subset)
     if len(edge_subset) != 3:
         return False
-    verts = _subgraph_vertices(graph, edge_subset)
-    if len(verts) != 2:
+    if len({v for e in edge_subset for v in graph.edges[e]}) != 2:
         return False
     return all(graph.edges[e][0] != graph.edges[e][1] for e in edge_subset)
 
@@ -491,11 +469,10 @@ class CensusReport:
     graph_label: str
     eps: Fraction
     records: tuple
-    complete: bool
 
     @property
     def superficially_convergent(self) -> bool:
-        return self.complete and all(r.clause != "fails" for r in self.records)
+        return all(r.clause != "fails" for r in self.records)
 
     @property
     def divergent_records(self):
@@ -510,40 +487,24 @@ class CensusReport:
             and not is_one_line_reducible(graph, r.edges)
         )
 
-    def to_json(self) -> str:
-        payload = {
-            "graph": self.graph_label,
-            "eps": str(self.eps),
-            "complete": self.complete,
-            "superficially_convergent": self.superficially_convergent,
-            "subgraphs": [
-                {"edges": list(r.edges), "N": r.n_vertices, "I": r.internal,
-                 "E": r.external, "Lambda": r.loops, "div": r.div,
-                 "l_div": r.l_div, "clause": r.clause}
-                for r in self.records
-            ],
-        }
-        return json.dumps(payload, indent=1)
-
 
 def classify_superficial_convergence(graph: FeynmanGraph,
                                      eps=Fraction(1, 10)) -> CensusReport:
     """Enumerate all connected subgraphs with their power-counting verdicts."""
     eps = Fraction(eps)
     ids = graph.edge_ids
+    n_subsets = 2 ** len(ids) - 1
+    if n_subsets > CENSUS_BUDGET:
+        raise CombinatorialBudgetError(
+            f"{n_subsets} line subsets exceed the census guard {CENSUS_BUDGET}"
+        )
     records = []
-    complete = True
-    count = 0
     for r in range(1, len(ids) + 1):
         for subset in itertools.combinations(ids, r):
-            count += 1
-            if count > CENSUS_BUDGET:
-                complete = False
-                break
-            fs = frozenset(subset)
-            if not _is_connected(graph, fs):
+            counts = subgraph_counts(graph, subset)
+            if counts is None:
                 continue
-            n_v, i_lines, hooks, lam = subgraph_counts(graph, fs)
+            n_v, i_lines, hooks, lam = counts
             div = 3 * lam - 2 * i_lines
             ldiv = lam - 4 * i_lines
             if Fraction(div) < -2 * eps * hooks:
@@ -553,9 +514,6 @@ def classify_superficial_convergence(graph: FeynmanGraph,
             else:
                 clause = "fails"
             records.append(SubgraphRecord(
-                edges=tuple(sorted(fs)), n_vertices=n_v, internal=i_lines,
+                edges=subset, n_vertices=n_v, internal=i_lines,
                 external=hooks, loops=lam, div=div, l_div=ldiv, clause=clause))
-        if not complete:
-            break
-    return CensusReport(graph_label=graph.label(), eps=eps,
-                        records=tuple(records), complete=complete)
+    return CensusReport(graph_label=graph.label(), eps=eps, records=tuple(records))

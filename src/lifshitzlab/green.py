@@ -188,10 +188,10 @@ class GreenTable:
 
     def fitted_envelope_constant(self) -> float:
         """Smallest K with value(x) <= K / (|x| + 1) over the table."""
-        best = 0.0
-        for (i, j, k), v in self.items():
-            best = max(best, v * (math.sqrt(i * i + j * j + k * k) + 1.0))
-        return best
+        a = np.arange(self.radius + 1) ** 2
+        norm = np.sqrt(a[:, None, None] + a[None, :, None] + a[None, None, :])
+        mask = self._ball_mask()  # fft tables hold the whole cube, not NaN off the ball
+        return float(np.max(self._data[mask] * (norm[mask] + 1.0)))
 
     def validate(self):
         """Check positivity; symmetry is structural (wedge storage)."""

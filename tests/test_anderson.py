@@ -33,7 +33,8 @@ def test_potential_determinism_and_streams():
 def test_box_indexing_roundtrip_and_boundary():
     box = am.Box(side=6)
     for site in ((0, 0, 0), (-3, 2, 1), (2, 2, 2)):
-        assert box.site(box.index(site)) == site
+        offset = tuple(c + box.origin_offset for c in site)
+        assert box.index(site) == np.ravel_multi_index(offset, (box.side,) * 3)
     s = box.side
     assert len(box.boundary_indices()) == 6 * s**2 - 12 * s + 8
     with pytest.raises(ValueError):
@@ -186,6 +187,16 @@ def test_lam_zero_solves_each_column_once(monkeypatch):
     am.moment_difference(box, ctx, 0.3, pairs, samples=6, seed=2)
     # one free column and one lam = 0 column per y
     assert sorted(calls) == [(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 0, 0)]
+
+
+def test_moment_difference_rejects_zero_samples_before_solving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(am, "_resolvent_columns", lambda *args: calls.append(args))
+    ctx = se.solve_self_energy(0.45, 0.5)
+    with pytest.raises(ValueError):
+        am.moment_difference(am.Box(side=6), ctx, 0.3, [((0, 0, 0), (1, 0, 0))],
+                             samples=0)
+    assert calls == []
 
 
 def test_moment_difference_window_exclusion():

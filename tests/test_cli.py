@@ -73,6 +73,7 @@ def test_out_of_range_flags_are_config_errors(tmp_path):
                 "--samples", "0", "--distances", "1,2", "--out", str(tmp_path)]) == 2
     assert run(["expand-verify", "--N", "2", "--box", "8", "--cancellation-samples", "1",
                 "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "expansion_terms.txt").exists()  # a rejected run writes nothing
     assert run(["criterion", "--boxl", "4", "--energy", "-1", "--out", str(tmp_path)]) == 2
 
 

@@ -1,5 +1,5 @@
 import itertools
-import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifshitzlab import cli
 from lifshitzlab import diagrams as dg
 from lifshitzlab import green as gr
 from lifshitzlab.density import DensitySpec
 from lifshitzlab.errors import CombinatorialBudgetError
+
+GOLDEN_CENSUS = os.path.join(os.path.dirname(__file__), "data",
+                             "diagram_census_n3_golden.json")
 
 
 def double_factorial_count(n_pairs: int) -> int:
@@ -203,7 +207,7 @@ def test_census_gate_free_convergent(n):
                                      gate_free=True):
         graph = dg.build_feynman_graph(p)
         report = dg.classify_superficial_convergence(graph)
-        assert report.complete and report.superficially_convergent
+        assert report.superficially_convergent
 
 
 def test_census_gate_graph_fails():
@@ -229,32 +233,97 @@ def test_counting_identities_all_subgraphs_n3():
                 assert rec.l_div <= -4
 
 
-def test_census_json_export():
-    p = dg.enumerate_partitions(dg.IndexSet(2, 2), pairings_only=True,
-                                gate_free=True)[0]
-    report = dg.classify_superficial_convergence(dg.build_feynman_graph(p))
-    payload = json.loads(report.to_json())
-    assert payload["superficially_convergent"] is True
-    assert {"edges", "N", "I", "E", "Lambda", "div", "l_div", "clause"} \
-        <= set(payload["subgraphs"][0])
-
-
-def test_census_budget_marks_incomplete(monkeypatch):
+def test_census_budget_raises(monkeypatch):
     p = dg.enumerate_partitions(dg.IndexSet(3, 3), pairings_only=True)[0]
-    monkeypatch.setattr(dg, "CENSUS_BUDGET", 10)
-    report = dg.classify_superficial_convergence(dg.build_feynman_graph(p))
-    assert not report.complete
-    assert not report.superficially_convergent  # incomplete census never certifies
+    monkeypatch.setattr(dg, "CENSUS_BUDGET", 10)  # 8 lines have 255 subsets
+    with pytest.raises(CombinatorialBudgetError):
+        dg.classify_superficial_convergence(dg.build_feynman_graph(p))
+    monkeypatch.undo()
+    # n = 9 is past the enumeration guard; its 20 lines have 2^20 - 1 subsets
+    n9 = dg.Partition(dg.IndexSet(9, 9),
+                      frozenset(frozenset({i, i + 10}) for i in range(1, 10)))
+    with pytest.raises(CombinatorialBudgetError):
+        dg.classify_superficial_convergence(dg.build_feynman_graph(n9))
 
 
-def test_graph_edge_list_export():
-    p = dg.enumerate_partitions(dg.IndexSet(2, 2), pairings_only=True,
-                                gate_free=True)[0]
-    graph = dg.build_feynman_graph(p)
-    rows = graph.to_edge_list()
-    assert len(rows) == 6
-    specials = [r for r in rows if r[3]]
-    assert [r[0] for r in specials] == [1, 4]
+def _oracle_vertices(graph, edge_subset):
+    verts = set()
+    for e in edge_subset:
+        t, h = graph.edges[e]
+        verts.add(t)
+        verts.add(h)
+    return verts
+
+
+def _oracle_joins(graph, edge_subset, verts):
+    """True when the lines in edge_subset connect all of verts (search from any one)."""
+    start = next(iter(verts))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for e in edge_subset:
+            t, h = graph.edges[e]
+            if t == v and h not in seen:
+                seen.add(h)
+                frontier.append(h)
+            elif h == v and t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen == verts
+
+
+def _oracle_counts(graph, edge_subset):
+    """(N, I, E, Lambda) by a depth-first search and a count over the other lines."""
+    verts = _oracle_vertices(graph, edge_subset)
+    if not verts or not _oracle_joins(graph, edge_subset, verts):
+        return None
+    hooks = 0
+    for e in graph.edge_ids:
+        if e not in edge_subset:
+            t, h = graph.edges[e]
+            hooks += (t in verts) + (h in verts)
+    return len(verts), len(edge_subset), hooks, len(edge_subset) - len(verts) + 1
+
+
+def _oracle_one_line_reducible(graph, edge_subset):
+    if len(edge_subset) <= 1:
+        return False
+    verts = _oracle_vertices(graph, edge_subset)
+    return any(not _oracle_joins(graph, edge_subset - {e}, verts) for e in edge_subset)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subgraph_counts_match_search_oracle(n):
+    # every line subset, disconnected ones included
+    for p in dg.enumerate_partitions(dg.IndexSet(n, n), pairings_only=True):
+        graph = dg.build_feynman_graph(p)
+        for r in range(1, len(graph.edge_ids) + 1):
+            for subset in itertools.combinations(graph.edge_ids, r):
+                fs = frozenset(subset)
+                assert dg.subgraph_counts(graph, fs) == _oracle_counts(graph, fs)
+                assert (dg.is_one_line_reducible(graph, fs)
+                        == _oracle_one_line_reducible(graph, fs))
+
+
+def test_one_line_reducible_counts_stranded_vertex():
+    # line 8 is the 0-loop on {7, 8}; line 7 joins {2, 6} to it. Without line 7
+    # the remaining lines are connected, but {2, 6} is stranded.
+    graph = dg.build_feynman_graph(dg.Partition(dg.IndexSet(4, 4), FIG1_PARTITION))
+    assert graph.edges[7] == (frozenset({2, 6}), frozenset({7, 8}))
+    assert dg.subgraph_counts(graph, {7, 8}) == (2, 2, 4, 1)
+    assert dg.is_one_line_reducible(graph, {7, 8})
+    assert not dg.is_one_line_reducible(graph, {2, 3})  # a double line
+    assert dg.subgraph_counts(graph, {1, 8}) is None
+    with pytest.raises(ValueError):
+        dg.divergence_degree(graph, [1, 8])
+
+
+def test_census_json_matches_golden_file(tmp_path):
+    # every pairing at n = 3, gate graphs and their divergent subgraphs included
+    assert cli.main(["diagrams", "--n", "3", "--no-gate-free", "--out", str(tmp_path)]) == 0
+    with open(GOLDEN_CENSUS, "rb") as fh:
+        assert (tmp_path / "diagram_census.json").read_bytes() == fh.read()
 
 
 def _kernel_sum_for_partition(blocks, table, x, y, sites):

@@ -143,6 +143,21 @@ def test_envelope_constant_below_two():
     assert table.fitted_envelope_constant() < 2.0
 
 
+def loop_envelope_constant(table):
+    """max of value(x) * (|x| + 1) by a loop over the ball (test oracle)."""
+    best = 0.0
+    for (i, j, k), v in table.items():
+        best = max(best, v * (math.sqrt(i * i + j * j + k * k) + 1.0))
+    return best
+
+
+@pytest.mark.parametrize("build", [lambda: gr.green_free_fft(64, 0.5, radius=8),
+                                   lambda: gr.green_table_bessel(0.05, radius=12)])
+def test_envelope_constant_matches_loop_oracle_exactly(build):
+    table = build()
+    assert table.fitted_envelope_constant() == loop_envelope_constant(table)
+
+
 def test_asymptotics_moderate_range():
     rep = gr.check_asymptotics(range(12, 33, 4), 0.01)
     assert 0.9 < rep.rate_ratio < 1.1

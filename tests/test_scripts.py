@@ -55,6 +55,9 @@ def test_selfenergy_curve_script():
 def test_diagram_census_script():
     out = run_script("diagram_census.py", "--nmax", "2")
     assert "n = 2: 2 pairings, 2 superficially convergent" in out
+    # gate graphs fail, and their proper subgraphs go through the reducibility test
+    out = run_script("diagram_census.py", "--with-gates", "--nmax", "3")
+    assert "n = 3: 15 pairings, 7 superficially convergent" in out
 
 
 @pytest.mark.parametrize("lam", ["0", "0.5"])
