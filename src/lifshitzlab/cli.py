@@ -2,21 +2,26 @@
 
 Every run resolves its configuration from an optional key=value config file
 plus command-line flags (flags win), validates it against the command's
-schema (unknown keys are errors), executes, and writes the produced files
-together with a manifest echoing the fully resolved config and its hash.
-Single-threaded runs are bit-reproducible functions of the manifest.
+schema (unknown keys are errors) and executes. Each runner only computes: it
+returns its output files as writers plus the manifest notes, and `main` writes
+the files and a manifest echoing the fully resolved config and its hash only
+after every computation has succeeded, so a failed run leaves the output
+directory as it was. Single-threaded runs are bit-reproducible functions of
+the manifest.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
 import argparse
 import csv
+import functools
 import hashlib
+import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,9 +149,7 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
     resolved = {}
     for key, spec in schema.items():
         if key in merged:
-            resolved[key] = _parse_value(merged[key], spec.typ) \
-                if not isinstance(merged[key], spec.typ) or spec.typ is bool \
-                else merged[key]
+            resolved[key] = _parse_value(merged[key], spec.typ)
         elif spec.required:
             raise ConfigError(f"missing required config key {key!r} for {command!r}")
         else:
@@ -160,9 +163,9 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
 class RunManifest:
     command: str
     config: dict
-    outputs: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
-    started: float = field(default_factory=time.time)
+    outputs: list
+    notes: dict
+    started: float
 
     def config_hash(self) -> str:
         canon = json.dumps({"command": self.command, "config": self.config},
@@ -191,31 +194,43 @@ class RunManifest:
         return path
 
 
-def _csv_writer(path, header):
-    fh = open(path, "w", newline="")
-    writer = csv.writer(fh)
+def _text(text):
+    """Writer of `text` as given: no newline translation, so CSV keeps CRLF."""
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    return write
+
+
+def _json(obj):
+    return _text(json.dumps(obj, indent=1))
+
+
+def _csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(header)
-    return fh, writer
+    writer.writerows(rows)
+    return _text(buf.getvalue())
 
 
-def run_selfenergy(cfg, manifest):
+def run_selfenergy(cfg):
     lam, eps = cfg["lam"], cfg["epsilon"]
+    if lam <= 0:
+        raise ConfigError("lam must be > 0: at lam = 0 the window starts at E = 0, "
+                          "where the self-energy equation has no solution")
     lo = se.threshold_E_eps(lam, eps)
-    hi = lam**2 * se.i1_zero() + lam if lam > 0 else lo + 1.0
-    energies = np.linspace(lo, hi, cfg["count"])
-    path = os.path.join(cfg["out"], "selfenergy.csv")
-    fh, writer = _csv_writer(path, ["E", "estar", "sigma", "residual"])
-    with fh:
-        for energy in energies:
-            ctx = se.solve_self_energy(float(energy), lam, epsilon=eps)
-            writer.writerow([repr(float(energy)), repr(ctx.estar), repr(ctx.sigma),
-                             repr(ctx.residual())])
-    manifest.outputs.append(os.path.basename(path))
-    manifest.notes["window"] = [lo, hi]
-    manifest.notes["i1_zero"] = se.i1_zero()
+    hi = lam**2 * se.i1_zero() + lam
+    rows = []
+    for energy in np.linspace(lo, hi, cfg["count"]):
+        ctx = se.solve_self_energy(float(energy), lam, epsilon=eps)
+        rows.append([repr(float(energy)), repr(ctx.estar), repr(ctx.sigma),
+                     repr(ctx.residual())])
+    files = {"selfenergy.csv": _csv(["E", "estar", "sigma", "residual"], rows)}
+    return files, {"window": [lo, hi], "i1_zero": se.i1_zero()}
 
 
-def run_green(cfg, manifest):
+def run_green(cfg):
     estar, radius = cfg["estar"], cfg["radius"]
     if cfg["method"] == "fft":
         table = gr.green_free_fft(cfg["grid"], estar, radius=radius)
@@ -223,27 +238,23 @@ def run_green(cfg, manifest):
         table = gr.green_table_bessel(estar, radius=radius)
     else:
         raise ConfigError(f"unknown green method {cfg['method']!r}")
-    path = os.path.join(cfg["out"], "green_table.csv")
-    gr.write_table_csv(table, path)
-    manifest.outputs.append(os.path.basename(path))
-    manifest.notes["envelope_constant"] = table.fitted_envelope_constant()
+    files = {"green_table.csv": functools.partial(gr.write_table_csv, table)}
+    notes = {"envelope_constant": table.fitted_envelope_constant()}
     if cfg["asymptotics_max"] > cfg["asymptotics_min"] > 0:
         report = gr.check_asymptotics(
             range(cfg["asymptotics_min"], cfg["asymptotics_max"] + 1,
                   max((cfg["asymptotics_max"] - cfg["asymptotics_min"]) // 8, 1)),
             estar)
-        rpath = os.path.join(cfg["out"], "green_asymptotics.json")
-        with open(rpath, "w") as fh:
-            json.dump({
-                "estar": report.estar, "distances": list(report.distances),
-                "ratios": list(report.ratios), "fitted_rate": report.fitted_rate,
-                "expected_rate": report.expected_rate, "c1": report.c1,
-                "c2": report.c2, "envelope_constant": report.envelope_constant,
-            }, fh, indent=1)
-        manifest.outputs.append(os.path.basename(rpath))
+        files["green_asymptotics.json"] = _json({
+            "estar": report.estar, "distances": list(report.distances),
+            "ratios": list(report.ratios), "fitted_rate": report.fitted_rate,
+            "expected_rate": report.expected_rate, "c1": report.c1,
+            "c2": report.c2, "envelope_constant": report.envelope_constant,
+        })
+    return files, notes
 
 
-def run_diagrams(cfg, manifest):
+def run_diagrams(cfg):
     iset = dg.IndexSet(cfg["n"], cfg["n"])
     parts = dg.enumerate_partitions(iset, pairings_only=True,
                                     gate_free=cfg["gate_free"])
@@ -262,33 +273,30 @@ def run_diagrams(cfg, manifest):
                 {"edges": list(r.edges), "div": r.div} for r in report.divergent_records
             ],
         })
-    path = os.path.join(cfg["out"], "diagram_census.json")
-    with open(path, "w") as fh:
-        json.dump({"n": cfg["n"], "gate_free": cfg["gate_free"],
-                   "pairings": len(parts), "census": entries}, fh, indent=1)
-    manifest.outputs.append(os.path.basename(path))
-    manifest.notes["all_superficially_convergent"] = all(
-        e["superficially_convergent"] for e in entries)
+    files = {"diagram_census.json": _json({
+        "n": cfg["n"], "gate_free": cfg["gate_free"], "pairings": len(parts),
+        "census": entries})}
+    return files, {"all_superficially_convergent": all(
+        e["superficially_convergent"] for e in entries)}
 
 
-def run_diagram_value(cfg, manifest):
+def run_diagram_value(cfg):
     iset = dg.IndexSet(cfg["n"], cfg["n"])
     parts = dg.enumerate_partitions(iset, pairings_only=True, gate_free=True)
-    path = os.path.join(cfg["out"], "diagram_values.csv")
-    if os.path.exists(path):
-        os.remove(path)
-    values = []
+    rows, values = [], []
     for i, part in enumerate(parts):
         graph = dg.build_feynman_graph(part)
         est = gv.graph_value(graph, gv.MCParams(samples=cfg["samples"],
                                                 seed=cfg["seed"], stream=f"gv{i}"))
-        gv.append_ledger(path, est, n=cfg["n"], seed=cfg["seed"])
+        rows.append([est.graph_id, cfg["n"], est.method, repr(est.value),
+                     repr(est.stderr), est.samples, cfg["seed"]])
         values.append(est.value)
-    manifest.outputs.append(os.path.basename(path))
-    manifest.notes["fitted_K"] = max(values) ** (1.0 / cfg["n"]) if values else None
+    files = {"diagram_values.csv": _csv(
+        ["graph_id", "n", "method", "value", "stderr", "samples", "seed"], rows)}
+    return files, {"fitted_K": max(values) ** (1.0 / cfg["n"]) if values else None}
 
 
-def run_expand_verify(cfg, manifest):
+def run_expand_verify(cfg):
     ctx = se.EnergyContext.from_estar(cfg["lam"], cfg["estar"])
     box = am.Box(side=cfg["box"])
     pot = am.sample_potential(box, DensitySpec(), cfg["seed"], 0)
@@ -309,18 +317,12 @@ def run_expand_verify(cfg, manifest):
         out["cancellation_l1"] = {"mc": cmp1.mc_estimate, "stderr": cmp1.mc_stderr,
                                   "prediction": cmp1.prediction,
                                   "z": cmp1.z_score}
-    # a rejected run leaves no partial output: write only after every computation
-    tpath = os.path.join(cfg["out"], "expansion_terms.txt")
-    with open(tpath, "w") as fh:
-        fh.write(dec.term_table())
-    rpath = os.path.join(cfg["out"], "expand_verify.json")
-    with open(rpath, "w") as fh:
-        json.dump(out, fh, indent=1)
-    manifest.outputs.extend([os.path.basename(tpath), os.path.basename(rpath)])
-    manifest.notes["max_residual"] = max(r["residual"] for r in results.values())
+    files = {"expansion_terms.txt": _text(dec.term_table()),
+             "expand_verify.json": _json(out)}
+    return files, {"max_residual": max(r["residual"] for r in results.values())}
 
 
-def run_fracmom(cfg, manifest):
+def run_fracmom(cfg):
     lam = cfg["lam"]
     ctx = se.solve_self_energy(cfg["energy"], lam)
     box = am.Box(side=cfg["box"])
@@ -330,18 +332,11 @@ def run_fracmom(cfg, manifest):
     pairs = [((d, 0, 0), (0, 0, 0)) for d in distances]
     est = am.fractional_moment(box, ctx, cfg["s"], pairs, cfg["samples"],
                                eta_schedule=etas, seed=cfg["seed"])
-    path = os.path.join(cfg["out"], "fracmom.csv")
-    fh, writer = _csv_writer(path, ["x", "y", "s", "eta", "estimate", "stderr",
-                                    "samples"])
-    with fh:
-        for ieta, eta in enumerate(etas):
-            for ipair, (x, y) in enumerate(est.pairs):
-                writer.writerow([f"{x[0]}:{x[1]}:{x[2]}", f"{y[0]}:{y[1]}:{y[2]}",
-                                 cfg["s"], repr(eta),
-                                 repr(float(est.estimates[ieta, ipair])),
-                                 repr(float(est.stderrs[ieta, ipair])),
-                                 cfg["samples"]])
-    manifest.outputs.append(os.path.basename(path))
+    rows = [[f"{x[0]}:{x[1]}:{x[2]}", f"{y[0]}:{y[1]}:{y[2]}", cfg["s"], repr(eta),
+             repr(float(est.estimates[ieta, ipair])),
+             repr(float(est.stderrs[ieta, ipair])), cfg["samples"]]
+            for ieta, eta in enumerate(etas)
+            for ipair, (x, y) in enumerate(est.pairs)]
     mid = len(etas) // 2
     fit = am.correlation_length_fit(
         [(d, float(est.estimates[mid, i]), float(est.stderrs[mid, i]))
@@ -356,13 +351,13 @@ def run_fracmom(cfg, manifest):
         summary["xi"] = fit.xi
         summary["xi_ci"] = [fit.ci_low, fit.ci_high]
         summary["no_decay"] = fit.no_decay
-    spath = os.path.join(cfg["out"], "fracmom_summary.json")
-    with open(spath, "w") as fh:
-        json.dump(summary, fh, indent=1)
-    manifest.outputs.append(os.path.basename(spath))
+    files = {"fracmom.csv": _csv(["x", "y", "s", "eta", "estimate", "stderr",
+                                  "samples"], rows),
+             "fracmom_summary.json": _json(summary)}
+    return files, {}
 
 
-def run_criterion(cfg, manifest):
+def run_criterion(cfg):
     lam = cfg["lam"]
     if cfg["energy"] < 0:
         raise ConfigError("energy must be >= 0 (0 means use estar)")
@@ -373,17 +368,14 @@ def run_criterion(cfg, manifest):
     res = am.finite_volume_criterion(cfg["boxl"], ctx, cfg["s"], b=cfg["b"],
                                      B_s=cfg["bs"], samples=cfg["samples"],
                                      seed=cfg["seed"])
-    path = os.path.join(cfg["out"], "criterion.json")
-    with open(path, "w") as fh:
-        json.dump({
-            "L": res.L, "s": res.s, "b": res.b, "B_s": res.B_s,
-            "value": res.value, "stderr": res.stderr, "margin": res.margin,
-            "passes": res.passes, "raw_boundary_sum": res.raw_boundary_sum,
-            "implied_decay_rate": res.implied_decay_rate,
-            "lambda_factor_applied": res.lambda_factor_applied,
-            "samples": res.samples, "fallbacks": res.fallbacks,
-        }, fh, indent=1)
-    manifest.outputs.append(os.path.basename(path))
+    return {"criterion.json": _json({
+        "L": res.L, "s": res.s, "b": res.b, "B_s": res.B_s,
+        "value": res.value, "stderr": res.stderr, "margin": res.margin,
+        "passes": res.passes, "raw_boundary_sum": res.raw_boundary_sum,
+        "implied_decay_rate": res.implied_decay_rate,
+        "lambda_factor_applied": res.lambda_factor_applied,
+        "samples": res.samples, "fallbacks": res.fallbacks,
+    })}, {}
 
 
 RUNNERS = {
@@ -434,16 +426,19 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(cfg["out"], exist_ok=True)
-    manifest = RunManifest(command=args.command, config=cfg)
+    started = time.time()
     try:
-        RUNNERS[args.command](cfg, manifest)
+        files, notes = RUNNERS[args.command](cfg)
     except (ConfigError, ValueError) as exc:  # the library rejects out-of-range values
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LifshitzLabError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    os.makedirs(cfg["out"], exist_ok=True)
+    for name, write in files.items():
+        write(os.path.join(cfg["out"], name))
+    manifest = RunManifest(args.command, cfg, list(files), notes, started)
     path = manifest.write(cfg["out"])
     print(f"wrote manifest {path} with outputs {manifest.outputs}")
     return 0

@@ -245,6 +245,8 @@ def build_feynman_graph(partition: Partition) -> FeynmanGraph:
     if iset.n_left != iset.n_right:
         raise ValueError("graphs are built over the doubled set with n_left == n_right")
     n = iset.n_left
+    if n < 1:
+        raise ValueError(f"graphs need order n >= 1, got {n}")
     owner = {}
     for b in partition.blocks:
         for i in b:

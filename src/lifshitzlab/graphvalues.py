@@ -20,9 +20,7 @@ written, so the positive normalization ln^9(e + 1/E*) is used everywhere and
 flagged in the assembly record.
 """
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +42,6 @@ __all__ = [
     "BoundAssembly",
     "assemble_An_bound",
     "stopping_rule_holds_exact",
-    "append_ledger",
 ]
 
 # rational upper bound on e, for exact one-sided inequality checks
@@ -237,20 +234,3 @@ def stopping_rule_holds_exact(ratio: float, chosen_N: int) -> bool:
         raise ValueError("ratio must be in (0, 1)")
     lhs = Fraction(math.factorial(4 * chosen_N)) * (Fraction(ratio) * _E_UPPER) ** chosen_N
     return lhs < 1
-
-
-LEDGER_FIELDS = ["graph_id", "n", "method", "value", "stderr", "samples", "seed"]
-
-
-def append_ledger(path, estimate: GraphValueEstimate, n: int, seed: int):
-    """Append one MC result row to the CSV ledger, creating it with a header."""
-    fresh = not os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LEDGER_FIELDS)
-        if fresh:
-            writer.writeheader()
-        writer.writerow({
-            "graph_id": estimate.graph_id, "n": n, "method": estimate.method,
-            "value": repr(estimate.value), "stderr": repr(estimate.stderr),
-            "samples": estimate.samples, "seed": seed,
-        })

@@ -210,6 +210,8 @@ MAX_RADIUS = 64  # beyond this, tail underflow degrades table checks
 
 
 def _check_radius(radius: int):
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     if radius > MAX_RADIUS:
         raise ValueError(
             f"radius {radius} beyond {MAX_RADIUS} (exponential tails underflow "

@@ -1,5 +1,7 @@
 import json
+import os
 
+import pytest
 
 from lifshitzlab import anderson as am
 from lifshitzlab import cli
@@ -7,8 +9,15 @@ from lifshitzlab import green as gr
 from lifshitzlab import selfenergy as se
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
 def run(args):
     return cli.main(args)
+
+
+def snapshot(outdir):
+    return {p.name: p.read_bytes() for p in outdir.iterdir()}
 
 
 def test_selfenergy_run_and_reproducibility(tmp_path):
@@ -75,6 +84,51 @@ def test_out_of_range_flags_are_config_errors(tmp_path):
                 "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "expansion_terms.txt").exists()  # a rejected run writes nothing
     assert run(["criterion", "--boxl", "4", "--energy", "-1", "--out", str(tmp_path)]) == 2
+    # orders below 1 have no graph; negative radii have no table
+    assert run(["diagrams", "--n", "0", "--out", str(tmp_path)]) == 2
+    assert run(["diagram-value", "--n", "0", "--out", str(tmp_path)]) == 2
+    assert run(["green", "--estar", "0.5", "--radius", "-1", "--out", str(tmp_path)]) == 2
+    assert run(["green", "--estar", "0.5", "--radius", "-1", "--method", "fft",
+                "--out", str(tmp_path)]) == 2
+
+
+def test_failed_green_run_writes_nothing(tmp_path):
+    # the table succeeds, then the asymptotics range passes the radius limit
+    assert run(["green", "--estar", "0.5", "--radius", "6", "--asymptotics-min", "10",
+                "--asymptotics-max", "80", "--out", str(tmp_path)]) == 2
+    assert snapshot(tmp_path) == {}
+
+
+def test_failed_selfenergy_run_writes_nothing(tmp_path):
+    # at lam = 0 the window starts at E = 0, where no solution exists
+    assert run(["selfenergy", "--lam", "0", "--out", str(tmp_path)]) == 2
+    assert snapshot(tmp_path) == {}
+
+
+def test_failed_rerun_keeps_the_earlier_run(tmp_path):
+    assert run(["diagram-value", "--n", "2", "--samples", "2000",
+                "--out", str(tmp_path)]) == 0
+    before = snapshot(tmp_path)
+    assert set(before) == {"diagram_values.csv", "diagram-value_manifest.json"}
+    assert run(["diagram-value", "--n", "2", "--samples", "1",
+                "--out", str(tmp_path)]) == 2
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv, name, golden", [
+    (["selfenergy", "--lam", "0.1", "--count", "3"],
+     "selfenergy.csv", "selfenergy_count3_golden.csv"),
+    (["fracmom", "--lam", "0.5", "--energy", "0.45", "--box", "8", "--samples", "4",
+      "--distances", "1,2", "--etas", "1e-2,1e-3"],
+     "fracmom.csv", "fracmom_golden.csv"),
+    (["diagram-value", "--n", "2", "--samples", "2000"],
+     "diagram_values.csv", "diagram_values_n2_golden.csv"),
+], ids=["selfenergy", "fracmom", "diagram-value"])
+def test_csv_matches_golden_file(tmp_path, argv, name, golden):
+    # byte for byte, CRLF line ends included
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    with open(os.path.join(DATA, golden), "rb") as fh:
+        assert (tmp_path / name).read_bytes() == fh.read()
 
 
 def test_selfenergy_at_the_window_edge(tmp_path):

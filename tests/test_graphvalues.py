@@ -1,6 +1,4 @@
-import csv
 import math
-import os
 
 import numpy as np
 import pytest
@@ -160,14 +158,3 @@ def test_mc_reproducible_bit_for_bit():
     c = gv.graph_value(TWO_LINE, gv.MCParams(samples=5_000, seed=43))
     assert c.value != a.value
 
-
-def test_ledger_append_schema(tmp_path):
-    path = os.path.join(tmp_path, "ledger.csv")
-    est = gv.graph_value(TWO_LINE, gv.MCParams(samples=2_000, seed=1))
-    gv.append_ledger(path, est, n=2, seed=1)
-    gv.append_ledger(path, est, n=2, seed=1)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    assert set(rows[0]) == set(gv.LEDGER_FIELDS)
-    assert float(rows[0]["value"]) == est.value
