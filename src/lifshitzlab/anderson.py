@@ -124,7 +124,7 @@ RESIDUAL_TOL = 1e-10
 
 
 def _direct_solver(hamiltonian, energy: float, eta: float):
-    """Factor A = H + E + i eta by splu; return solve(rhs) -> (u, residual).
+    """Factor A = H + E + i eta by splu; return solve(rhs) -> u.
 
     A failed factorization, or a solve whose true residual exceeds
     RESIDUAL_TOL |rhs|, raises SingularSolveError advising a larger eta.
@@ -146,7 +146,7 @@ def _direct_solver(hamiltonian, energy: float, eta: float):
         res = float(np.linalg.norm(a @ u - rhs))
         if not res <= RESIDUAL_TOL * float(np.linalg.norm(rhs)):
             raise singular(f"residual {res:.2e} above contract at eta={eta:g}")
-        return u, res
+        return u
 
     return solve
 
@@ -158,7 +158,7 @@ def resolvent_column(hamiltonian, energy: float, eta: float, box: Box,
         raise ValueError("eta must be >= 0")
     rhs = np.zeros(hamiltonian.shape[0], dtype=complex if eta > 0 else float)
     rhs[box.index(y_site)] = 1.0
-    return _direct_solver(hamiltonian, energy, eta)(rhs)[0]
+    return _direct_solver(hamiltonian, energy, eta)(rhs)
 
 
 def _apply_stencil(v, shift, pot):

@@ -64,8 +64,8 @@ SCHEMAS = {
         "radius": Field(int, 12, help="table radius"),
         "method": Field(str, "bessel", help="bessel | fft"),
         "grid": Field(int, 128, help="fft grid points per axis"),
-        "asymptotics_min": Field(int, 0, help="if > 0, fit the axis decay from here"),
-        "asymptotics_max": Field(int, 0),
+        "asymptotics_min": Field(int, 0, help="if set, fit the axis decay over [min, max]"),
+        "asymptotics_max": Field(int, 0, help="end of that range; needs 0 < min < max"),
     },
     "diagrams": {
         **COMMON,
@@ -156,6 +156,8 @@ def resolve_config(command: str, file_values: dict, flag_values: dict) -> dict:
             resolved[key] = spec.default
     if resolved.get("out") is None:
         resolved["out"] = os.environ.get(ENV_OUTDIR, ".")
+    if os.path.exists(resolved["out"]) and not os.path.isdir(resolved["out"]):
+        raise ConfigError(f"output path {resolved['out']!r} is not a directory")
     return resolved
 
 
@@ -216,6 +218,8 @@ def _csv(header, rows):
 
 def run_selfenergy(cfg):
     lam, eps = cfg["lam"], cfg["epsilon"]
+    if cfg["count"] < 1:
+        raise ConfigError("count must be >= 1")
     if lam <= 0:
         raise ConfigError("lam must be > 0: at lam = 0 the window starts at E = 0, "
                           "where the self-energy equation has no solution")
@@ -232,6 +236,9 @@ def run_selfenergy(cfg):
 
 def run_green(cfg):
     estar, radius = cfg["estar"], cfg["radius"]
+    lo, hi = cfg["asymptotics_min"], cfg["asymptotics_max"]
+    if (lo or hi) and not 0 < lo < hi:
+        raise ConfigError(f"asymptotics range needs 0 < min < max, got [{lo}, {hi}]")
     if cfg["method"] == "fft":
         table = gr.green_free_fft(cfg["grid"], estar, radius=radius)
     elif cfg["method"] == "bessel":
@@ -240,11 +247,8 @@ def run_green(cfg):
         raise ConfigError(f"unknown green method {cfg['method']!r}")
     files = {"green_table.csv": functools.partial(gr.write_table_csv, table)}
     notes = {"envelope_constant": table.fitted_envelope_constant()}
-    if cfg["asymptotics_max"] > cfg["asymptotics_min"] > 0:
-        report = gr.check_asymptotics(
-            range(cfg["asymptotics_min"], cfg["asymptotics_max"] + 1,
-                  max((cfg["asymptotics_max"] - cfg["asymptotics_min"]) // 8, 1)),
-            estar)
+    if hi:
+        report = gr.check_asymptotics(range(lo, hi + 1, max((hi - lo) // 8, 1)), estar)
         files["green_asymptotics.json"] = _json({
             "estar": report.estar, "distances": list(report.distances),
             "ratios": list(report.ratios), "fitted_rate": report.fitted_rate,

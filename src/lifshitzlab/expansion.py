@@ -241,8 +241,8 @@ def evaluate_decomposition(box: Box, potential: np.ndarray, context: EnergyConte
                                 context.energy, eta)
     ey = np.zeros(n, dtype=complex if eta > 0 else float)
     ey[box.index(y_site)] = 1.0
-    column = solve_full(ey)[0]
-    free_column = solve_free(ey)[0]
+    column = solve_full(ey)
+    free_column = solve_free(ey)
     ix = box.index(x_site)
     lhs = column[ix]
 
@@ -252,7 +252,7 @@ def evaluate_decomposition(box: Box, potential: np.ndarray, context: EnergyConte
         v = column if term.terminal == "full" else free_column
         for step in reversed(term.insertions):
             v = (-lam * potential) * v if step == POTENTIAL else (-sigma) * v
-            v = solve_free(v)[0]
+            v = solve_free(v)
         rhs += v[ix]
     return DecompositionCheck(stopping_order=stopping_order, lhs=complex(lhs),
                               rhs=complex(rhs),
@@ -299,27 +299,6 @@ class MomentComparison:
         return (self.mc_estimate - self.prediction) / self.mc_stderr
 
 
-def _moment_prediction_l1(lam, rx, ry):
-    return lam**2 * float(np.sum(rx**2 * ry**2))
-
-
-def _moment_prediction_l2(lam, rx, ry, kernel, box_radius):
-    """lam^4 [ S_{{1,4},{2,5}} + S_{{1,5},{2,4}} + c_4 S_{4-block} ] via convolutions."""
-    b = box_radius
-    side = 2 * b + 1
-    g0 = kernel[2 * b, 2 * b, 2 * b]
-    k2 = kernel**2
-    rx3, ry3 = rx.reshape(side, side, side), ry.reshape(side, side, side)
-    conv1 = fftconvolve(ry3**2, k2, mode="same")
-    s1 = float(np.sum(rx3**2 * conv1))
-    mixed = rx3 * ry3
-    conv2 = fftconvolve(mixed, k2, mode="same")
-    s2 = float(np.sum(mixed * conv2))
-    c4 = cumulant_coefficient(4)
-    s3 = g0**2 * float(np.sum(rx3**2 * ry3**2))
-    return lam**4 * (s1 + s2 + c4 * s3)
-
-
 def _truncation_ratio(rx, ry, box_radius):
     """Boundary-shell share of the l=1 lattice sum (truncation health check)."""
     w = rx**2 * ry**2
@@ -328,22 +307,20 @@ def _truncation_ratio(rx, ry, box_radius):
     return float(np.sum(w[shell])) / total if total > 0 else 0.0
 
 
-def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
-                         samples: int, box_radius: int = 5,
-                         seed: int = 0) -> MomentComparison:
-    """Disorder-MC of A_l(x,y)^2 vs the gate-free diagram sum, l in {1, 2}.
+def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
+                   box_radius: int, kernel: np.ndarray = None) -> float:
+    """Gate-free partition lattice sum for E A_l^2 over the cube, l in {1, 2}.
 
-    Lattice sums run over the cube [-box_radius, box_radius]^3; both the MC
-    terms and the prediction use the same truncation, so only statistical
-    error separates them.
+    l = 1 is lam^2 sum_z rx^2 ry^2; l = 2 is lam^4 [S_{{1,4},{2,5}} +
+    S_{{1,5},{2,4}} + c_4 S_{4-block}], the pair sums by convolution with G^2.
+    Raises TruncationError when the cube's boundary shell carries more than
+    TRUNCATION_TOL of the l=1 sum.
     """
     if order not in (1, 2):
-        raise ValueError("closed-form comparison targets are l = 1 and l = 2")
-    if samples < 2:
-        raise ValueError("samples must be >= 2 for a standard error")
+        raise ValueError("l must be 1 or 2")
     b = box_radius
-    estar, lam, sigma = context.estar, context.lam, context.sigma
-    kernel = _green_kernel(estar, 2 * b)
+    if kernel is None:
+        kernel = _green_kernel(context.estar, 2 * b)
     rx = _shifted_field(kernel, 2 * b, b, x_site)
     ry = _shifted_field(kernel, 2 * b, b, y_site)
     trunc = _truncation_ratio(rx, ry, b)
@@ -352,13 +329,37 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
             f"boundary shell carries {trunc:.2e} of the lattice sum "
             f"(tolerance {TRUNCATION_TOL:g}); enlarge box_radius beyond {b}"
         )
-
-    side = 2 * b + 1
-    n_sites = side**3
+    lam = context.lam
     if order == 1:
-        prediction = _moment_prediction_l1(lam, rx, ry)
-    else:
-        prediction = _moment_prediction_l2(lam, rx, ry, kernel, b)
+        return lam**2 * float(np.sum(rx**2 * ry**2))
+    side = 2 * b + 1
+    k2 = kernel**2
+    rx3, ry3 = rx.reshape(side, side, side), ry.reshape(side, side, side)
+    s1 = float(np.sum(rx3**2 * fftconvolve(ry3**2, k2, mode="same")))
+    mixed = rx3 * ry3
+    s2 = float(np.sum(mixed * fftconvolve(mixed, k2, mode="same")))
+    s3 = kernel[2 * b, 2 * b, 2 * b]**2 * float(np.sum(rx3**2 * ry3**2))
+    return float(lam**4 * (s1 + s2 + cumulant_coefficient(4) * s3))
+
+
+def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
+                         samples: int, box_radius: int = 5,
+                         seed: int = 0) -> MomentComparison:
+    """Disorder-MC of A_l(x,y)^2 vs the gate-free diagram sum, l in {1, 2}.
+
+    The MC terms run over the cube [-box_radius, box_radius]^3 on the kernel
+    that `diagram_moment` sums for the prediction, so only statistical error
+    separates them.
+    """
+    if samples < 2:
+        raise ValueError("samples must be >= 2 for a standard error")
+    b = box_radius
+    lam, sigma = context.lam, context.sigma
+    kernel = _green_kernel(context.estar, 2 * b)
+    prediction = diagram_moment(order, context, x_site, y_site, b, kernel=kernel)
+    rx = _shifted_field(kernel, 2 * b, b, x_site)
+    ry = _shifted_field(kernel, 2 * b, b, y_site)
+    if order == 2:
         gmat = _green_matrix(kernel, b)
 
     density = DensitySpec()
@@ -368,7 +369,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     pxy = float(np.sum(rx * ry))
     while done < samples:
         m = min(MC_BATCH, samples - done)
-        v = density.sample(rng, (m, n_sites))
+        v = density.sample(rng, (m, rx.size))
         if order == 1:
             a = lam * (v @ (rx * ry))
         else:
@@ -381,21 +382,6 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return MomentComparison(order=order, mc_estimate=mc, mc_stderr=err,
                             prediction=prediction, samples=samples, box_radius=b)
-
-
-def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
-                   box_radius: int, kernel: np.ndarray = None) -> float:
-    """Gate-free partition lattice sum for E A_l^2 (no Monte Carlo)."""
-    if order not in (1, 2):
-        raise ValueError("l must be 1 or 2")
-    b = box_radius
-    if kernel is None:
-        kernel = _green_kernel(context.estar, 2 * b)
-    rx = _shifted_field(kernel, 2 * b, b, x_site)
-    ry = _shifted_field(kernel, 2 * b, b, y_site)
-    if order == 1:
-        return _moment_prediction_l1(context.lam, rx, ry)
-    return _moment_prediction_l2(context.lam, rx, ry, kernel, b)
 
 
 @dataclass(frozen=True)
@@ -420,10 +406,9 @@ def check_decay_envelope(order: int, context: EnergyContext, distances,
     The envelope rate sqrt(E*/3) is an upper bound on the kernel, hence a
     lower bound for the fitted rate; the constant K is fitted as the smallest
     value for which (4l)! E* (K ln^9(e+1/E*) lam^2 / sqrt(E*))^l e^{-rate r}
-    dominates the computed moments.
+    dominates the computed moments.  A box_margin too small for the
+    distances raises TruncationError from `diagram_moment`.
     """
-    if order > 2:
-        raise ValueError("desk-scale closed forms stop at l = 2")
     distances = sorted(int(r) for r in distances)
     b = max(distances) // 2 + box_margin
     kernel = _green_kernel(context.estar, 2 * b)

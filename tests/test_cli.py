@@ -90,6 +90,27 @@ def test_out_of_range_flags_are_config_errors(tmp_path):
     assert run(["green", "--estar", "0.5", "--radius", "-1", "--out", str(tmp_path)]) == 2
     assert run(["green", "--estar", "0.5", "--radius", "-1", "--method", "fft",
                 "--out", str(tmp_path)]) == 2
+    # an empty selfenergy window and a set but empty asymptotics range
+    assert run(["selfenergy", "--lam", "0.1", "--count", "0", "--out", str(tmp_path)]) == 2
+    assert run(["selfenergy", "--lam", "0.1", "--count", "-3", "--out", str(tmp_path)]) == 2
+    assert run(["green", "--estar", "0.5", "--radius", "4", "--asymptotics-max", "30",
+                "--out", str(tmp_path)]) == 2
+    assert run(["green", "--estar", "0.5", "--radius", "4", "--asymptotics-min", "30",
+                "--asymptotics-max", "10", "--out", str(tmp_path)]) == 2
+    assert snapshot(tmp_path) == {}
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_out_naming_a_file_is_config_error(tmp_path, monkeypatch, via_env):
+    target = tmp_path / "taken"
+    target.write_bytes(b"keep me\n")
+    argv = ["diagrams", "--n", "2"]
+    if via_env:
+        monkeypatch.setenv(cli.ENV_OUTDIR, str(target))
+    else:
+        argv += ["--out", str(target)]
+    assert run(argv) == 2
+    assert target.read_bytes() == b"keep me\n"
 
 
 def test_failed_green_run_writes_nothing(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifshitzlab import anderson as am
+from lifshitzlab import diagrams as dg
 from lifshitzlab import expansion as ex
 from lifshitzlab import green as gr
 from lifshitzlab import selfenergy as se
@@ -201,11 +202,16 @@ def test_moment_rejects_order_three(context_factory):
                                 samples=10)
 
 
-def test_truncation_guard_near_boundary(context_factory):
+@pytest.mark.parametrize("call", [
+    lambda ctx: ex.mc_moment_Al_squared(1, ctx, (3, 0, 0), (4, 0, 0), samples=10,
+                                        box_radius=4, seed=0),
+    lambda ctx: ex.diagram_moment(1, ctx, (3, 0, 0), (4, 0, 0), 4),
+    lambda ctx: ex.check_decay_envelope(1, ctx, [8, 10, 12, 14], box_margin=0),
+], ids=["mc_moment", "diagram_moment", "decay_envelope"])
+def test_truncation_guard_near_boundary(context_factory, call):
     ctx = context_factory(0.5, 0.05)  # slow decay: truncation visibly bad
     with pytest.raises(TruncationError):
-        ex.mc_moment_Al_squared(1, ctx, (3, 0, 0), (4, 0, 0), samples=10,
-                                box_radius=4, seed=0)
+        call(ctx)
 
 
 def test_mc_moment_decay_rate(context_factory):
@@ -278,3 +284,26 @@ def test_green_matrix_equals_dense_oracle(estar):
     b = 5
     kernel = ex._green_kernel(estar, 2 * b)
     assert np.array_equal(ex._green_matrix(kernel, b), dense_green_matrix(kernel, b))
+
+
+@pytest.mark.parametrize("b", [3, 4])
+@pytest.mark.parametrize("estar", [0.45, 0.1])
+def test_l2_diagram_moment_equals_dense_double_sum(context_factory, b, estar):
+    # lam^4 [rx^2.(G o G) ry^2 + (rx ry).(G o G)(rx ry) + c_4 G(0)^2 sum rx^2 ry^2]
+    ctx = context_factory(0.5, estar)
+    x, y = (0, 0, 0), (1, 0, 0)
+    gmat = dense_green_matrix(ex._green_kernel(estar, 2 * b), b)
+    side = 2 * b + 1
+
+    def column(site):
+        return gmat[:, int(np.ravel_multi_index([c + b for c in site], (side,) * 3))]
+
+    rx, ry = column(x), column(y)
+    g2 = gmat**2
+    mixed = rx * ry
+    c4 = dg.cumulant_coefficient(4)
+    exact = ctx.lam**4 * ((rx**2) @ g2 @ (ry**2) + mixed @ g2 @ mixed
+                          + c4 * gmat[0, 0]**2 * np.sum(rx**2 * ry**2))
+    value = ex.diagram_moment(2, ctx, x, y, b)
+    assert type(value) is float
+    assert value == pytest.approx(exact, rel=1e-12)
