@@ -48,7 +48,6 @@ class Field:
 
 COMMON = {
     "out": Field(str, None, help="output directory (default $LIFSHITZLAB_OUTDIR or '.')"),
-    "seed": Field(int, 0, help="64-bit root seed for all substreams"),
 }
 
 SCHEMAS = {
@@ -74,11 +73,13 @@ SCHEMAS = {
     },
     "diagram-value": {
         **COMMON,
+        "seed": Field(int, 0, help="64-bit root seed for all substreams"),
         "n": Field(int, required=True),
         "samples": Field(int, 100_000),
     },
     "expand-verify": {
         **COMMON,
+        "seed": Field(int, 0, help="64-bit root seed for all substreams"),
         "order": Field(int, 2, help="stopping order N"),
         "box": Field(int, 8, help="box side"),
         "lam": Field(float, 0.5),
@@ -87,6 +88,7 @@ SCHEMAS = {
     },
     "fracmom": {
         **COMMON,
+        "seed": Field(int, 0, help="64-bit root seed for all substreams"),
         "box": Field(int, 12),
         "lam": Field(float, 0.5),
         "energy": Field(float, required=True),
@@ -97,6 +99,7 @@ SCHEMAS = {
     },
     "criterion": {
         **COMMON,
+        "seed": Field(int, 0, help="64-bit root seed for all substreams"),
         "boxl": Field(int, required=True, help="half-side L; the box has side 2L"),
         "lam": Field(float, 0.0),
         "energy": Field(float, 0.0, help="full energy E (0 means use estar directly)"),

@@ -110,17 +110,20 @@ class Partition:
         return f"n{self.index_set.n_left}.{self.index_set.n_right}:{inner}"
 
 
-def _even_partitions(members):
+def _even_partitions(members, pairs_only=False, gate_free=False):
+    """Block lists of `members`: pairs only, or gates dropped as they form, if asked."""
     members = list(members)
     if not members:
         yield []
         return
     first, rest = members[0], members[1:]
-    for size_minus_one in range(1, len(members), 2):
+    for size_minus_one in range(1, 2 if pairs_only else len(members), 2):
         for companions in itertools.combinations(rest, size_minus_one):
             block = frozenset((first, *companions))
+            if gate_free and _is_gate(block):
+                continue
             remaining = [m for m in rest if m not in block]
-            for tail in _even_partitions(remaining):
+            for tail in _even_partitions(remaining, pairs_only, gate_free):
                 yield [block] + tail
 
 
@@ -135,13 +138,8 @@ def enumerate_partitions(index_set: IndexSet, pairings_only: bool = False,
         )
     if pairings_only and len(members) % 2:
         raise ValueError("pairings need an even number of indices")
-    out = []
-    for blocks in _even_partitions(members):
-        if pairings_only and any(len(b) != 2 for b in blocks):
-            continue
-        if gate_free and any(_is_gate(b) for b in blocks):
-            continue
-        out.append(Partition(index_set, frozenset(blocks)))
+    out = [Partition(index_set, frozenset(blocks))
+           for blocks in _even_partitions(members, pairings_only, gate_free)]
     out.sort(key=lambda p: p.canonical_key())
     return out
 
@@ -247,19 +245,11 @@ def build_feynman_graph(partition: Partition) -> FeynmanGraph:
     n = iset.n_left
     if n < 1:
         raise ValueError(f"graphs need order n >= 1, got {n}")
-    owner = {}
-    for b in partition.blocks:
-        for i in b:
-            owner[i] = frozenset(b)
-    vert = lambda i: owner[i]
-    edges = {1: (EXTERNAL, vert(1))}
-    for i in range(2, n + 1):
-        edges[i] = (vert(i - 1), vert(i))
-    edges[n + 1] = (vert(n), EXTERNAL)
-    edges[n + 2] = (EXTERNAL, vert(n + 2))
-    for i in range(n + 3, 2 * n + 2):
-        edges[i] = (vert(i - 1), vert(i))
-    edges[2 * n + 2] = (vert(2 * n + 1), EXTERNAL)
+    # one walk over 0..2n+2: indices 0, n+1 and 2n+2 are in no block and
+    # stand for the external vertex, so line i runs from chain[i-1] to chain[i]
+    owner = {i: frozenset(b) for b in partition.blocks for i in b}
+    chain = [owner.get(i, EXTERNAL) for i in range(2 * n + 3)]
+    edges = {i: (chain[i - 1], chain[i]) for i in range(1, 2 * n + 3)}
     return FeynmanGraph(n=n, partition=partition, edges=edges,
                         special_edges=(1, n + 2))
 
@@ -315,67 +305,35 @@ def spanning_tree_decomposition(graph: FeynmanGraph):
 
     Returns (tree_edge_ids, loop_edge_ids, a) with loop order starting at the
     special edges and a[i][j] in {-1, 0, +1} such that u_i = sum_j a_ij w_j
-    reproduces the delta system (the sign is + when closing loop j traverses
-    tree edge i along its orientation).
+    reproduces the delta system. One breadth-first pass builds the tree and
+    gives each vertex v its signed path: path[v][e] = +1 when the tree path
+    root -> v follows edge e's orientation. Loop j = (t -> h) closes through
+    h -> root -> t, so a[i][j] = path[t][i] - path[h][i].
     """
     special = set(graph.special_edges)
     adj = {}
-    for eid, (t, h) in graph.edges.items():
-        if eid in special:
-            continue
-        adj.setdefault(t, []).append((eid, h, +1))
-        adj.setdefault(h, []).append((eid, t, -1))
-    for lst in adj.values():
-        lst.sort()
-
+    for eid, (t, h) in sorted(graph.edges.items()):
+        if eid not in special:
+            adj.setdefault(t, []).append((eid, h, +1))
+            adj.setdefault(h, []).append((eid, t, -1))
     verts = graph.vertices
-    if EXTERNAL in verts:
-        root = EXTERNAL
-    else:
-        root = min(verts, key=lambda v: tuple(sorted(v)))
-    parent = {}
-    seen = {root}
-    frontier = [root]
-    tree = []
-    while frontier:
-        v = frontier.pop(0)
-        for eid, w, orient in adj.get(v, []):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = (v, eid, orient)
+    root = EXTERNAL if EXTERNAL in verts else min(verts, key=lambda v: tuple(sorted(v)))
+    path = {root: {}}
+    frontier, tree = [root], []
+    for v in frontier:  # grows while it is walked
+        for eid, w, orient in adj.get(v, ()):
+            if w not in path:
+                path[w] = {**path[v], eid: orient}
                 frontier.append(w)
                 tree.append(eid)
-    if seen != graph.vertices:
+    if path.keys() != verts:
         raise ValueError("graph disconnected without its special edges")
-
-    loops = [e for e in graph.edge_ids if e not in tree]
-    loops = list(graph.special_edges) + [e for e in loops if e not in special]
-
-    def signed_path_to_root(v):
-        # orient = +1 when the tree edge points parent -> v; the walk goes
-        # v -> parent, i.e. against the edge for orient = +1
-        out = {}
-        while v != root:
-            p, eid, orient = parent[v]
-            out[eid] = out.get(eid, 0) + orient
-            v = p
-        return out
-
-    tree_index = {e: i for i, e in enumerate(tree)}
-    a = [[0] * len(loops) for _ in tree]
-    for j, eid in enumerate(loops):
-        t, h = graph.edges[eid]
-        # cycle: w_j from t to h, then tree path h -> t; walking x -> parent(x)
-        # crosses edge (parent->x) against its orientation.
-        coef = {}
-        for e, o in signed_path_to_root(h).items():
-            coef[e] = coef.get(e, 0) - o
-        for e, o in signed_path_to_root(t).items():
-            coef[e] = coef.get(e, 0) + o
-        for e, cval in coef.items():
-            if cval:
-                a[tree_index[e]][j] = cval
-    return tuple(tree), tuple(loops), tuple(tuple(r) for r in a)
+    skip = special.union(tree)
+    loops = (*graph.special_edges, *(e for e in graph.edge_ids if e not in skip))
+    ends = [graph.edges[e] for e in loops]
+    a = tuple(tuple(path[t].get(e, 0) - path[h].get(e, 0) for t, h in ends)
+              for e in tree)
+    return tuple(tree), loops, a
 
 
 def reduced_delta_system(graph: FeynmanGraph, tree, loops, a) -> DeltaSystem:

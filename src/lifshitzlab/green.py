@@ -197,7 +197,7 @@ class GreenTable:
         """Check positivity; symmetry is structural (wedge storage)."""
         mask = self._ball_mask()
         if not np.all(self._data[mask] > 0.0):
-            raise ValueError("GreenTable contains non-positive values")
+            raise ValueError("GreenTable contains non-positive or missing (NaN) values")
 
     def _ball_mask(self):
         r = self.radius
@@ -279,17 +279,22 @@ def write_table_csv(table: GreenTable, path):
 
 
 def read_table_csv(path) -> GreenTable:
+    """Inverse of `write_table_csv`; a wrong header or a truncated file raises ValueError."""
     with open(path) as fh:
         header = json.loads(fh.readline().lstrip("# ").strip())
-        assert fh.readline().strip() == "x1,x2,x3,value"
+        columns = fh.readline().strip()
+        if columns != "x1,x2,x3,value":
+            raise ValueError(f"{path}: expected columns x1,x2,x3,value, got {columns!r}")
         radius = int(header["radius"])
         data = np.full((radius + 1,) * 3, np.nan)
         for line in fh:
             i, j, k, v = line.strip().split(",")
             data[abs(int(i)), abs(int(j)), abs(int(k))] = float(v)
-    return GreenTable(estar=float(header["estar"]), radius=radius,
-                      method=header["method"], tolerance=float(header["tolerance"]),
-                      grid_size=int(header.get("grid_size", 0)), _data=data)
+    table = GreenTable(estar=float(header["estar"]), radius=radius,
+                       method=header["method"], tolerance=float(header["tolerance"]),
+                       grid_size=int(header.get("grid_size", 0)), _data=data)
+    table.validate()  # a value missing from the ball is NaN and fails here
+    return table
 
 
 @dataclass(frozen=True)

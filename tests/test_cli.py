@@ -67,6 +67,17 @@ def test_unknown_config_key_is_error(tmp_path):
     assert run(["selfenergy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [["selfenergy", "--lam", "0.1"],
+                                  ["green", "--estar", "0.5"],
+                                  ["diagrams", "--n", "2"]])
+def test_seed_is_unknown_to_deterministic_commands(tmp_path, argv):
+    # these commands draw no random number, so they take no seed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n")
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_required_key_is_error(tmp_path):
     assert run(["selfenergy", "--out", str(tmp_path)]) == 2
 
@@ -144,7 +155,10 @@ def test_failed_rerun_keeps_the_earlier_run(tmp_path):
      "fracmom.csv", "fracmom_golden.csv"),
     (["diagram-value", "--n", "2", "--samples", "2000"],
      "diagram_values.csv", "diagram_values_n2_golden.csv"),
-], ids=["selfenergy", "fracmom", "diagram-value"])
+    # the MC draws pin each graph's tree order, loop order and a_ij
+    (["diagram-value", "--n", "3", "--samples", "2000", "--seed", "3"],
+     "diagram_values.csv", "diagram_values_n3_golden.csv"),
+], ids=["selfenergy", "fracmom", "diagram-value", "diagram-value-n3"])
 def test_csv_matches_golden_file(tmp_path, argv, name, golden):
     # byte for byte, CRLF line ends included
     assert run([*argv, "--out", str(tmp_path)]) == 0

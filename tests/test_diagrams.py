@@ -12,6 +12,7 @@ from lifshitzlab import diagrams as dg
 from lifshitzlab import green as gr
 from lifshitzlab.density import DensitySpec
 from lifshitzlab.errors import CombinatorialBudgetError
+from test_graphvalues import GRAPH_F, TWO_LINE
 
 GOLDEN_CENSUS = os.path.join(os.path.dirname(__file__), "data",
                              "diagram_census_n3_golden.json")
@@ -57,6 +58,22 @@ def test_enumeration_is_deterministic():
     a = dg.enumerate_partitions(dg.IndexSet(3, 3), pairings_only=True)
     b = dg.enumerate_partitions(dg.IndexSet(3, 3), pairings_only=True)
     assert [p.canonical_key() for p in a] == [p.canonical_key() for p in b]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("pairings_only, gate_free",
+                         list(itertools.product([False, True], repeat=2)))
+def test_direct_generation_matches_filtered_enumeration(n, pairings_only, gate_free):
+    # oracle: every even-block partition, filtered afterwards, then sorted
+    iset = dg.IndexSet(n, n)
+    expected = sorted(
+        (tuple(sorted(tuple(sorted(b)) for b in blocks))
+         for blocks in dg._even_partitions(iset.members)
+         if not (pairings_only and any(len(b) != 2 for b in blocks))
+         and not (gate_free and any(dg._is_gate(b) for b in blocks))))
+    parts = dg.enumerate_partitions(iset, pairings_only=pairings_only,
+                                    gate_free=gate_free)
+    assert [p.canonical_key() for p in parts] == expected
 
 
 def test_enumeration_budget_guard():
@@ -163,6 +180,41 @@ def test_spanning_tree_counts_and_equivalence(n):
         assert len(tree) == len(graph.delta_system().constraints)
         reduced = dg.reduced_delta_system(graph, tree, loops, a)
         assert graph.delta_system().equivalent(reduced)
+
+
+def _decomposition_test_graphs():
+    """Pairing graphs at n <= 4, even-partition graphs at n <= 3, two ad-hoc graphs."""
+    parts = [p for n in (1, 2, 3, 4)
+             for p in dg.enumerate_partitions(dg.IndexSet(n, n), pairings_only=True)]
+    parts += [p for n in (1, 2, 3) for p in dg.enumerate_partitions(dg.IndexSet(n, n))]
+    return [dg.build_feynman_graph(p) for p in parts] + [TWO_LINE, GRAPH_F]
+
+
+def test_spanning_tree_conserves_momentum_at_every_vertex():
+    # loop momentum w_j = 1 alone: line e carries a[i][j] on tree edge i, 1 on
+    # loop j and 0 on the other loops, so the net flow into each vertex is 0
+    graphs = _decomposition_test_graphs()
+    assert len(graphs) == 162
+    for graph in graphs:
+        tree, loops, a = dg.spanning_tree_decomposition(graph)
+        assert sorted(tree + loops) == list(graph.edge_ids)
+        for j, loop in enumerate(loops):
+            flow = {e: a[i][j] for i, e in enumerate(tree)}
+            flow.update((e, int(e == loop)) for e in loops)
+            net = dict.fromkeys(graph.vertices, 0)
+            for e, (t, h) in graph.edges.items():
+                net[t] -= flow[e]
+                net[h] += flow[e]
+            assert set(net.values()) == {0}, (graph.label(), loop)
+
+
+def test_spanning_tree_adhoc_graph_and_disconnection():
+    # three parallel lines A -> B without an external vertex: u_1 = -w_2 - w_3
+    assert dg.spanning_tree_decomposition(GRAPH_F) == ((1,), (2, 3), ((-1, -1),))
+    split = dg.FeynmanGraph(n=0, partition=None, edges=dict(GRAPH_F.edges),
+                            special_edges=(1, 2, 3))
+    with pytest.raises(ValueError, match="disconnected"):
+        dg.spanning_tree_decomposition(split)
 
 
 def test_delta_system_rank_oracle():

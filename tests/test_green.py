@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +222,36 @@ def test_table_csv_roundtrip(tmp_path):
     assert back.estar == table.estar and back.method == table.method
     for x, v in table.items():
         assert back.value(x) == v
+
+
+def test_table_csv_roundtrip_under_optimize(tmp_path):
+    # asserts are stripped under -O; the header check must not be one
+    table = gr.green_table_bessel(0.4, radius=3)
+    path = os.path.join(tmp_path, "table.csv")
+    gr.write_table_csv(table, path)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys; from lifshitzlab import green as gr; "
+            "t = gr.read_table_csv(sys.argv[1]); print(repr(t.value((1, 2, 0))))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, path], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(table.value((1, 2, 0)))
+
+
+def test_table_csv_rejects_truncated_file_and_wrong_header(tmp_path):
+    table = gr.green_table_bessel(0.4, radius=3)
+    path = os.path.join(tmp_path, "table.csv")
+    gr.write_table_csv(table, path)
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(lines[: len(lines) // 2])  # cut at a line end
+    with pytest.raises(ValueError):
+        gr.read_table_csv(path)
+    with open(path, "w") as fh:
+        fh.writelines([lines[0], "x,y,z,value\n", *lines[2:]])
+    with pytest.raises(ValueError, match="columns"):
+        gr.read_table_csv(path)
 
 
 def test_table_validate_positivity():
