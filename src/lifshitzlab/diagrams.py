@@ -23,13 +23,23 @@ lines, E external hooks, Lambda = I - N + 1 loops,
     div = 3 Lambda - 2 I,      l-div = Lambda - 4 I.
 
 A graph is superficially convergent when every connected subgraph satisfies
-div < -2 eps E, or div = 0 with l-div <= -eps.
+div < -2 eps E, or div = 0 with l-div <= -eps (eps > 0).
+
+The census classifies all 2^L - 1 line subsets of a graph in one bitmask
+pass: each vertex is a bit, each subset's vertex mask and line count are
+built by level doubling over the L lines, and connectivity is a reach
+closure from the subset's lowest vertex bit, swept until it stops growing.
+The clauses are decided in exact integer arithmetic. `subgraph_counts` and
+`is_one_line_reducible` use the same reach closure.
 """
 
 import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .density import DensitySpec
 from .errors import CombinatorialBudgetError
@@ -52,6 +62,7 @@ __all__ = [
 EXTERNAL = "ext"
 MAX_INDEX_SET = 16        # enumeration guard on the doubled index-set size
 CENSUS_BUDGET = 10**6     # enumeration guard on the line subsets of a census
+_CLAUSES = np.array(["div<-2epsE", "div=0,l-div<=-eps", "fails"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -349,23 +360,34 @@ def reduced_delta_system(graph: FeynmanGraph, tree, loops, a) -> DeltaSystem:
     return DeltaSystem(dim=dim, constraints=tuple(rows))
 
 
-def _components(graph, lines, verts) -> int:
-    """Number of components of the vertex set `verts` joined by `lines` (union-find)."""
-    parent = {v: v for v in verts}
-
-    def root(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    count = len(parent)
+def _line_masks(graph: FeynmanGraph, lines):
+    """Endpoint bitmask of each line, with its vertices numbered in order of appearance."""
+    bit = {}
     for e in lines:
-        t, h = map(root, graph.edges[e])
-        if t != h:
-            parent[t] = h
-            count -= 1
-    return count
+        for v in graph.edges[e]:
+            bit.setdefault(v, len(bit))
+    emask = np.array([(1 << bit[t]) | (1 << bit[h]) for t, h in map(graph.edges.get, lines)],
+                     dtype=np.int64)
+    return emask, list(bit)
+
+
+def _reach(subsets, vmask, emask):
+    """Vertices reached from each row's lowest vertex bit along the row's own lines.
+
+    Row k holds the line subset `subsets[k]` (bit i stands for line emask[i])
+    and its target vertex mask `vmask[k]`; a row is connected over vmask[k]
+    exactly when the returned reach equals vmask[k]. Each sweep adds the ends
+    of every member line that touches the reached set, until a sweep adds
+    nothing.
+    """
+    member = [((subsets >> i) & 1).astype(bool) for i in range(len(emask))]
+    reach = vmask & -vmask
+    while True:
+        before = reach.copy()
+        for e, inside in zip(emask.tolist(), member):
+            reach |= np.where(inside & ((reach & e) != 0), e, 0)
+        if np.array_equal(reach, before):
+            return reach
 
 
 def subgraph_counts(graph: FeynmanGraph, edge_subset):
@@ -374,11 +396,15 @@ def subgraph_counts(graph: FeynmanGraph, edge_subset):
     E counts external hooks: the line ends on the subset's vertices that do
     not belong to its own lines.
     """
-    verts = {v for e in edge_subset for v in graph.edges[e]}
-    if not verts or _components(graph, edge_subset, verts) != 1:
+    lines = sorted(frozenset(edge_subset))
+    if not lines:
         return None
-    i_lines = len(edge_subset)
-    ends = sum((t in verts) + (h in verts) for t, h in graph.edges.values())
+    emask, verts = _line_masks(graph, lines)
+    full = (1 << len(verts)) - 1
+    if _reach(np.array([(1 << len(lines)) - 1]), np.array([full]), emask)[0] != full:
+        return None
+    i_lines = len(lines)
+    ends = sum(graph.degree(v) for v in verts)
     return len(verts), i_lines, ends - 2 * i_lines, i_lines - len(verts) + 1
 
 
@@ -395,11 +421,13 @@ def divergence_degree(graph: FeynmanGraph, edge_subset=None):
 
 def is_one_line_reducible(graph: FeynmanGraph, edge_subset) -> bool:
     """Removing some line disconnects the subset's vertices (stranded ones count)."""
-    edge_subset = frozenset(edge_subset)
-    if len(edge_subset) <= 1:
+    lines = sorted(frozenset(edge_subset))
+    if len(lines) <= 1:
         return False
-    verts = {v for e in edge_subset for v in graph.edges[e]}
-    return any(_components(graph, edge_subset - {e}, verts) > 1 for e in edge_subset)
+    emask, verts = _line_masks(graph, lines)
+    full = np.full(len(lines), (1 << len(verts)) - 1)
+    drops = ((1 << len(lines)) - 1) ^ (1 << np.arange(len(lines)))  # S - {e}, every e
+    return bool((_reach(drops, full, emask) != full).any())
 
 
 def is_graph_F(graph: FeynmanGraph, edge_subset) -> bool:
@@ -412,8 +440,7 @@ def is_graph_F(graph: FeynmanGraph, edge_subset) -> bool:
     return all(graph.edges[e][0] != graph.edges[e][1] for e in edge_subset)
 
 
-@dataclass(frozen=True)
-class SubgraphRecord:
+class SubgraphRecord(NamedTuple):
     edges: tuple
     n_vertices: int
     internal: int
@@ -448,32 +475,80 @@ class CensusReport:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_order(n_lines: int):
+    """Every nonempty subset of n_lines lines as a bitmask, in itertools.combinations order."""
+    order = np.array([sum(1 << i for i in c) for r in range(1, n_lines + 1)
+                      for c in itertools.combinations(range(n_lines), r)], dtype=np.int64)
+    order.flags.writeable = False
+    return order
+
+
+def _edge_tuples(subsets, sizes, ids):
+    """Line ids of each subset; rows come grouped by size, in increasing size."""
+    cols = np.nonzero((subsets[:, None] >> np.arange(len(ids))) & 1)[1]
+    flat = np.asarray(ids)[cols]
+    out, start = [], 0
+    for r, m in enumerate(np.bincount(sizes).tolist()):
+        out += map(tuple, flat[start:start + r * m].reshape(m, r).tolist())
+        start += r * m
+    return out
+
+
+def _clauses(div, hooks, ldiv, eps: Fraction):
+    """Power-counting verdict of each row, in exact integer arithmetic.
+
+    With eps = p/q, div < -2 eps E is div <= -floor(2pE/q) - 1 and
+    l-div <= -eps is l-div <= floor(-p/q); both cuts are Python integers,
+    clipped to a bound no count reaches before they meet the int64 arrays.
+    """
+    p, q = eps.numerator, eps.denominator
+    clip = lambda cut: max(cut, -2**62)
+    cut_e = np.array([clip(-(2 * p * e // q) - 1) for e in range(int(hooks.max(initial=0)) + 1)])
+    code = np.where(div <= cut_e[hooks], 0,
+                    np.where((div == 0) & (ldiv <= clip(-p // q)), 1, 2))
+    return _CLAUSES[code].tolist()
+
+
 def classify_superficial_convergence(graph: FeynmanGraph,
                                      eps=Fraction(1, 10)) -> CensusReport:
-    """Enumerate all connected subgraphs with their power-counting verdicts."""
+    """Enumerate all connected subgraphs with their power-counting verdicts.
+
+    Every line subset is classified at once as a bitmask: subset k (bit i for
+    line i) has vertex mask vmask[k] and line count size[k], both built by
+    level doubling. Records come in itertools.combinations order, by size and
+    then lexicographically.
+    """
     eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     ids = graph.edge_ids
     n_subsets = 2 ** len(ids) - 1
     if n_subsets > CENSUS_BUDGET:
         raise CombinatorialBudgetError(
             f"{n_subsets} line subsets exceed the census guard {CENSUS_BUDGET}"
         )
-    records = []
-    for r in range(1, len(ids) + 1):
-        for subset in itertools.combinations(ids, r):
-            counts = subgraph_counts(graph, subset)
-            if counts is None:
-                continue
-            n_v, i_lines, hooks, lam = counts
-            div = 3 * lam - 2 * i_lines
-            ldiv = lam - 4 * i_lines
-            if Fraction(div) < -2 * eps * hooks:
-                clause = "div<-2epsE"
-            elif div == 0 and Fraction(ldiv) <= -eps:
-                clause = "div=0,l-div<=-eps"
-            else:
-                clause = "fails"
-            records.append(SubgraphRecord(
-                edges=subset, n_vertices=n_v, internal=i_lines,
-                external=hooks, loops=lam, div=div, l_div=ldiv, clause=clause))
-    return CensusReport(graph_label=graph.label(), eps=eps, records=tuple(records))
+    emask, verts = _line_masks(graph, ids)
+    vmask = np.zeros(n_subsets + 1, dtype=np.int64)
+    size = np.zeros(n_subsets + 1, dtype=np.int64)
+    for i, e in enumerate(emask.tolist()):
+        vmask[1 << i:2 << i] = vmask[:1 << i] | e
+        size[1 << i:2 << i] = size[:1 << i] + 1
+    order = _subset_order(len(ids))
+    vmask, size = vmask[order], size[order]
+    connected = _reach(order, vmask, emask) == vmask
+    subsets, vmask, i_lines = order[connected], vmask[connected], size[connected]
+    n_v = np.zeros_like(vmask)
+    ends = np.zeros_like(vmask)
+    for b, v in enumerate(verts):
+        on = (vmask >> b) & 1
+        n_v += on
+        ends += graph.degree(v) * on
+    hooks = ends - 2 * i_lines
+    lam = i_lines - n_v + 1
+    div = 3 * lam - 2 * i_lines
+    ldiv = lam - 4 * i_lines
+    records = tuple(map(SubgraphRecord, _edge_tuples(subsets, i_lines, ids),
+                        n_v.tolist(), i_lines.tolist(), hooks.tolist(), lam.tolist(),
+                        div.tolist(), ldiv.tolist(), _clauses(div, hooks, ldiv, eps)))
+    return CensusReport(graph_label=graph.label(), eps=eps, records=records)

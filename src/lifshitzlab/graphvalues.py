@@ -14,6 +14,16 @@ The torus variant integrates prod 1/(e(p)+E*) with loop momenta uniform on
 T^3; its continuum surrogate replaces propagators by 1/(q^2+E*) over R^3 and
 obeys the exact scaling value ~ (E*)^{1 - n/2}.
 
+That scaling is a covariance of the estimator, not a finite value. At n = 2
+the surrogate has Lambda = 4 loops and I = 6 propagators, so 3 Lambda - 2 I
+= 0 (`divergence_degree` gives (0, -20)). Without the ln^4 damping of
+`graph_value` the integral diverges logarithmically in the UV, and its Monte
+Carlo estimate has no finite limit: at E* = 0.2, stream "scaling", seed 0
+gives 7.03e5 +- 8.6e4, 1.12e6 +- 3.1e5 and 9.06e6 +- 8.1e6 at 1e5, 1e6 and
+2e6 samples, so the reported stderr understates the spread. Each sample of
+the estimator scales exactly as (E*)^{1 - n/2}, because the proposal is
+rescaled with sqrt(E*); the scaling checks rest on that alone.
+
 The bound assembly computes (4n)! E* (C(E*) lam^2 / sqrt(E*))^n with
 C(E*) = K ln^9(e + 1/E*).  ln^9 E* changes sign for E* < 1 as literally
 written, so the positive normalization ln^9(e + 1/E*) is used everywhere and

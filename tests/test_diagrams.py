@@ -253,7 +253,7 @@ def test_full_graph_divergence_two_minus_n(n):
     assert div == 2 - n
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_census_gate_free_convergent(n):
     for p in dg.enumerate_partitions(dg.IndexSet(n, n), pairings_only=True,
                                      gate_free=True):
@@ -343,6 +343,65 @@ def _oracle_one_line_reducible(graph, edge_subset):
         return False
     verts = _oracle_vertices(graph, edge_subset)
     return any(not _oracle_joins(graph, edge_subset - {e}, verts) for e in edge_subset)
+
+
+def _oracle_census(graph, epsilons):
+    """Census records per eps by the slow path: every subset in combinations order,
+    counts from the search oracle, clauses in Fraction arithmetic."""
+    counted = []
+    for r in range(1, len(graph.edge_ids) + 1):
+        for subset in itertools.combinations(graph.edge_ids, r):
+            counts = _oracle_counts(graph, subset)
+            if counts is not None:
+                counted.append((subset, *counts))
+    out = []
+    for eps in map(Fraction, epsilons):
+        records = []
+        for subset, n_v, i_lines, hooks, lam in counted:
+            div = 3 * lam - 2 * i_lines
+            ldiv = lam - 4 * i_lines
+            if Fraction(div) < -2 * eps * hooks:
+                clause = "div<-2epsE"
+            elif div == 0 and Fraction(ldiv) <= -eps:
+                clause = "div=0,l-div<=-eps"
+            else:
+                clause = "fails"
+            records.append((subset, n_v, i_lines, hooks, lam, div, ldiv, clause))
+        out.append(records)
+    return out
+
+
+def _census_oracle_graphs():
+    """Every pairing graph at n <= 4, every even-partition graph at n <= 3, two ad hoc graphs."""
+    graphs = [dg.build_feynman_graph(p) for n in (1, 2, 3, 4)
+              for p in dg.enumerate_partitions(dg.IndexSet(n, n), pairings_only=True)]
+    graphs += [dg.build_feynman_graph(p) for n in (1, 2, 3)
+               for p in dg.enumerate_partitions(dg.IndexSet(n, n))]
+    return graphs + [TWO_LINE, GRAPH_F]
+
+
+def test_census_matches_slow_oracle():
+    # the last two push the integer cuts past int64 (they are clipped)
+    epsilons = (Fraction(1, 10), Fraction(1, 3), 0.05, Fraction(5, 2),
+                Fraction(10**30), Fraction(1, 10**30))
+    graphs = _census_oracle_graphs()
+    assert len(graphs) == 162
+    for graph in graphs:
+        for eps, expected in zip(epsilons, _oracle_census(graph, epsilons)):
+            report = dg.classify_superficial_convergence(graph, eps=eps)
+            assert report.eps == Fraction(eps)
+            assert list(report.records) == expected, (graph.label(), eps)
+            # plain Python ints, as the JSON outputs need
+            assert {type(v) for r in report.records for v in (*r.edges, *r[1:7])} <= {int}
+
+
+@pytest.mark.parametrize("eps", [0, -1])
+def test_census_rejects_nonpositive_eps(eps):
+    # the gate graph's tadpole fails at any eps > 0; a negative eps would hide it
+    gate = dg.build_feynman_graph(dg.Partition(
+        dg.IndexSet(2, 2), frozenset({frozenset({1, 2}), frozenset({4, 5})})))
+    with pytest.raises(ValueError):
+        dg.classify_superficial_convergence(gate, eps=eps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
