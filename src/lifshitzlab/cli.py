@@ -244,12 +244,15 @@ def run_green(cfg):
         raise ConfigError(f"asymptotics range needs 0 < min < max, got [{lo}, {hi}]")
     if cfg["method"] == "fft":
         table = gr.green_free_fft(cfg["grid"], estar, radius=radius)
+        notes = {"grid_size": table.grid_size, "symmetry_defect": table.symmetry_defect,
+                 "periodization_bound": gr.periodization_bound(cfg["grid"], radius, estar)}
     elif cfg["method"] == "bessel":
         table = gr.green_table_bessel(estar, radius=radius)
+        notes = {}
     else:
         raise ConfigError(f"unknown green method {cfg['method']!r}")
     files = {"green_table.csv": functools.partial(gr.write_table_csv, table)}
-    notes = {"envelope_constant": table.fitted_envelope_constant()}
+    notes["envelope_constant"] = table.fitted_envelope_constant()
     if hi:
         report = gr.check_asymptotics(range(lo, hi + 1, max((hi - lo) // 8, 1)), estar)
         files["green_asymptotics.json"] = _json({

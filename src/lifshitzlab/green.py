@@ -14,10 +14,14 @@ Two independent evaluation routes:
   takes over.  The same provider, `_trapezoid`, with an extra power of t,
   gives the torus integrals I1 = R(0) and I2 = -dR(0)/dE* of `selfenergy`.
 
-* `green_free_fft` inverse-transforms 1/(e(p)+E*) sampled on an M^3 grid.
-  By Poisson summation the only error is periodization: the FFT table equals
-  sum_m R(x + M m), so the documented bound is a wrapped-image sum of the
-  exponential envelope, which must stay below FFT_TOL.
+* `green_free_fft` is the inverse DFT of 1/(e(p)+E*) sampled on an M^3 grid.
+  e(p) is even in each axis, so only the (M//2+1)^3 half spectrum is built
+  and inverse-transformed by three real one-axis `irfft`s (a real-even DFT is
+  a DCT-I), each pruned to the output rows x = -r..r before the next axis:
+  no M^3 array is formed.  By Poisson summation the only error is
+  periodization: the FFT table equals sum_m R(x + M m), so the documented
+  bound is a wrapped-image sum of the exponential envelope, which must stay
+  below FFT_TOL.
 
 Fourier phases follow the e^{i 2 pi p.x} convention with p in [-1/2, 1/2]^3.
 Both routes are real: E* >= 0 sits at or below the spectrum, so the +i0 limit
@@ -242,23 +246,24 @@ def green_free_fft(grid_size: int, estar: float, radius: int = 20) -> GreenTable
             f"for grid {grid_size}, radius {radius}, estar {estar:g}",
             bound=bound,
         )
-    m = grid_size
-    c = 2.0 * np.sin(np.pi * np.arange(m) / m) ** 2
-    cz = c[: m // 2 + 1]
-    spectrum = 1.0 / (estar + c[:, None, None] + c[None, :, None] + cz[None, None, :])
-    table_full = np.fft.irfftn(spectrum, s=(m, m, m), axes=(0, 1, 2))
-    del spectrum
-    r = radius
-    data = table_full[: r + 1, : r + 1, : r + 1].copy()
-    # measured octahedral symmetry: sign flips (periodic indices) and an axis swap
+    m, r = grid_size, radius
+    c = 2.0 * np.sin(np.pi * np.arange(m // 2 + 1) / m) ** 2
+    a = 1.0 / (estar + c[:, None, None] + c[None, :, None] + c[None, None, :])
+    # e(p) is even per axis, and the Hermitian extension irfft applies to a real half
+    # spectrum is the even one; after each axis only output rows x = -r..r are kept
+    keep = np.r_[: r + 1, m - r : m]
+    for axis in range(3):
+        a = np.take(np.fft.irfft(a, n=m, axis=axis), keep, axis=axis)
+    data = a[: r + 1, : r + 1, : r + 1].copy()
+    # measured octahedral symmetry: sign flips (row M - x sits at kept row 2r+1 - x)
+    # and an axis swap
     idx = np.arange(r + 1)
-    flip = (m - idx) % m
+    flip = -idx % (2 * r + 1)
     defect = 0.0
     for sel in (np.ix_(flip, idx, idx), np.ix_(idx, flip, idx), np.ix_(idx, idx, flip)):
-        defect = max(defect, float(np.max(np.abs(table_full[sel] - data))))
+        defect = max(defect, float(np.max(np.abs(a[sel] - data))))
     defect = max(defect, float(np.max(np.abs(data - data.transpose(1, 0, 2)))))
     defect = max(defect, float(np.max(np.abs(data - data.transpose(0, 2, 1)))))
-    del table_full
     table = GreenTable(estar=estar, radius=radius, method="fft-grid",
                        tolerance=FFT_TOL, grid_size=grid_size,
                        symmetry_defect=defect, _data=data)
@@ -279,7 +284,10 @@ def write_table_csv(table: GreenTable, path):
 
 
 def read_table_csv(path) -> GreenTable:
-    """Inverse of `write_table_csv`; a wrong header or a truncated file raises ValueError."""
+    """Inverse of `write_table_csv`.
+
+    A wrong header, a truncated file or a row outside the radius ball raises ValueError.
+    """
     with open(path) as fh:
         header = json.loads(fh.readline().lstrip("# ").strip())
         columns = fh.readline().strip()
@@ -289,7 +297,11 @@ def read_table_csv(path) -> GreenTable:
         data = np.full((radius + 1,) * 3, np.nan)
         for line in fh:
             i, j, k, v = line.strip().split(",")
-            data[abs(int(i)), abs(int(j)), abs(int(k))] = float(v)
+            i, j, k = abs(int(i)), abs(int(j)), abs(int(k))
+            if i * i + j * j + k * k > radius**2:
+                raise ValueError(f"{path}: row {line.strip()!r} lies outside the "
+                                 f"radius-{radius} ball")
+            data[i, j, k] = float(v)
     table = GreenTable(estar=float(header["estar"]), radius=radius,
                        method=header["method"], tolerance=float(header["tolerance"]),
                        grid_size=int(header.get("grid_size", 0)), _data=data)

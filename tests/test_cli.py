@@ -196,11 +196,19 @@ def test_green_run_with_asymptotics(tmp_path):
     assert table[1] == "x1,x2,x3,value"
     report = json.loads((tmp_path / "green_asymptotics.json").read_text())
     assert 0.8 < report["fitted_rate"] / report["expected_rate"] < 1.2
+    notes = json.loads((tmp_path / "green_manifest.json").read_text())["notes"]
+    assert set(notes) == {"envelope_constant"}  # fft-only keys stay out
 
 
 def test_green_fft_run(tmp_path):
     assert run(["green", "--estar", "0.5", "--radius", "5", "--method", "fft",
                 "--grid", "64", "--out", str(tmp_path)]) == 0
+    notes = json.loads((tmp_path / "green_manifest.json").read_text())["notes"]
+    assert notes["grid_size"] == 64
+    assert notes["periodization_bound"] == gr.periodization_bound(64, 5, 0.5)
+    assert 0.0 <= notes["symmetry_defect"] <= 1e-15
+    assert set(notes) == {"envelope_constant", "grid_size", "periodization_bound",
+                          "symmetry_defect"}
 
 
 def test_green_periodization_failure_code(tmp_path):

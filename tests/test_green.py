@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,39 @@ def test_fft_reproduces_origin_at_unit_energy():
     table = gr.green_free_fft(128, 1.0, radius=4)
     assert table.value((0, 0, 0)) == pytest.approx(gr.green_free((0, 0, 0), 1.0),
                                                    abs=1e-8)
+
+
+def irfftn_oracle_table(grid_size, estar, radius):
+    """The FFT table by one full M^3 inverse transform of the whole grid (test oracle)."""
+    m = grid_size
+    c = 2.0 * np.sin(np.pi * np.arange(m) / m) ** 2
+    cz = c[: m // 2 + 1]
+    spectrum = 1.0 / (estar + c[:, None, None] + c[None, :, None] + cz[None, None, :])
+    table_full = np.fft.irfftn(spectrum, s=(m, m, m), axes=(0, 1, 2))
+    return table_full[: radius + 1, : radius + 1, : radius + 1].copy()
+
+
+@pytest.mark.parametrize("m, estar, radius", [
+    (64, 0.5, 8), (65, 0.5, 8), (96, 0.7, 10), (127, 0.3, 12), (128, 0.2, 8),
+    (128, 1.0, 4), (128, 0.05, 12), (256, 0.05, 12), (256, 0.5, 12), (256, 0.4, 20),
+    (64, 0.5, 0), (64, 0.5, 33), (80, 0.2, 44),  # odd M, r = 0 and r > M/2 included
+])
+def test_pruned_fft_matches_full_grid_oracle(m, estar, radius):
+    table = gr.green_free_fft(m, estar, radius=radius)
+    oracle = irfftn_oracle_table(m, estar, radius)
+    assert np.max(np.abs(table._data - oracle)) <= 1e-15
+    assert table.symmetry_defect <= 1e-15
+
+
+def test_fft_table_never_holds_a_full_grid():
+    # one float64 256^3 cube is 128 MiB; the full-grid transform peaked at 322 MiB
+    tracemalloc.start()
+    try:
+        gr.green_free_fft(256, 0.05, radius=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256**3 * 8
 
 
 def test_fft_octahedral_symmetry_defect():
@@ -251,6 +285,18 @@ def test_table_csv_rejects_truncated_file_and_wrong_header(tmp_path):
     with open(path, "w") as fh:
         fh.writelines([lines[0], "x,y,z,value\n", *lines[2:]])
     with pytest.raises(ValueError, match="columns"):
+        gr.read_table_csv(path)
+
+
+@pytest.mark.parametrize("row", ["9,0,0,0.1", "4,4,4,0.1"])
+def test_table_csv_rejects_row_outside_the_ball(tmp_path, row):
+    # (9,0,0) lies beyond the stored cube, (4,4,4) inside it but outside the ball
+    table = gr.green_free_fft(64, 0.5, radius=4)
+    path = os.path.join(tmp_path, "table.csv")
+    gr.write_table_csv(table, path)
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ValueError, match="outside"):
         gr.read_table_csv(path)
 
 
