@@ -19,7 +19,9 @@ fallback in the result.
 
 Fractional moments E|R(x,y)|^s are eta-resolved disorder averages; the
 finite-volume criterion assembles B_s L^4 lam^{-2s} sum_{boundary}
-E|R(n,0)|^s < b on the cube of side 2L centered at the origin.
+E|R(n,0)|^s < b on the box of side 2L: sites -L..L-1 on each axis, so its
+Dirichlet walls sit at -L-1 and L and its boundary faces at distance L and
+L-1 from the origin.
 """
 
 import math
@@ -55,7 +57,11 @@ MAX_BOX_SITES = 1_000_000  # memory guard on box sizes
 
 @dataclass(frozen=True)
 class Box:
-    """Dirichlet cube with `side` sites per axis, centered at the origin."""
+    """Dirichlet cube with `side` sites per axis, at -(side // 2)..side - 1 - side // 2.
+
+    An odd side is centered at the origin; an even side 2L holds -L..L-1, one
+    more site on the negative half-axis than on the positive one.
+    """
 
     side: int
 
@@ -423,7 +429,8 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
                             samples: int = 1, seed: int = 0) -> CriterionResult:
     """Evaluate B_s L^4 lam^{-2s} sum_{n in boundary} E|R(n,0)|^s < b.
 
-    The box is the cube of side 2L centered at the origin.  At lam = 0 the
+    The box has side 2L, sites -L..L-1 on each axis, so the boundary faces lie
+    at distance L and L-1 from the origin.  At lam = 0 the
     lam^{-2s} factor is dropped (flagged in the result); the raw boundary sum
     is always reported so any prefactor can be applied post hoc.
     """

@@ -25,12 +25,16 @@ lines, E external hooks, Lambda = I - N + 1 loops,
 A graph is superficially convergent when every connected subgraph satisfies
 div < -2 eps E, or div = 0 with l-div <= -eps (eps > 0).
 
-The census classifies all 2^L - 1 line subsets of a graph in one bitmask
-pass: each vertex is a bit, each subset's vertex mask and line count are
-built by level doubling over the L lines, and connectivity is a reach
-closure from the subset's lowest vertex bit, swept until it stops growing.
-The clauses are decided in exact integer arithmetic. `subgraph_counts` and
-`is_one_line_reducible` use the same reach closure.
+Every power-counting query reads one subset table: for a line set S, each
+of its 2^|S| subsets is a bitmask row holding its vertex mask (each vertex is
+a bit) and line count, built by level doubling over the lines, and whether it
+is connected, by a reach closure from the row's lowest vertex bit swept until
+it stops growing. (N, I, E, Lambda) then follow from the vertex bits and the
+degrees. The census keeps the connected rows of the table over all L lines
+and decides the clauses in exact integer arithmetic; `divergence_degree`
+reads the full-set row of the table over S, and `is_one_line_reducible` its
+|S| rows S - {e}. A line set with more than CENSUS_BUDGET nonempty subsets
+raises before its table is built.
 """
 
 import functools
@@ -51,10 +55,14 @@ __all__ = [
     "cumulant_coefficient",
     "FeynmanGraph",
     "build_feynman_graph",
+    "moment_from_partition_sum",
     "spanning_tree_decomposition",
+    "reduced_delta_system",
     "DeltaSystem",
     "divergence_degree",
+    "is_one_line_reducible",
     "classify_superficial_convergence",
+    "SubgraphRecord",
     "CensusReport",
     "is_graph_F",
 ]
@@ -360,63 +368,65 @@ def reduced_delta_system(graph: FeynmanGraph, tree, loops, a) -> DeltaSystem:
     return DeltaSystem(dim=dim, constraints=tuple(rows))
 
 
-def _line_masks(graph: FeynmanGraph, lines):
-    """Endpoint bitmask of each line, with its vertices numbered in order of appearance."""
+def _subset_table(graph: FeynmanGraph, lines):
+    """Every subset of `lines` as one bitmask row, indexed by the subset's own bitmask.
+
+    Returns (verts, vmask, size, connected): the vertices in order of
+    appearance (vertex b is bit b), and for subset k (bit i for lines[i]) its
+    vertex mask, its line count and whether its lines connect its vertices.
+    Each reach sweep adds the ends of every member line that touches the
+    reached set, until a sweep adds nothing.
+    """
+    n_subsets = 2 ** len(lines) - 1
+    if n_subsets > CENSUS_BUDGET:
+        raise CombinatorialBudgetError(
+            f"{n_subsets} line subsets exceed the census guard {CENSUS_BUDGET}"
+        )
     bit = {}
     for e in lines:
         for v in graph.edges[e]:
             bit.setdefault(v, len(bit))
-    emask = np.array([(1 << bit[t]) | (1 << bit[h]) for t, h in map(graph.edges.get, lines)],
-                     dtype=np.int64)
-    return emask, list(bit)
-
-
-def _reach(subsets, vmask, emask):
-    """Vertices reached from each row's lowest vertex bit along the row's own lines.
-
-    Row k holds the line subset `subsets[k]` (bit i stands for line emask[i])
-    and its target vertex mask `vmask[k]`; a row is connected over vmask[k]
-    exactly when the returned reach equals vmask[k]. Each sweep adds the ends
-    of every member line that touches the reached set, until a sweep adds
-    nothing.
-    """
+    emask = [(1 << bit[t]) | (1 << bit[h]) for t, h in map(graph.edges.get, lines)]
+    vmask = np.zeros(n_subsets + 1, dtype=np.int64)
+    size = np.zeros(n_subsets + 1, dtype=np.int64)
+    for i, e in enumerate(emask):
+        vmask[1 << i:2 << i] = vmask[:1 << i] | e
+        size[1 << i:2 << i] = size[:1 << i] + 1
+    subsets = np.arange(n_subsets + 1)
     member = [((subsets >> i) & 1).astype(bool) for i in range(len(emask))]
     reach = vmask & -vmask
     while True:
         before = reach.copy()
-        for e, inside in zip(emask.tolist(), member):
+        for e, inside in zip(emask, member):
             reach |= np.where(inside & ((reach & e) != 0), e, 0)
         if np.array_equal(reach, before):
-            return reach
+            return list(bit), vmask, size, reach == vmask
 
 
-def subgraph_counts(graph: FeynmanGraph, edge_subset):
-    """(N, I, E, Lambda) of a line subset, or None when it is not connected.
+def _counts(graph: FeynmanGraph, verts, vmask, size):
+    """(N, I, E, Lambda, div, l-div) columns of the rows (vmask, size).
 
-    E counts external hooks: the line ends on the subset's vertices that do
-    not belong to its own lines.
+    E counts external hooks: the line ends on a row's vertices that do not
+    belong to its own lines.
     """
-    lines = sorted(frozenset(edge_subset))
-    if not lines:
-        return None
-    emask, verts = _line_masks(graph, lines)
-    full = (1 << len(verts)) - 1
-    if _reach(np.array([(1 << len(lines)) - 1]), np.array([full]), emask)[0] != full:
-        return None
-    i_lines = len(lines)
-    ends = sum(graph.degree(v) for v in verts)
-    return len(verts), i_lines, ends - 2 * i_lines, i_lines - len(verts) + 1
+    n_v = np.zeros_like(vmask)
+    ends = np.zeros_like(vmask)
+    for b, v in enumerate(verts):
+        on = (vmask >> b) & 1
+        n_v += on
+        ends += graph.degree(v) * on
+    lam = size - n_v + 1
+    return n_v, size, ends - 2 * size, lam, 3 * lam - 2 * size, lam - 4 * size
 
 
 def divergence_degree(graph: FeynmanGraph, edge_subset=None):
     """(div, l-div) of a connected subgraph; defaults to the whole graph."""
-    if edge_subset is None:
-        edge_subset = graph.edge_ids
-    counts = subgraph_counts(graph, frozenset(edge_subset))
-    if counts is None:
+    lines = graph.edge_ids if edge_subset is None else sorted(frozenset(edge_subset))
+    verts, vmask, size, connected = _subset_table(graph, lines)
+    if not lines or not connected[-1]:
         raise ValueError("subgraph must be connected")
-    _, i_lines, _, lam = counts
-    return 3 * lam - 2 * i_lines, lam - 4 * i_lines
+    *_, div, ldiv = _counts(graph, verts, vmask[-1:], size[-1:])
+    return int(div[0]), int(ldiv[0])
 
 
 def is_one_line_reducible(graph: FeynmanGraph, edge_subset) -> bool:
@@ -424,10 +434,9 @@ def is_one_line_reducible(graph: FeynmanGraph, edge_subset) -> bool:
     lines = sorted(frozenset(edge_subset))
     if len(lines) <= 1:
         return False
-    emask, verts = _line_masks(graph, lines)
-    full = np.full(len(lines), (1 << len(verts)) - 1)
-    drops = ((1 << len(lines)) - 1) ^ (1 << np.arange(len(lines)))  # S - {e}, every e
-    return bool((_reach(drops, full, emask) != full).any())
+    _, vmask, _, connected = _subset_table(graph, lines)
+    drops = (vmask.size - 1) ^ (1 << np.arange(len(lines)))  # S - {e}, every e
+    return not (connected[drops] & (vmask[drops] == vmask[-1])).all()
 
 
 def is_graph_F(graph: FeynmanGraph, edge_subset) -> bool:
@@ -514,41 +523,19 @@ def classify_superficial_convergence(graph: FeynmanGraph,
                                      eps=Fraction(1, 10)) -> CensusReport:
     """Enumerate all connected subgraphs with their power-counting verdicts.
 
-    Every line subset is classified at once as a bitmask: subset k (bit i for
-    line i) has vertex mask vmask[k] and line count size[k], both built by
-    level doubling. Records come in itertools.combinations order, by size and
-    then lexicographically.
+    Every line subset is classified at once from the subset table of all the
+    graph's lines; the connected rows are kept. Records come in
+    itertools.combinations order, by size and then lexicographically.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     ids = graph.edge_ids
-    n_subsets = 2 ** len(ids) - 1
-    if n_subsets > CENSUS_BUDGET:
-        raise CombinatorialBudgetError(
-            f"{n_subsets} line subsets exceed the census guard {CENSUS_BUDGET}"
-        )
-    emask, verts = _line_masks(graph, ids)
-    vmask = np.zeros(n_subsets + 1, dtype=np.int64)
-    size = np.zeros(n_subsets + 1, dtype=np.int64)
-    for i, e in enumerate(emask.tolist()):
-        vmask[1 << i:2 << i] = vmask[:1 << i] | e
-        size[1 << i:2 << i] = size[:1 << i] + 1
+    verts, vmask, size, connected = _subset_table(graph, ids)
     order = _subset_order(len(ids))
-    vmask, size = vmask[order], size[order]
-    connected = _reach(order, vmask, emask) == vmask
-    subsets, vmask, i_lines = order[connected], vmask[connected], size[connected]
-    n_v = np.zeros_like(vmask)
-    ends = np.zeros_like(vmask)
-    for b, v in enumerate(verts):
-        on = (vmask >> b) & 1
-        n_v += on
-        ends += graph.degree(v) * on
-    hooks = ends - 2 * i_lines
-    lam = i_lines - n_v + 1
-    div = 3 * lam - 2 * i_lines
-    ldiv = lam - 4 * i_lines
+    subsets = order[connected[order]]
+    counts = _counts(graph, verts, vmask[subsets], size[subsets])
+    _, i_lines, hooks, _, div, ldiv = counts
     records = tuple(map(SubgraphRecord, _edge_tuples(subsets, i_lines, ids),
-                        n_v.tolist(), i_lines.tolist(), hooks.tolist(), lam.tolist(),
-                        div.tolist(), ldiv.tolist(), _clauses(div, hooks, ldiv, eps)))
+                        *(c.tolist() for c in counts), _clauses(div, hooks, ldiv, eps)))
     return CensusReport(graph_label=graph.label(), eps=eps, records=records)

@@ -55,6 +55,7 @@ __all__ = [
     "DecompositionCheck",
     "mc_moment_Al_squared",
     "MomentComparison",
+    "diagram_moment",
     "check_decay_envelope",
     "DecayEnvelopeReport",
 ]
@@ -350,6 +351,11 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     The MC terms run over the cube [-box_radius, box_radius]^3 on the kernel
     that `diagram_moment` sums for the prediction, so only statistical error
     separates them.
+
+    A_2^2 is heavy-tailed at E* = 0.1, b = 8: a run of a few hundred samples
+    that misses the tail reports both a low mean and a low stderr, so its
+    `z_score` is unreliable (lam = 0.3, x = 0, y = (1, 0, 0), 200 samples:
+    seeds 1-6 gave z = 0.62, 0.56, -7.84, 0.34, -1.18 and -0.81).
     """
     if samples < 2:
         raise ValueError("samples must be >= 2 for a standard error")

@@ -46,6 +46,7 @@ __all__ = [
     "MCParams",
     "GraphValueEstimate",
     "propagator_log_damped",
+    "log_damping_constant",
     "graph_value",
     "torus_pairing_integral",
     "continuum_pairing_integral",

@@ -27,8 +27,12 @@ Fourier phases follow the e^{i 2 pi p.x} convention with p in [-1/2, 1/2]^3.
 Both routes are real: E* >= 0 sits at or below the spectrum, so the +i0 limit
 is real-valued (the FFT route needs E* > 0).
 
-Tables are immutable after construction and symmetric under coordinate
-permutations and sign flips, so evaluation reduces to the sorted-|x| wedge.
+Tables are immutable after construction and store the octant [0, r]^3:
+every read, `value(x)` and `items()` alike, takes the entry at
+(|x1|, |x2|, |x3|), so sign flips are exact.  Bessel tables are also exactly
+permutation-symmetric (each entry is copied from its sorted key); FFT tables
+are permutation-symmetric only to rounding, by their measured
+`symmetry_defect`.
 """
 
 import json
@@ -51,10 +55,6 @@ __all__ = [
     "write_table_csv",
     "read_table_csv",
 ]
-
-
-def _wedge_key(x):
-    return tuple(sorted(abs(int(c)) for c in x))
 
 
 _STEP, _U_MIN = 0.05, -36.0  # ln-t grid; below t = e^-36 the integrand is rounding
@@ -142,7 +142,7 @@ def _green_octant(estar: float, radius: int, rmax: float = math.inf) -> np.ndarr
 
 def green_free(x, estar: float) -> float:
     """Free Green function at lattice vector x, energy distance estar >= 0."""
-    key = _wedge_key(x)
+    key = sorted(abs(int(c)) for c in x)
     return float(_trapezoid(key, estar, math.hypot(*key), BESSEL_RELTOL, 0,
                             lambda tab, w: np.prod(tab, axis=0) @ w, f"x={tuple(x)}"))
 
@@ -173,10 +173,10 @@ class GreenTable:
     tolerance: float  # the route's contract: BESSEL_RELTOL or FFT_TOL
     grid_size: int = 0  # fft only
     symmetry_defect: float = 0.0  # measured octahedral asymmetry (fft route)
-    _data: np.ndarray = field(repr=False, default=None)  # wedge-indexed cube
+    _data: np.ndarray = field(repr=False, default=None)  # octant cube, [|x1|, |x2|, |x3|]
 
     def value(self, x) -> float:
-        a, b, c = _wedge_key(x)
+        a, b, c = (abs(int(t)) for t in x)
         if a * a + b * b + c * c > self.radius**2:
             raise KeyError(f"{tuple(x)} outside tabulated ball radius {self.radius}")
         return float(self._data[a, b, c])
@@ -198,7 +198,7 @@ class GreenTable:
         return float(np.max(self._data[mask] * (norm[mask] + 1.0)))
 
     def validate(self):
-        """Check positivity; symmetry is structural (wedge storage)."""
+        """Check positivity over the ball; sign-flip symmetry is structural (octant storage)."""
         mask = self._ball_mask()
         if not np.all(self._data[mask] > 0.0):
             raise ValueError("GreenTable contains non-positive or missing (NaN) values")
@@ -286,14 +286,20 @@ def write_table_csv(table: GreenTable, path):
 def read_table_csv(path) -> GreenTable:
     """Inverse of `write_table_csv`.
 
-    A wrong header, a truncated file or a row outside the radius ball raises ValueError.
+    A wrong header (a missing key, or a radius `_check_radius` rejects), a
+    truncated file or a row outside the radius ball raises ValueError.
     """
     with open(path) as fh:
         header = json.loads(fh.readline().lstrip("# ").strip())
+        missing = [k for k in ("estar", "method", "tolerance", "radius")
+                   if not isinstance(header, dict) or k not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks {', '.join(missing)}")
         columns = fh.readline().strip()
         if columns != "x1,x2,x3,value":
             raise ValueError(f"{path}: expected columns x1,x2,x3,value, got {columns!r}")
         radius = int(header["radius"])
+        _check_radius(radius)
         data = np.full((radius + 1,) * 3, np.nan)
         for line in fh:
             i, j, k, v = line.strip().split(",")

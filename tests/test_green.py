@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -286,6 +287,46 @@ def test_table_csv_rejects_truncated_file_and_wrong_header(tmp_path):
         fh.writelines([lines[0], "x,y,z,value\n", *lines[2:]])
     with pytest.raises(ValueError, match="columns"):
         gr.read_table_csv(path)
+
+
+def _rewrite_header(path, **changes):
+    with open(path) as fh:
+        header, *rest = fh.readlines()
+    fields = {k: v for k, v in json.loads(header[2:]).items() if k not in changes}
+    fields.update({k: v for k, v in changes.items() if v is not None})
+    with open(path, "w") as fh:
+        fh.writelines(["# " + json.dumps(fields) + "\n", *rest])
+
+
+@pytest.mark.parametrize("key", ["estar", "method", "tolerance", "radius"])
+def test_table_csv_names_a_missing_header_key(tmp_path, key):
+    path = os.path.join(tmp_path, "table.csv")
+    gr.write_table_csv(gr.green_table_bessel(0.4, radius=2), path)
+    _rewrite_header(path, **{key: None})
+    with pytest.raises(ValueError, match=key):
+        gr.read_table_csv(path)
+
+
+def test_table_csv_checks_the_header_radius(tmp_path, monkeypatch):
+    path = os.path.join(tmp_path, "table.csv")
+    gr.write_table_csv(gr.green_table_bessel(0.4, radius=3), path)
+    monkeypatch.setattr(gr, "MAX_RADIUS", 2)
+    with pytest.raises(ValueError, match="beyond"):
+        gr.read_table_csv(path)
+    with open(path) as fh:
+        lines = fh.readlines()[:2]  # a negative radius would leave an empty ball
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    _rewrite_header(path, radius=-1)
+    with pytest.raises(ValueError, match="radius"):
+        gr.read_table_csv(path)
+
+
+def test_fft_table_items_agree_with_value():
+    # FFT entries are permutation-symmetric only to rounding; both reads take (|x1|, |x2|, |x3|)
+    table = gr.green_free_fft(128, 0.05, radius=12)
+    assert table.symmetry_defect > 0.0
+    assert all(table.value(x) == v for x, v in table.items())
 
 
 @pytest.mark.parametrize("row", ["9,0,0,0.1", "4,4,4,0.1"])
