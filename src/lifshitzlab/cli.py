@@ -272,12 +272,14 @@ def run_diagrams(cfg):
     for part in parts:
         graph = dg.build_feynman_graph(part)
         report = dg.classify_superficial_convergence(graph)
-        div, ldiv = dg.divergence_degree(graph)
+        full = report.records[-1]  # combinations order ends on the whole line set
+        if full.edges != graph.edge_ids:
+            raise ValueError(f"graph {graph.label()} is not connected")
         entries.append({
             "partition": part.label(),
             "superficially_convergent": report.superficially_convergent,
-            "full_graph_div": div,
-            "full_graph_l_div": ldiv,
+            "full_graph_div": full.div,
+            "full_graph_l_div": full.l_div,
             "n_subgraphs": len(report.records),
             "divergent_subgraphs": [
                 {"edges": list(r.edges), "div": r.div} for r in report.divergent_records

@@ -19,12 +19,17 @@ sigma, which makes its numerical residual a pure solver-precision check.
 Explicit terms are exactly the strings of order < N; remainder strings of
 order N are A'_N, and remainder strings of order N + 1 all end on a bullet
 appended to an order-(N-1) string, which is the recursion
-B_N = -sigma A'_{N-1} R_r.
+B_N = -sigma A'_{N-1} R_r.  A test checks the recursive generator against a
+second one that enumerates every string and filters it by this rule.
 
 Disorder moments E A_l^2 are estimated two ways: termwise Monte Carlo over
 the potential, and the gate-free partition sum evaluated with truncated
 lattice sums of the free Green function.  Their agreement is the numerical
-witness of the tadpole cancellation that the renormalization buys.
+witness of the tadpole cancellation that the renormalization buys.  The l=2
+Monte Carlo never forms the (n, n) Green matrix of the cube: it evaluates
+its quadratic form from the lower triangle of the symmetrised form, stored
+as column panels of two x-slabs (`_green_panels`), which about halves both
+the arithmetic and the memory.
 """
 
 import math
@@ -49,7 +54,6 @@ __all__ = [
     "ExpansionTerm",
     "Decomposition",
     "generate_terms",
-    "direct_filter_terms",
     "term_order",
     "evaluate_decomposition",
     "DecompositionCheck",
@@ -172,37 +176,6 @@ def generate_terms(stopping_order: int) -> Decomposition:
                          aprime_terms=aprime, bullet_terms=bullets)
 
 
-def direct_filter_terms(stopping_order: int) -> Decomposition:
-    """Independent generator: enumerate all strings and filter by the rule.
-
-    A string is explicit iff its order is < N; it is a remainder iff its
-    order is >= N while the order without the last insertion is < N.
-    """
-    n = stopping_order
-    _check_stopping_order(n)
-    explicit, remainder = [], []
-    strings = [()]
-    for _ in range(n + 1):
-        new = []
-        for s in strings:
-            if term_order(s) < n:
-                new.extend(s + (step,) for step in (POTENTIAL, BULLET))
-        strings.extend(new)
-        if not new:
-            break
-    for s in set(strings):
-        order = term_order(s)
-        if order < n:
-            explicit.append(ExpansionTerm(s, "free"))
-        elif s and term_order(s[:-1]) < n:
-            remainder.append(ExpansionTerm(s, "full"))
-    explicit.sort(key=ExpansionTerm.sort_key)
-    remainder.sort(key=ExpansionTerm.sort_key)
-    return Decomposition(stopping_order=n, explicit_terms=tuple(explicit),
-                         aprime_terms=tuple(t for t in remainder if t.order == n),
-                         bullet_terms=tuple(t for t in remainder if t.order == n + 1))
-
-
 @dataclass(frozen=True)
 class DecompositionCheck:
     """Residual of the decomposition identity evaluated on a finite box."""
@@ -266,15 +239,38 @@ def _green_kernel(estar: float, radius: int) -> np.ndarray:
     return _green_octant(estar, radius)[np.ix_(a, a, a)]
 
 
-def _green_matrix(kernel: np.ndarray, box_radius: int) -> np.ndarray:
-    """Dense (n, n) matrix G(z_a - z_c) over the cube [-box_radius, box_radius]^3.
+def _green_panels(kernel: np.ndarray, box_radius: int, rx, ry):
+    """The l=2 quadratic form (rx o v)^T G (ry o v) as lower column panels.
 
-    Entry (a, c) is kernel[z_c - z_a + 2 box_radius], read from one window view;
-    the kernel is exactly reflection-symmetric, so that is G(z_a - z_c).
+    G is symmetric, so the form is v^T S v with S = G o (rx ry^T + ry rx^T) / 2.
+    Its lower triangle T (T_aa = S_aa, T_ca = 2 S_ca for c > a) carries it
+    alone: v^T S v = sum_{c >= a} v_c T_ca v_a. T is kept as column panels
+    T[i0:, i0:i1] of two x-slabs each, every one read straight from the
+    kernel's window view (entry (c, a) is G(z_c - z_a), as the kernel is
+    reflection-symmetric), so no (n, n) array is formed. Returns (i0, i1, panel)
+    triples for `_panel_quadratic_form`.
     """
     side = 2 * box_radius + 1
+    slab = side * side
     windows = sliding_window_view(kernel, (side,) * 3)[::-1, ::-1, ::-1]
-    return windows.reshape(side**3, side**3)
+    panels = []
+    for x0 in range(0, side, 2):
+        x1 = min(x0 + 2, side)
+        i0, i1 = x0 * slab, x1 * slab
+        t = rx[i0:, None] * ry[i0:i1]
+        t += ry[i0:, None] * rx[i0:i1]
+        t *= windows[x0:, :, :, x0:x1].reshape(-1, i1 - i0)
+        top = t[:i1 - i0]
+        top[np.triu_indices_from(top, 1)] = 0.0
+        top[np.diag_indices_from(top)] *= 0.5
+        panels.append((i0, i1, t))
+    return panels
+
+
+def _panel_quadratic_form(panels, v: np.ndarray) -> np.ndarray:
+    """Row-wise v^T T v over the panels of `_green_panels`, for v of shape (m, n)."""
+    return sum(np.einsum("ij,ij->i", v[:, i0:i1], v[:, i0:] @ t)
+               for i0, i1, t in panels)
 
 
 def _shifted_field(kernel: np.ndarray, radius: int, box_radius: int, site) -> np.ndarray:
@@ -350,7 +346,11 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
 
     The MC terms run over the cube [-box_radius, box_radius]^3 on the kernel
     that `diagram_moment` sums for the prediction, so only statistical error
-    separates them.
+    separates them. For l = 2 each sample's A_2 is lam^2 (rx o v)^T G (ry o v)
+    - sigma sum_z rx ry, the quadratic form read from the lower column panels
+    of `_green_panels`: about half the products of a dense (n, n) G, and
+    about (1/2 + 1/(2b+1)) x 8 n^2 bytes of panels, with n = (2b+1)^3 (0.56 x
+    8 n^2 = 108 MB at b = 8).
 
     A_2^2 is heavy-tailed at E* = 0.1, b = 8: a run of a few hundred samples
     that misses the tail reports both a low mean and a low stderr, so its
@@ -366,7 +366,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     rx = _shifted_field(kernel, 2 * b, b, x_site)
     ry = _shifted_field(kernel, 2 * b, b, y_site)
     if order == 2:
-        gmat = _green_matrix(kernel, b)
+        panels = _green_panels(kernel, b, rx, ry)
 
     density = DensitySpec()
     rng = substream(seed, "moment-mc", order)
@@ -379,9 +379,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
         if order == 1:
             a = lam * (v @ (rx * ry))
         else:
-            w = (v * ry) @ gmat
-            quad = np.sum((rx * v) * w, axis=1)
-            a = lam**2 * quad - sigma * pxy
+            a = lam**2 * _panel_quadratic_form(panels, v) - sigma * pxy
         vals[done:done + m] = a**2
         done += m
     mc = float(np.mean(vals))

@@ -10,6 +10,13 @@ Loop momenta are importance-sampled from the isotropic heavy-tailed density
 g(q) = (1/pi^2) (1 + q^2)^{-2} (radius tan(theta) with theta ~ sin^2), which
 is normalizable in 3D and heavier-tailed than F^2.
 
+Momenta are stored component-major: the loop momenta of a run form one
+(3, loops, samples) array and the tree momenta one (3, tree lines, samples)
+array, so |q|^2 is q[0]^2 + q[1]^2 + q[2]^2 over contiguous rows and the
+products over loops and lines run along axis 0. The draws are made in
+(samples, loops, 3) order and then transposed, so each sample's value does
+not depend on the layout.
+
 The torus variant integrates prod 1/(e(p)+E*) with loop momenta uniform on
 T^3; its continuum surrogate replaces propagators by 1/(q^2+E*) over R^3 and
 obeys the exact scaling value ~ (E*)^{1 - n/2}.
@@ -106,33 +113,42 @@ def _sample_heavy_radius(rng, count, scale=1.0):
     return scale * out
 
 
+def _norm2(q):
+    """|q|^2 of component-major momenta q, shape (3, ...)."""
+    return q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
+
+
 def _sample_isotropic(rng, shape, scale=1.0):
-    """Vectors from g(q) = (sqrt(scale2)/pi^2) (scale2 + q^2)^{-2}, scale2=scale^2."""
+    """Vectors from g(q) = (sqrt(scale2)/pi^2) (scale2 + q^2)^{-2}, scale2=scale^2.
+
+    Drawn in `shape` order and returned component-major, shape (3, *reversed(shape)).
+    """
     count = int(np.prod(shape))
     r = _sample_heavy_radius(rng, count, scale)
-    d = rng.normal(size=(count, 3))
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    return (r[:, None] * d).reshape(*shape, 3)
+    d = np.ascontiguousarray(rng.normal(size=(*shape, 3)).T)
+    d /= np.sqrt(_norm2(d))
+    d *= r.reshape(shape).T
+    return d
 
 
 def _proposal_density(q, scale=1.0):
-    q2 = np.sum(q * q, axis=-1)
-    return (scale / math.pi**2) / (scale * scale + q2) ** 2
+    return (scale / math.pi**2) / (scale * scale + _norm2(q)) ** 2
 
 
 def _loop_momentum_mc(graph: FeynmanGraph, mc: MCParams, stream: str, sample,
                       loop_weight, line_weight):
     """MC mean and stderr of prod_loops loop_weight(w) prod_tree line_weight(u).
 
-    `sample(rng, shape)` draws the loop momenta w, shape (samples, loops, 3);
-    the tree momenta are u_i = sum_j a_ij w_j from the spanning-tree split.
+    `sample(rng, (samples, loops))` draws the loop momenta w component-major,
+    shape (3, loops, samples); the tree momenta are u_i = sum_j a_ij w_j from
+    the spanning-tree split, one matrix product per component.
     """
     tree, loops, a = spanning_tree_decomposition(graph)
     w = sample(substream(mc.seed, stream, 0), (mc.samples, len(loops)))
-    est = np.prod(loop_weight(w), axis=1)
+    est = np.prod(loop_weight(w), axis=0)
     if tree:
-        u = np.einsum("ij,mjc->mic", np.array(a, dtype=float), w)
-        est = est * np.prod(line_weight(u), axis=1)
+        u = np.array(a, dtype=float) @ w
+        est = est * np.prod(line_weight(u), axis=0)
     return float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(est.size))
 
 
@@ -144,7 +160,7 @@ def graph_value(graph: FeynmanGraph, mc: MCParams = MCParams()) -> GraphValueEst
             f"graph {graph.label()} is not superficially convergent; "
             "its momentum integral diverges"
         )
-    propagator = lambda q: propagator_log_damped(np.sum(q * q, axis=-1))
+    propagator = lambda q: propagator_log_damped(_norm2(q))
     value, stderr = _loop_momentum_mc(
         graph, mc, mc.stream, _sample_isotropic,
         lambda w: propagator(w) / _proposal_density(w), propagator)
@@ -157,11 +173,11 @@ def torus_pairing_integral(graph: FeynmanGraph, estar: float,
     """Torus integral of prod 1/(e(p)+E*) over the graph's delta-constrained momenta."""
     if estar <= 0:
         raise ValueError("estar must be > 0")
-    propagator = lambda p: 1.0 / (dispersion(p) + estar)
-    value, stderr = _loop_momentum_mc(
-        graph, mc, mc.stream + ".torus",
-        lambda rng, shape: rng.uniform(-0.5, 0.5, size=(*shape, 3)),
-        propagator, propagator)
+    propagator = lambda p: 1.0 / (dispersion(np.moveaxis(p, 0, -1)) + estar)
+    uniform = lambda rng, shape: np.ascontiguousarray(
+        rng.uniform(-0.5, 0.5, size=(*shape, 3)).T)
+    value, stderr = _loop_momentum_mc(graph, mc, mc.stream + ".torus", uniform,
+                                      propagator, propagator)
     return GraphValueEstimate(graph_id=graph.label() + f"@torus(E*={estar:g})",
                               value=value, stderr=stderr, samples=mc.samples,
                               method="importance-MC")
@@ -173,7 +189,7 @@ def continuum_pairing_integral(graph: FeynmanGraph, estar: float,
     if estar <= 0:
         raise ValueError("estar must be > 0")
     scale = math.sqrt(estar)
-    propagator = lambda q: 1.0 / (np.sum(q * q, axis=-1) + estar)
+    propagator = lambda q: 1.0 / (_norm2(q) + estar)
     value, stderr = _loop_momentum_mc(
         graph, mc, mc.stream + ".continuum",
         lambda rng, shape: _sample_isotropic(rng, shape, scale=scale),

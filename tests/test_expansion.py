@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lifshitzlab import selfenergy as se
 from lifshitzlab.density import DensitySpec
 from lifshitzlab.errors import (CombinatorialBudgetError, SingularSolveError,
                                 TruncationError)
+from lifshitzlab.rng import substream
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "terms_N2_golden.txt")
 
@@ -44,10 +46,41 @@ def test_order_counting_rule():
     assert term.weight(2.0, 3.0) == pytest.approx(-18.0)  # (-3)(-2)(-3)
 
 
+def direct_filter_terms(stopping_order: int) -> ex.Decomposition:
+    """Independent generator: enumerate all strings and filter by the rule (test oracle).
+
+    A string is explicit iff its order is < N; it is a remainder iff its
+    order is >= N while the order without the last insertion is < N.
+    """
+    n = stopping_order
+    explicit, remainder = [], []
+    strings = [()]
+    for _ in range(n + 1):
+        new = []
+        for s in strings:
+            if ex.term_order(s) < n:
+                new.extend(s + (step,) for step in (ex.POTENTIAL, ex.BULLET))
+        strings.extend(new)
+        if not new:
+            break
+    for s in set(strings):
+        order = ex.term_order(s)
+        if order < n:
+            explicit.append(ex.ExpansionTerm(s, "free"))
+        elif s and ex.term_order(s[:-1]) < n:
+            remainder.append(ex.ExpansionTerm(s, "full"))
+    explicit.sort(key=ex.ExpansionTerm.sort_key)
+    remainder.sort(key=ex.ExpansionTerm.sort_key)
+    return ex.Decomposition(
+        stopping_order=n, explicit_terms=tuple(explicit),
+        aprime_terms=tuple(t for t in remainder if t.order == n),
+        bullet_terms=tuple(t for t in remainder if t.order == n + 1))
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_recursive_and_direct_filter_agree(n):
     rec = ex.generate_terms(n)
-    filt = ex.direct_filter_terms(n)
+    filt = direct_filter_terms(n)
     assert set(rec.all_terms) == set(filt.all_terms)
     assert rec.all_terms == filt.all_terms  # canonical ordering too
 
@@ -279,11 +312,58 @@ def dense_green_matrix(kernel, b):
     return kernel[2 * b:, 2 * b:, 2 * b:][diffs[..., 0], diffs[..., 1], diffs[..., 2]]
 
 
+@pytest.mark.parametrize("b", [3, 4, 5])
 @pytest.mark.parametrize("estar", [0.45, 0.1])
-def test_green_matrix_equals_dense_oracle(estar):
-    b = 5
+def test_panel_quadratic_form_equals_dense_oracle(b, estar):
     kernel = ex._green_kernel(estar, 2 * b)
-    assert np.array_equal(ex._green_matrix(kernel, b), dense_green_matrix(kernel, b))
+    rx = ex._shifted_field(kernel, 2 * b, b, (0, 0, 0))
+    ry = ex._shifted_field(kernel, 2 * b, b, (1, -1, 0))
+    panels = ex._green_panels(kernel, b, rx, ry)
+    v = np.random.default_rng(b).uniform(-1.0, 1.0, size=(7, rx.size))
+    dense = np.einsum("ma,ac,mc->m", v * rx, dense_green_matrix(kernel, b), v * ry)
+    np.testing.assert_allclose(ex._panel_quadratic_form(panels, v), dense,
+                               rtol=1e-13, atol=0.0)
+
+
+def dense_mc_moment_l2(ctx, x_site, y_site, samples, b, seed):
+    """The l=2 moment MC with the dense (n, n) Green matrix (test oracle): (mean, stderr)."""
+    kernel = ex._green_kernel(ctx.estar, 2 * b)
+    rx = ex._shifted_field(kernel, 2 * b, b, x_site)
+    ry = ex._shifted_field(kernel, 2 * b, b, y_site)
+    gmat = dense_green_matrix(kernel, b)
+    rng = substream(seed, "moment-mc", 2)
+    pxy = float(np.sum(rx * ry))
+    vals, done = np.empty(samples), 0
+    while done < samples:
+        m = min(ex.MC_BATCH, samples - done)
+        v = DensitySpec().sample(rng, (m, rx.size))
+        quad = np.sum((rx * v) * ((v * ry) @ gmat), axis=1)
+        vals[done:done + m] = (ctx.lam**2 * quad - ctx.sigma * pxy) ** 2
+        done += m
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples))
+
+
+def test_l2_moment_mc_matches_dense_oracle(context_factory):
+    ctx = context_factory(0.5, 0.45)
+    x, y = (0, 0, 0), (1, 0, 0)
+    cmp2 = ex.mc_moment_Al_squared(2, ctx, x, y, samples=1200, box_radius=5, seed=4)
+    mean, stderr = dense_mc_moment_l2(ctx, x, y, 1200, 5, 4)
+    assert cmp2.mc_estimate == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert cmp2.mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+def test_l2_moment_mc_forms_no_dense_green_matrix(context_factory):
+    # the panels hold about 0.56 of the 8 n^2 bytes of a dense (n, n) matrix at b = 8
+    b = 8
+    n = (2 * b + 1) ** 3
+    ctx = context_factory(0.3, 0.1)
+    tracemalloc.start()
+    try:
+        ex.mc_moment_Al_squared(2, ctx, (0, 0, 0), (1, 0, 0), samples=2, box_radius=b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.7 * 8 * n * n
 
 
 @pytest.mark.parametrize("b", [3, 4])

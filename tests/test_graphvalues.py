@@ -6,7 +6,9 @@ from scipy.integrate import quad
 
 from lifshitzlab import diagrams as dg
 from lifshitzlab import graphvalues as gv
+from lifshitzlab import selfenergy as se
 from lifshitzlab.errors import NonIntegrableError, OutsideLifshitzWindowError
+from lifshitzlab.rng import substream
 
 A, B = frozenset({1}), frozenset({2})
 TWO_LINE = dg.FeynmanGraph(n=0, partition=None, edges={1: (A, B), 2: (A, B)},
@@ -52,6 +54,59 @@ def _gate_free_graphs(n):
     parts = dg.enumerate_partitions(dg.IndexSet(n, n), pairings_only=True,
                                     gate_free=True)
     return [dg.build_feynman_graph(p) for p in parts]
+
+
+def row_major_loop_momentum_mc(graph, mc, stream, sample, loop_weight, line_weight):
+    """The loop-momentum MC with momenta stored (samples, loops, 3) (test oracle)."""
+    tree, loops, a = dg.spanning_tree_decomposition(graph)
+    w = sample(substream(mc.seed, stream, 0), (mc.samples, len(loops)))
+    est = np.prod(loop_weight(w), axis=1)
+    if tree:
+        u = np.einsum("ij,mjc->mic", np.array(a, dtype=float), w)
+        est = est * np.prod(line_weight(u), axis=1)
+    return float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(est.size))
+
+
+def row_major_values(graph, estar, mc):
+    """(value, stderr) of graph_value, torus and continuum integrals, row-major oracle."""
+    def isotropic(rng, shape, scale):
+        r = gv._sample_heavy_radius(rng, int(np.prod(shape)), scale)
+        d = rng.normal(size=(r.size, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        return (r[:, None] * d).reshape(*shape, 3)
+
+    q2 = lambda q: np.sum(q * q, axis=-1)
+    density = lambda q, scale: (scale / math.pi**2) / (scale * scale + q2(q)) ** 2
+    damped = lambda q: gv.propagator_log_damped(q2(q))
+    torus = lambda p: 1.0 / (se.dispersion(p) + estar)
+    scale = math.sqrt(estar)
+    continuum = lambda q: 1.0 / (q2(q) + estar)
+    return {
+        "graph_value": row_major_loop_momentum_mc(
+            graph, mc, mc.stream, lambda rng, shape: isotropic(rng, shape, 1.0),
+            lambda w: damped(w) / density(w, 1.0), damped),
+        "torus": row_major_loop_momentum_mc(
+            graph, mc, mc.stream + ".torus",
+            lambda rng, shape: rng.uniform(-0.5, 0.5, size=(*shape, 3)), torus, torus),
+        "continuum": row_major_loop_momentum_mc(
+            graph, mc, mc.stream + ".continuum",
+            lambda rng, shape: isotropic(rng, shape, scale),
+            lambda w: continuum(w) / density(w, scale), continuum),
+    }
+
+
+@pytest.mark.parametrize("graph", [
+    TWO_LINE, GRAPH_F, *_gate_free_graphs(2), _gate_free_graphs(3)[1],
+    _gate_free_graphs(4)[0],
+], ids=["two-line", "graph-F", "n2-a", "n2-b", "n3", "n4"])
+def test_component_major_mc_matches_row_major_oracle(graph):
+    estar, mc = 0.2, gv.MCParams(samples=3_000, seed=9, stream="layout")
+    oracle = row_major_values(graph, estar, mc)
+    for name, est in [("graph_value", gv.graph_value(graph, mc)),
+                      ("torus", gv.torus_pairing_integral(graph, estar, mc)),
+                      ("continuum", gv.continuum_pairing_integral(graph, estar, mc))]:
+        expected = pytest.approx(oracle[name], rel=1e-13, abs=0.0)
+        assert (est.value, est.stderr) == expected, name
 
 
 def test_two_line_loop_matches_radial_quadrature():
