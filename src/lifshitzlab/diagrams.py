@@ -9,13 +9,15 @@ Each partition maps to a closed directed multigraph: two chains of n
 vertices carry momentum lines p_1..p_{n+1} and p_{n+2}..p_{2n+2}, block
 members are merged into single vertices, and the four chain endpoints merge
 into one external vertex (the endpoint delta function is forced by the block
-deltas).  Momentum conservation at the merged vertices reproduces the block
-delta functions delta(sum_{i in S} p_i - p_{i+1}) exactly.
+deltas; a test checks that it lies in their row space).  Momentum
+conservation at the merged vertices reproduces the block delta functions
+delta(sum_{i in S} p_i - p_{i+1}) exactly.
 
 A spanning tree avoiding the two phase-carrying lines p_1, p_{n+2} splits
 edges into k tree momenta and l loop momenta with k + l = 2n + 2; the
 reduced system u_i = sum_j a_ij w_j determines the same affine subspace as
-the block deltas (checked by exact rank over the rationals).
+the block deltas (a test checks this by exact rank over the rationals, for
+every pairing graph at n = 2, 3).
 
 Power counting on a subgraph G' (a subset of lines): N vertices, I internal
 lines, E external hooks, Lambda = I - N + 1 loops,
@@ -55,10 +57,7 @@ __all__ = [
     "cumulant_coefficient",
     "FeynmanGraph",
     "build_feynman_graph",
-    "moment_from_partition_sum",
     "spanning_tree_decomposition",
-    "reduced_delta_system",
-    "DeltaSystem",
     "divergence_degree",
     "is_one_line_reducible",
     "classify_superficial_convergence",
@@ -169,7 +168,8 @@ def cumulant_coefficient(block_size: int) -> float:
 
     Defined recursively so that the single-site moments of the uniform law
     satisfy m_{2l} = sum over even partitions pi of 2l slots of
-    prod_j c_{|S_j|}; in particular c_2 = 1 (unit variance).
+    prod_j c_{|S_j|}; in particular c_2 = 1 (unit variance).  A test
+    rebuilds m_2 .. m_8 from that partition sum.
     """
     if block_size % 2 or block_size <= 0:
         raise ValueError("block size must be a positive even integer")
@@ -185,17 +185,6 @@ def cumulant_coefficient(block_size: int) -> float:
             prod *= cumulant_coefficient(len(b))
         total += prod
     return density.moment(block_size) - total
-
-
-def moment_from_partition_sum(order: int) -> float:
-    """Reconstruct m_{2l} from the partition sum (consistency oracle)."""
-    total = 0.0
-    for blocks in _even_partitions(tuple(range(order))):
-        prod = 1.0
-        for b in blocks:
-            prod *= cumulant_coefficient(len(b))
-        total += prod
-    return total
 
 
 @dataclass(frozen=True)
@@ -227,27 +216,6 @@ class FeynmanGraph:
     def degree(self, vertex) -> int:
         return sum((t == vertex) + (h == vertex) for t, h in self.edges.values())
 
-    def delta_system(self) -> "DeltaSystem":
-        """Block delta functions as integer coefficient vectors over p_1..p_{2n+2}."""
-        dim = 2 * self.n + 2
-        rows = []
-        for block in sorted(self.partition.blocks, key=lambda b: min(b)):
-            row = [0] * dim
-            for i in sorted(block):
-                row[i - 1] += 1
-                row[i] -= 1
-            rows.append(tuple(row))
-        return DeltaSystem(dim=dim, constraints=tuple(rows))
-
-    def endpoint_delta(self) -> tuple:
-        """The forced constraint p_1 - p_{n+1} + p_{n+2} - p_{2n+2} = 0."""
-        row = [0] * (2 * self.n + 2)
-        row[0] = 1
-        row[self.n] = -1
-        row[self.n + 1] = 1
-        row[2 * self.n + 1] = -1
-        return tuple(row)
-
     def label(self) -> str:
         if self.partition is not None:
             return self.partition.label()
@@ -273,58 +241,12 @@ def build_feynman_graph(partition: Partition) -> FeynmanGraph:
                         special_edges=(1, n + 2))
 
 
-def _rank_exact(rows) -> int:
-    """Rank over Q of integer rows (fraction-pivot Gaussian elimination)."""
-    mat = [[Fraction(int(x)) for x in row] for row in rows]
-    if not mat:
-        return 0
-    rank, cols = 0, len(mat[0])
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-@dataclass(frozen=True)
-class DeltaSystem:
-    """Product of momentum delta functions as integer linear constraints."""
-
-    dim: int
-    constraints: tuple  # of integer coefficient tuples
-
-    def rank(self) -> int:
-        return _rank_exact(self.constraints)
-
-    def equivalent(self, other: "DeltaSystem") -> bool:
-        """Same affine subspace: equal row spaces, tested by exact rank."""
-        if self.dim != other.dim:
-            return False
-        ra, rb = self.rank(), other.rank()
-        rboth = _rank_exact(list(self.constraints) + list(other.constraints))
-        return ra == rb == rboth
-
-    def forces(self, row) -> bool:
-        """True when `row` = 0 holds on the subspace (lies in the row space)."""
-        return _rank_exact(list(self.constraints) + [tuple(row)]) == self.rank()
-
-
 def spanning_tree_decomposition(graph: FeynmanGraph):
     """Tree/loop split avoiding the special edges, plus the a_ij matrix.
 
     Returns (tree_edge_ids, loop_edge_ids, a) with loop order starting at the
     special edges and a[i][j] in {-1, 0, +1} such that u_i = sum_j a_ij w_j
-    reproduces the delta system. One breadth-first pass builds the tree and
+    reproduces the block deltas. One breadth-first pass builds the tree and
     gives each vertex v its signed path: path[v][e] = +1 when the tree path
     root -> v follows edge e's orientation. Loop j = (t -> h) closes through
     h -> root -> t, so a[i][j] = path[t][i] - path[h][i].
@@ -353,19 +275,6 @@ def spanning_tree_decomposition(graph: FeynmanGraph):
     a = tuple(tuple(path[t].get(e, 0) - path[h].get(e, 0) for t, h in ends)
               for e in tree)
     return tuple(tree), loops, a
-
-
-def reduced_delta_system(graph: FeynmanGraph, tree, loops, a) -> DeltaSystem:
-    """Constraints u_i - sum_j a_ij w_j = 0 as a DeltaSystem."""
-    dim = 2 * graph.n + 2
-    rows = []
-    for i, te in enumerate(tree):
-        row = [0] * dim
-        row[te - 1] = 1
-        for j, le in enumerate(loops):
-            row[le - 1] -= a[i][j]
-        rows.append(tuple(row))
-    return DeltaSystem(dim=dim, constraints=tuple(rows))
 
 
 def _subset_table(graph: FeynmanGraph, lines):

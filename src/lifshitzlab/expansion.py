@@ -93,25 +93,6 @@ class ExpansionTerm:
     def order(self) -> int:
         return term_order(self.insertions)
 
-    def weight(self, lam: float, sigma: float) -> float:
-        """Scalar coefficient: each V carries -lam, each bullet -sigma."""
-        out = 1.0
-        for t in self.insertions:
-            out *= -lam if t == POTENTIAL else -sigma
-        return out
-
-    def display(self) -> str:
-        """Human-readable operator string, e.g. 'Rr.V.Rr.B.R'."""
-        parts = ["Rr"]
-        for t in self.insertions:
-            parts.append(t)
-            parts.append("Rr")
-        if self.insertions:
-            parts[-1] = "Rr" if self.terminal == "free" else "R"
-        elif self.terminal == "full":
-            parts = ["R"]
-        return ".".join(parts)
-
     def sort_key(self):
         # potential sorts before bullet; shorter strings first within an order
         return (self.order, len(self.insertions),
@@ -299,9 +280,10 @@ class MomentComparison:
 def _truncation_ratio(rx, ry, box_radius):
     """Boundary-shell share of the l=1 lattice sum (truncation health check)."""
     w = rx**2 * ry**2
-    shell = Box(side=2 * box_radius + 1).boundary_indices()
+    shell = np.ones((2 * box_radius + 1,) * 3, dtype=bool)
+    shell[1:-1, 1:-1, 1:-1] = False
     total = float(np.sum(w))
-    return float(np.sum(w[shell])) / total if total > 0 else 0.0
+    return float(np.sum(w[shell.ravel()])) / total if total > 0 else 0.0
 
 
 def diagram_moment(order: int, context: EnergyContext, x_site, y_site,

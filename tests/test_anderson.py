@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lifshitzlab import anderson as am
@@ -319,6 +320,22 @@ def test_krylov_columns_match_factorization(side, lam, energy, etas):
             assert np.linalg.norm(res) <= am.RESIDUAL_TOL
             ref = np.abs(am.resolvent_column(h, energy, eta, box, y)[near])
             assert np.max(np.abs(np.abs(u[near]) - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [0.85, 0.85 + 1e-3j])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("side", [2, 5, 8])
+def test_sparse_hamiltonian_matches_stencil(side, lam, shift):
+    # build_hamiltonian (splu, evaluate_decomposition) and _apply_stencil
+    # (Krylov steps, residual checks) are the same operator, entry by entry
+    box = am.Box(side=side)
+    pot = am.sample_potential(box, DensitySpec(), 4, side)
+    pot_grid = None if lam == 0.0 else (lam * pot).reshape((side,) * 3)
+    v = np.random.default_rng(side).standard_normal(box.n_sites)
+    h = am.build_hamiltonian(box, pot, lam)
+    want = (h + shift * sp.identity(box.n_sites)) @ v
+    got = am._apply_stencil(v.reshape((side,) * 3), shift, pot_grid).ravel()
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_moments_need_no_sparse_hamiltonian(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from lifshitzlab import cli
 from lifshitzlab import diagrams as dg
 from lifshitzlab import green as gr
-from lifshitzlab.density import DensitySpec
+from lifshitzlab.density import SQRT3, DensitySpec
 from lifshitzlab.errors import CombinatorialBudgetError
 from test_graphvalues import GRAPH_F, TWO_LINE
 
@@ -108,21 +109,37 @@ def test_cumulants_uniform_density():
         dg.cumulant_coefficient(3)
 
 
+def moment_from_partition_sum(order: int) -> float:
+    """Reconstruct m_{2l} from the partition sum (consistency oracle)."""
+    total = 0.0
+    for blocks in dg._even_partitions(tuple(range(order))):
+        prod = 1.0
+        for b in blocks:
+            prod *= dg.cumulant_coefficient(len(b))
+        total += prod
+    return total
+
+
+def uniform_pdf(v):
+    """Density of the uniform law on [-sqrt(3), sqrt(3)] (quadrature oracle)."""
+    v = np.asarray(v, dtype=float)
+    return np.where(np.abs(v) <= SQRT3, 1.0 / (2.0 * SQRT3), 0.0)
+
+
 def test_moment_reconstruction_from_partition_sum():
     density = DensitySpec()
     for order in (2, 4, 6, 8):
-        assert dg.moment_from_partition_sum(order) == pytest.approx(
+        assert moment_from_partition_sum(order) == pytest.approx(
             density.moment(order), rel=1e-10)
 
 
 def test_two_site_moment_matches_partition_prediction():
     # E[V(a)^2 V(b)^4] for a != b by numeric integration over the product
     # density, against the partition-sum prediction c2 * (3 c2^2 + c4)
-    density = DensitySpec()
     nodes, weights = np.polynomial.legendre.leggauss(40)
-    a = density.support_max
+    a = SQRT3
     x = a * nodes
-    w = a * weights * density.pdf(x)
+    w = a * weights * uniform_pdf(x)
     m2 = float(np.sum(w * x**2))
     m4 = float(np.sum(w * x**4))
     lhs = m2 * m4  # independence
@@ -136,10 +153,92 @@ FIG1_PARTITION = frozenset({frozenset({1, 3}), frozenset({2, 6}),
                             frozenset({4, 9}), frozenset({7, 8})})
 
 
+def _rank_exact(rows) -> int:
+    """Rank over Q of integer rows (fraction-pivot Gaussian elimination)."""
+    mat = [[Fraction(int(x)) for x in row] for row in rows]
+    if not mat:
+        return 0
+    rank, cols = 0, len(mat[0])
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        mat[rank] = [x / pv for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+@dataclass(frozen=True)
+class DeltaSystem:
+    """Product of momentum delta functions as integer linear constraints (test oracle)."""
+
+    dim: int
+    constraints: tuple  # of integer coefficient tuples
+
+    def rank(self) -> int:
+        return _rank_exact(self.constraints)
+
+    def equivalent(self, other: "DeltaSystem") -> bool:
+        """Same affine subspace: equal row spaces, tested by exact rank."""
+        if self.dim != other.dim:
+            return False
+        ra, rb = self.rank(), other.rank()
+        rboth = _rank_exact(list(self.constraints) + list(other.constraints))
+        return ra == rb == rboth
+
+    def forces(self, row) -> bool:
+        """True when `row` = 0 holds on the subspace (lies in the row space)."""
+        return _rank_exact(list(self.constraints) + [tuple(row)]) == self.rank()
+
+
+def delta_system(graph: dg.FeynmanGraph) -> DeltaSystem:
+    """Block delta functions as integer coefficient vectors over p_1..p_{2n+2}."""
+    dim = 2 * graph.n + 2
+    rows = []
+    for block in sorted(graph.partition.blocks, key=lambda b: min(b)):
+        row = [0] * dim
+        for i in sorted(block):
+            row[i - 1] += 1
+            row[i] -= 1
+        rows.append(tuple(row))
+    return DeltaSystem(dim=dim, constraints=tuple(rows))
+
+
+def endpoint_delta(graph: dg.FeynmanGraph) -> tuple:
+    """The forced constraint p_1 - p_{n+1} + p_{n+2} - p_{2n+2} = 0."""
+    row = [0] * (2 * graph.n + 2)
+    row[0] = 1
+    row[graph.n] = -1
+    row[graph.n + 1] = 1
+    row[2 * graph.n + 1] = -1
+    return tuple(row)
+
+
+def reduced_delta_system(graph: dg.FeynmanGraph, tree, loops, a) -> DeltaSystem:
+    """Constraints u_i - sum_j a_ij w_j = 0 as a DeltaSystem."""
+    dim = 2 * graph.n + 2
+    rows = []
+    for i, te in enumerate(tree):
+        row = [0] * dim
+        row[te - 1] = 1
+        for j, le in enumerate(loops):
+            row[le - 1] -= a[i][j]
+        rows.append(tuple(row))
+    return DeltaSystem(dim=dim, constraints=tuple(rows))
+
+
 def test_reference_graph_delta_system():
     part = dg.Partition(dg.IndexSet(4, 4), FIG1_PARTITION)
     graph = dg.build_feynman_graph(part)
-    system = graph.delta_system()
+    system = delta_system(graph)
     expected = [
         (1, -1, 1, -1, 0, 0, 0, 0, 0, 0),     # p1 - p2 + p3 - p4
         (0, 0, 0, 1, -1, 0, 0, 0, 1, -1),     # p4 - p5 + p9 - p10
@@ -150,8 +249,8 @@ def test_reference_graph_delta_system():
         assert row in system.constraints
     # summing all four block deltas forces the endpoint delta p1-p5+p6-p10
     total = tuple(sum(c[i] for c in system.constraints) for i in range(10))
-    assert total == graph.endpoint_delta()
-    assert system.forces(graph.endpoint_delta())
+    assert total == endpoint_delta(graph)
+    assert system.forces(endpoint_delta(graph))
 
 
 def test_gate_block_yields_zero_loop():
@@ -177,9 +276,9 @@ def test_spanning_tree_counts_and_equivalence(n):
         assert len(tree) == n and len(loops) == n + 2
         assert len(tree) + len(loops) == 2 * n + 2
         assert loops[0] == 1 and loops[1] == n + 2  # specials are loop momenta
-        assert len(tree) == len(graph.delta_system().constraints)
-        reduced = dg.reduced_delta_system(graph, tree, loops, a)
-        assert graph.delta_system().equivalent(reduced)
+        assert len(tree) == len(delta_system(graph).constraints)
+        reduced = reduced_delta_system(graph, tree, loops, a)
+        assert delta_system(graph).equivalent(reduced)
 
 
 def _decomposition_test_graphs():
@@ -218,9 +317,9 @@ def test_spanning_tree_adhoc_graph_and_disconnection():
 
 
 def test_delta_system_rank_oracle():
-    sys_a = dg.DeltaSystem(dim=3, constraints=((1, -1, 0), (0, 1, -1)))
-    sys_b = dg.DeltaSystem(dim=3, constraints=((1, 0, -1), (0, 1, -1)))
-    sys_c = dg.DeltaSystem(dim=3, constraints=((1, -1, 0),))
+    sys_a = DeltaSystem(dim=3, constraints=((1, -1, 0), (0, 1, -1)))
+    sys_b = DeltaSystem(dim=3, constraints=((1, 0, -1), (0, 1, -1)))
+    sys_c = DeltaSystem(dim=3, constraints=((1, -1, 0),))
     assert sys_a.equivalent(sys_b)
     assert not sys_a.equivalent(sys_c)
     assert sys_a.forces((1, 0, -1))

@@ -20,11 +20,32 @@ from lifshitzlab.rng import substream
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "terms_N2_golden.txt")
 
 
+def weight(term: ex.ExpansionTerm, lam: float, sigma: float) -> float:
+    """Scalar coefficient: each V carries -lam, each bullet -sigma."""
+    out = 1.0
+    for t in term.insertions:
+        out *= -lam if t == ex.POTENTIAL else -sigma
+    return out
+
+
+def display(term: ex.ExpansionTerm) -> str:
+    """Human-readable operator string, e.g. 'Rr.V.Rr.B.R'."""
+    parts = ["Rr"]
+    for t in term.insertions:
+        parts.append(t)
+        parts.append("Rr")
+    if term.insertions:
+        parts[-1] = "Rr" if term.terminal == "free" else "R"
+    elif term.terminal == "full":
+        parts = ["R"]
+    return ".".join(parts)
+
+
 def test_n2_expansion_matches_five_term_display():
     dec = ex.generate_terms(2)
-    displays = [t.display() for t in dec.all_terms]
+    displays = [display(t) for t in dec.all_terms]
     assert displays == ["Rr", "Rr.V.Rr", "Rr.B.R", "Rr.V.Rr.V.R", "Rr.V.Rr.B.R"]
-    signs = [t.weight(1.0, 1.0) for t in dec.all_terms]
+    signs = [weight(t, 1.0, 1.0) for t in dec.all_terms]
     assert signs == [1.0, -1.0, -1.0, 1.0, 1.0]
 
 
@@ -36,14 +57,14 @@ def test_n2_term_table_matches_golden_file():
 
 def test_n1_base_identity_terms():
     dec = ex.generate_terms(1)
-    assert [t.display() for t in dec.all_terms] == ["Rr", "Rr.V.R", "Rr.B.R"]
+    assert [display(t) for t in dec.all_terms] == ["Rr", "Rr.V.R", "Rr.B.R"]
 
 
 def test_order_counting_rule():
     assert ex.term_order(("B", "V", "B")) == 5
     term = ex.ExpansionTerm(("B", "V", "B"), "full")
     assert term.order == 5
-    assert term.weight(2.0, 3.0) == pytest.approx(-18.0)  # (-3)(-2)(-3)
+    assert weight(term, 2.0, 3.0) == pytest.approx(-18.0)  # (-3)(-2)(-3)
 
 
 def direct_filter_terms(stopping_order: int) -> ex.Decomposition:
@@ -245,6 +266,17 @@ def test_truncation_guard_near_boundary(context_factory, call):
     ctx = context_factory(0.5, 0.05)  # slow decay: truncation visibly bad
     with pytest.raises(TruncationError):
         call(ctx)
+
+
+def test_decay_envelope_beyond_the_sparse_box_budget(context_factory):
+    # the guard's advice at b = 49 is a larger box; the b = 54 cube has more
+    # sites than anderson.MAX_BOX_SITES, a budget for Anderson boxes that the
+    # moment sums do not build
+    ctx = context_factory(0.3, 0.005)
+    with pytest.raises(TruncationError, match="beyond 49"):
+        ex.check_decay_envelope(1, ctx, [30, 50, 70, 88])
+    assert (2 * 54 + 1) ** 3 > am.MAX_BOX_SITES
+    assert ex.check_decay_envelope(1, ctx, [30, 50, 70, 88], box_margin=10).holds
 
 
 def test_mc_moment_decay_rate(context_factory):
