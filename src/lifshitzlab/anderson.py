@@ -113,17 +113,15 @@ def build_hamiltonian(box: Box, potential: np.ndarray, lam: float) -> sp.csc_mat
     """H = -Delta/2 + lam V, Dirichlet: diagonal 3 + lam V, off-diagonal -1/2."""
     if potential.shape != (box.n_sites,):
         raise ValueError("potential must be a flat field over the box")
-    side = box.side
-    ones = np.ones(side - 1)
-    d1 = sp.diags([ones, ones], [-1, 1], shape=(side, side))
-    eye = sp.identity(side)
-    adj = (sp.kron(sp.kron(d1, eye), eye)
-           + sp.kron(sp.kron(eye, d1), eye)
-           + sp.kron(sp.kron(eye, eye), d1))
-    h = (3.0 * sp.identity(box.n_sites) - 0.5 * adj).tocsc()
-    if lam != 0.0:
-        h = h + sp.diags(lam * potential)
-    return h.tocsc()
+    side, n = box.side, box.n_sites
+    grid = np.indices((side,) * 3).reshape(3, n)
+    diagonals, offsets = [3.0 + lam * potential], [0]
+    for axis, stride in zip(grid, (side * side, side, 1)):
+        # hop from site i to i + stride, zero where i sits on the upper wall
+        hop = np.where(axis[:n - stride] < side - 1, -0.5, 0.0)
+        diagonals += [hop, hop]
+        offsets += [stride, -stride]
+    return sp.diags(diagonals, offsets, shape=(n, n), format="csc")
 
 
 RESIDUAL_TOL = 1e-10

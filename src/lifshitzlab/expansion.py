@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .anderson import Box, _direct_solver, build_hamiltonian
 from .density import DensitySpec
@@ -254,6 +254,28 @@ def _panel_quadratic_form(panels, v: np.ndarray) -> np.ndarray:
                for i0, i1, t in panels)
 
 
+def _convolve_same(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Linear convolution a * kernel, the part centred on a's shape.
+
+    Real FFTs over the full shape, each axis padded to a fast length: the
+    arithmetic of scipy.signal.fftconvolve(a, kernel, mode="same"), so the
+    results agree bit for bit.
+    """
+    full = [n + m - 1 for n, m in zip(a.shape, kernel.shape)]
+    fshape = [next_fast_len(n, True) for n in full]
+    out = irfftn(rfftn(a, fshape) * rfftn(kernel, fshape), fshape)
+    return out[tuple(slice((f - n) // 2, (f - n) // 2 + n)
+                     for f, n in zip(full, a.shape))]
+
+
+def _check_sites(box_radius: int, *sites):
+    """Raise ValueError for a site outside the cube [-box_radius, box_radius]^3."""
+    b = box_radius
+    for site in sites:
+        if not all(-b <= int(c) <= b for c in site):
+            raise ValueError(f"site {tuple(site)} outside the cube [-{b}, {b}]^3")
+
+
 def _shifted_field(kernel: np.ndarray, radius: int, box_radius: int, site) -> np.ndarray:
     """Field z -> G(z - site) over the cube [-box_radius, box_radius]^3, flattened."""
     b = box_radius
@@ -291,13 +313,15 @@ def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
     """Gate-free partition lattice sum for E A_l^2 over the cube, l in {1, 2}.
 
     l = 1 is lam^2 sum_z rx^2 ry^2; l = 2 is lam^4 [S_{{1,4},{2,5}} +
-    S_{{1,5},{2,4}} + c_4 S_{4-block}], the pair sums by convolution with G^2.
-    Raises TruncationError when the cube's boundary shell carries more than
+    S_{{1,5},{2,4}} + c_4 S_{4-block}], the pair sums by FFT convolution with
+    G^2 (`_convolve_same`). Raises ValueError for a site outside the cube and
+    TruncationError when the cube's boundary shell carries more than
     TRUNCATION_TOL of the l=1 sum.
     """
     if order not in (1, 2):
         raise ValueError("l must be 1 or 2")
     b = box_radius
+    _check_sites(b, x_site, y_site)
     if kernel is None:
         kernel = _green_kernel(context.estar, 2 * b)
     rx = _shifted_field(kernel, 2 * b, b, x_site)
@@ -314,9 +338,9 @@ def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
     side = 2 * b + 1
     k2 = kernel**2
     rx3, ry3 = rx.reshape(side, side, side), ry.reshape(side, side, side)
-    s1 = float(np.sum(rx3**2 * fftconvolve(ry3**2, k2, mode="same")))
+    s1 = float(np.sum(rx3**2 * _convolve_same(ry3**2, k2)))
     mixed = rx3 * ry3
-    s2 = float(np.sum(mixed * fftconvolve(mixed, k2, mode="same")))
+    s2 = float(np.sum(mixed * _convolve_same(mixed, k2)))
     s3 = kernel[2 * b, 2 * b, 2 * b]**2 * float(np.sum(rx3**2 * ry3**2))
     return float(lam**4 * (s1 + s2 + cumulant_coefficient(4) * s3))
 
@@ -342,6 +366,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     if samples < 2:
         raise ValueError("samples must be >= 2 for a standard error")
     b = box_radius
+    _check_sites(b, x_site, y_site)
     lam, sigma = context.lam, context.sigma
     kernel = _green_kernel(context.estar, 2 * b)
     prediction = diagram_moment(order, context, x_site, y_site, b, kernel=kernel)

@@ -47,6 +47,33 @@ def test_box_memory_budget():
         am.Box(side=200)
 
 
+def kronecker_hamiltonian(box, potential, lam):
+    """3 I - adj / 2 + lam V from Kronecker products of the 1D chain (test oracle)."""
+    side = box.side
+    ones = np.ones(side - 1)
+    d1 = sp.diags([ones, ones], [-1, 1], shape=(side, side))
+    eye = sp.identity(side)
+    adj = (sp.kron(sp.kron(d1, eye), eye)
+           + sp.kron(sp.kron(eye, d1), eye)
+           + sp.kron(sp.kron(eye, eye), d1))
+    h = (3.0 * sp.identity(box.n_sites) - 0.5 * adj).tocsc()
+    if lam != 0.0:
+        h = h + sp.diags(lam * potential)
+    return h.tocsc()
+
+
+@pytest.mark.parametrize("side", [2, 5, 8, 25])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_hamiltonian_equals_kronecker_build(side, lam):
+    box = am.Box(side=side)
+    pot = am.sample_potential(box, DensitySpec(), seed=4, index=side)
+    h = am.build_hamiltonian(box, pot, lam)
+    oracle = kronecker_hamiltonian(box, pot, lam)
+    assert h.format == "csc" and h.dtype == oracle.dtype
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(h, name), getattr(oracle, name))
+
+
 def test_hamiltonian_row_sums_interior():
     box = am.Box(side=6)
     pot = am.sample_potential(box, DensitySpec(), seed=1, index=0)

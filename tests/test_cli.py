@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -265,3 +267,17 @@ def test_outdir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
     assert run(["diagrams", "--n", "2"]) == 0
     assert (tmp_path / "diagram_census.json").exists()
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.signal alone drags in stats, ndimage, interpolate, integrate and
+    # optimize: about half the start-up of every command
+    heavy = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate",
+             "scipy.integrate", "scipy.optimize")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, lifshitzlab.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from lifshitzlab import anderson as am
 from lifshitzlab import diagrams as dg
@@ -256,6 +257,23 @@ def test_moment_rejects_order_three(context_factory):
                                 samples=10)
 
 
+@pytest.mark.parametrize("site", [(6, 0, 0), (-6, 0, 0), (0, 5, -6), (0, 0, 6)])
+@pytest.mark.parametrize("which", ["x", "y"])
+@pytest.mark.parametrize("call", [
+    lambda ctx, x, y: ex.diagram_moment(2, ctx, x, y, 5),
+    lambda ctx, x, y: ex.mc_moment_Al_squared(2, ctx, x, y, samples=10, box_radius=5),
+], ids=["diagram_moment", "mc_moment"])
+def test_site_outside_the_cube_is_a_value_error(context_factory, monkeypatch, call,
+                                                which, site):
+    def no_kernel(*args):
+        raise AssertionError("kernel built before the sites were checked")
+
+    monkeypatch.setattr(ex, "_green_kernel", no_kernel)
+    x, y = (site, (0, 0, 0)) if which == "x" else ((0, 0, 0), site)
+    with pytest.raises(ValueError, match=r"site \(.*\) outside the cube \[-5, 5\]\^3"):
+        call(context_factory(0.5, 0.45), x, y)
+
+
 @pytest.mark.parametrize("call", [
     lambda ctx: ex.mc_moment_Al_squared(1, ctx, (3, 0, 0), (4, 0, 0), samples=10,
                                         box_radius=4, seed=0),
@@ -419,3 +437,17 @@ def test_l2_diagram_moment_equals_dense_double_sum(context_factory, b, estar):
     value = ex.diagram_moment(2, ctx, x, y, b)
     assert type(value) is float
     assert value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", range(1, 13))
+@pytest.mark.parametrize("estar", [0.45, 0.1, 0.01])
+def test_convolve_same_equals_fftconvolve(b, estar):
+    # the l=2 pair-sum convolutions of diagram_moment, against scipy.signal
+    kernel = ex._green_kernel(estar, 2 * b)
+    side = 2 * b + 1
+    rx = ex._shifted_field(kernel, 2 * b, b, (0, 0, 0)).reshape((side,) * 3)
+    ry = ex._shifted_field(kernel, 2 * b, b, (1, 0, 0)).reshape((side,) * 3)
+    k2 = kernel**2
+    for field in (ry**2, rx * ry):
+        assert np.array_equal(ex._convolve_same(field, k2),
+                              fftconvolve(field, k2, mode="same"))
