@@ -6,6 +6,13 @@ diagonal 3 + lam V(n) and off-diagonal -1/2, so the clean operator's
 spectrum sits inside [0, 6] and the disordered one is bounded below by
 -lam sqrt(3), the bottom of the uniform potential's support, plus the kinetic
 floor.  Every disorder average samples that one law (`density.DensitySpec`).
+The six lattice hops are stated once, in `_HOPS`: the matrix-free stencil
+and the sparse matrix both read them.
+
+`Box` is geometry only: coordinates, flat indices and the boundary shell of
+a cube of any size.  The site budget MAX_BOX_SITES belongs to the code
+that allocates per-site state: `sample_potential`, `build_hamiltonian`, the
+Krylov columns and the criterion reject a larger box before they allocate.
 
 Resolvent columns (H + E + i eta)^{-1} delta_y are matrix-free Krylov
 solves: H + E is real symmetric and positive definite throughout the
@@ -52,7 +59,15 @@ __all__ = [
 ]
 
 DEFAULT_ETA_SCHEDULE = (1e-2, 1e-3, 1e-4)
-MAX_BOX_SITES = 1_000_000  # memory guard on box sizes
+MAX_BOX_SITES = 1_000_000  # largest box a solver allocates per-site state for
+# The six Dirichlet hops x-, x+, y-, y+, z-, z+ as (destination, source) slices
+# of a grid array: H holds -1/2 at (dst site, src site), and a hop across a
+# wall has no pair.  The slices fit every side.
+_HOPS = tuple(
+    tuple(tuple(cut if ax == axis else slice(None) for ax in range(3)) for cut in pair)
+    for axis in range(3)
+    for pair in ((slice(1, None), slice(None, -1)),    # from the lower neighbour
+                 (slice(None, -1), slice(1, None))))   # from the upper neighbour
 
 
 @dataclass(frozen=True)
@@ -60,7 +75,8 @@ class Box:
     """Dirichlet cube with `side` sites per axis, at -(side // 2)..side - 1 - side // 2.
 
     An odd side is centered at the origin; an even side 2L holds -L..L-1, one
-    more site on the negative half-axis than on the positive one.
+    more site on the negative half-axis than on the positive one.  A box is
+    plain geometry with no size cap; the solvers check MAX_BOX_SITES.
     """
 
     side: int
@@ -68,11 +84,6 @@ class Box:
     def __post_init__(self):
         if self.side < 2:
             raise ValueError("side must be >= 2")
-        if self.side**3 > MAX_BOX_SITES:
-            raise ValueError(
-                f"box with {self.side}^3 sites exceeds the memory budget "
-                f"{MAX_BOX_SITES}"
-            )
 
     @property
     def n_sites(self) -> int:
@@ -87,41 +98,48 @@ class Box:
         s, off = self.side, self.origin_offset
         i, j, k = (int(c) + off for c in site)
         if not all(0 <= t < s for t in (i, j, k)):
-            raise ValueError(f"site {tuple(site)} outside box side {s}")
+            raise ValueError(f"site {tuple(site)} outside the cube "
+                             f"[{-off}, {s - 1 - off}]^3")
         return (i * s + j) * s + k
 
     def boundary_indices(self) -> np.ndarray:
-        s = self.side
-        grid = np.zeros((s, s, s), dtype=bool)
-        grid[0, :, :] = grid[-1, :, :] = True
-        grid[:, 0, :] = grid[:, -1, :] = True
-        grid[:, :, 0] = grid[:, :, -1] = True
-        return np.flatnonzero(grid.ravel())
+        shell = np.ones((self.side,) * 3, dtype=bool)
+        shell[1:-1, 1:-1, 1:-1] = False
+        return np.flatnonzero(shell.ravel())
 
     def distance_to_boundary(self, site) -> int:
         s, off = self.side, self.origin_offset
         return min(min(int(c) + off, s - 1 - (int(c) + off)) for c in site)
 
 
+def _check_site_budget(box: Box):
+    if box.n_sites > MAX_BOX_SITES:
+        raise ValueError(f"box with {box.side}^3 sites exceeds the memory budget "
+                         f"{MAX_BOX_SITES}")
+
+
 def sample_potential(box: Box, density: DensitySpec, seed: int, index: int) -> np.ndarray:
-    """I.i.d. potential field on the box; deterministic in (seed, index)."""
+    """I.i.d. potential field on the box; deterministic in (seed, index).
+
+    The field is the solvers' per-site input, so a box over MAX_BOX_SITES is
+    rejected before the draw.
+    """
+    _check_site_budget(box)
     rng = substream(seed, "potential", index)
     return density.sample(rng, box.n_sites)
 
 
 def build_hamiltonian(box: Box, potential: np.ndarray, lam: float) -> sp.csc_matrix:
     """H = -Delta/2 + lam V, Dirichlet: diagonal 3 + lam V, off-diagonal -1/2."""
+    _check_site_budget(box)
     if potential.shape != (box.n_sites,):
         raise ValueError("potential must be a flat field over the box")
-    side, n = box.side, box.n_sites
-    grid = np.indices((side,) * 3).reshape(3, n)
-    diagonals, offsets = [3.0 + lam * potential], [0]
-    for axis, stride in zip(grid, (side * side, side, 1)):
-        # hop from site i to i + stride, zero where i sits on the upper wall
-        hop = np.where(axis[:n - stride] < side - 1, -0.5, 0.0)
-        diagonals += [hop, hop]
-        offsets += [stride, -stride]
-    return sp.diags(diagonals, offsets, shape=(n, n), format="csc")
+    n = box.n_sites
+    site = np.arange(n).reshape((box.side,) * 3)
+    rows = np.concatenate([site.ravel()] + [site[dst].ravel() for dst, _ in _HOPS])
+    cols = np.concatenate([site.ravel()] + [site[src].ravel() for _, src in _HOPS])
+    data = np.concatenate([3.0 + lam * potential, np.full(rows.size - n, -0.5)])
+    return sp.csc_matrix((data, (rows, cols)), shape=(n, n))
 
 
 RESIDUAL_TOL = 1e-10
@@ -170,12 +188,8 @@ def _apply_stencil(v, shift, pot):
     out = (3.0 + shift) * v
     if pot is not None:
         out = out + pot * v
-    out[1:, :, :] -= 0.5 * v[:-1, :, :]
-    out[:-1, :, :] -= 0.5 * v[1:, :, :]
-    out[:, 1:, :] -= 0.5 * v[:, :-1, :]
-    out[:, :-1, :] -= 0.5 * v[:, 1:, :]
-    out[:, :, 1:] -= 0.5 * v[:, :, :-1]
-    out[:, :, :-1] -= 0.5 * v[:, :, 1:]
+    for dst, src in _HOPS:
+        out[dst] -= 0.5 * v[src]
     return out
 
 
@@ -247,6 +261,7 @@ def _resolvent_columns(box: Box, potential, lam, energy, ys, etas, tol):
     a column that does not, or every column when the seed breaks down, is
     solved by `resolvent_column` at the same eta and counted as a fallback.
     """
+    _check_site_budget(box)
     if any(eta < 0 for eta in etas):
         raise ValueError("eta must be >= 0")
     shape = (box.side,) * 3
@@ -328,9 +343,10 @@ def fractional_moment(box: Box, context: EnergyContext, s: float, pairs,
         raise ValueError("s must be in (0, 1)")
     pairs = tuple((tuple(x), tuple(y)) for x, y in pairs)
     etas = tuple(eta_schedule)
+    index = {site: box.index(site) for pair in pairs for site in pair}
 
     def observe(cols):
-        return [[abs(cols[y][ieta][box.index(x)]) ** s for x, y in pairs]
+        return [[abs(cols[y][ieta][index[x]]) ** s for x, y in pairs]
                 for ieta in range(len(etas))]
 
     est, err, fallbacks, iterations = _sample_average(
@@ -372,12 +388,13 @@ def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
         (kept if d < window else excluded).append((tuple(x), tuple(y)))
     if not kept:
         raise ValueError(f"no pairs inside the window |x-y| < {window:g}")
+    index = {site: box.index(site) for pair in kept for site in pair}
     ys = sorted({y for _, y in kept})
     free, free_fallbacks, free_its = _resolvent_columns(
         box, np.zeros(box.n_sites), 0.0, context.estar, ys, (eta,), KRYLOV_TOL)
 
     def observe(cols):
-        return [abs(cols[y][0][box.index(x)] - free[y][0][box.index(x)]) ** s
+        return [abs(cols[y][0][index[x]] - free[y][0][index[x]]) ** s
                 for x, y in kept]
 
     est, err, fallbacks, iterations = _sample_average(
@@ -437,6 +454,7 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
     if not (0 < b < 1):
         raise ValueError("b must be in (0, 1)")
     box = Box(side=2 * L)
+    _check_site_budget(box)  # before the boundary shell is built
     bidx = box.boundary_indices()
     origin = (0, 0, 0)
     raw, raw_err, fallbacks, _ = _sample_average(

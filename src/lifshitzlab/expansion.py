@@ -268,14 +268,6 @@ def _convolve_same(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
                      for f, n in zip(full, a.shape))]
 
 
-def _check_sites(box_radius: int, *sites):
-    """Raise ValueError for a site outside the cube [-box_radius, box_radius]^3."""
-    b = box_radius
-    for site in sites:
-        if not all(-b <= int(c) <= b for c in site):
-            raise ValueError(f"site {tuple(site)} outside the cube [-{b}, {b}]^3")
-
-
 def _shifted_field(kernel: np.ndarray, radius: int, box_radius: int, site) -> np.ndarray:
     """Field z -> G(z - site) over the cube [-box_radius, box_radius]^3, flattened."""
     b = box_radius
@@ -299,13 +291,11 @@ class MomentComparison:
         return (self.mc_estimate - self.prediction) / self.mc_stderr
 
 
-def _truncation_ratio(rx, ry, box_radius):
+def _truncation_ratio(rx, ry, cube: Box):
     """Boundary-shell share of the l=1 lattice sum (truncation health check)."""
     w = rx**2 * ry**2
-    shell = np.ones((2 * box_radius + 1,) * 3, dtype=bool)
-    shell[1:-1, 1:-1, 1:-1] = False
     total = float(np.sum(w))
-    return float(np.sum(w[shell.ravel()])) / total if total > 0 else 0.0
+    return float(np.sum(w[cube.boundary_indices()])) / total if total > 0 else 0.0
 
 
 def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
@@ -321,12 +311,14 @@ def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
     if order not in (1, 2):
         raise ValueError("l must be 1 or 2")
     b = box_radius
-    _check_sites(b, x_site, y_site)
+    cube = Box(side=2 * b + 1)
+    for site in (x_site, y_site):
+        cube.index(site)  # ValueError for a site outside, before the kernel
     if kernel is None:
         kernel = _green_kernel(context.estar, 2 * b)
     rx = _shifted_field(kernel, 2 * b, b, x_site)
     ry = _shifted_field(kernel, 2 * b, b, y_site)
-    trunc = _truncation_ratio(rx, ry, b)
+    trunc = _truncation_ratio(rx, ry, cube)
     if trunc > TRUNCATION_TOL:
         raise TruncationError(
             f"boundary shell carries {trunc:.2e} of the lattice sum "
@@ -366,7 +358,9 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     if samples < 2:
         raise ValueError("samples must be >= 2 for a standard error")
     b = box_radius
-    _check_sites(b, x_site, y_site)
+    cube = Box(side=2 * b + 1)
+    for site in (x_site, y_site):
+        cube.index(site)  # ValueError for a site outside, before the kernel
     lam, sigma = context.lam, context.sigma
     kernel = _green_kernel(context.estar, 2 * b)
     prediction = diagram_moment(order, context, x_site, y_site, b, kernel=kernel)

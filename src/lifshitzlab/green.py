@@ -155,6 +155,8 @@ def periodization_bound(grid_size: int, radius: float, estar: float) -> float:
     with K <= 1 is summed over the 26 nearest image cells with a geometric
     tail factor.
     """
+    if estar <= 0:
+        raise ValueError("estar must be > 0")
     d = grid_size - radius
     if d <= 0:
         return math.inf

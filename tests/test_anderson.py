@@ -38,13 +38,35 @@ def test_box_indexing_roundtrip_and_boundary():
         assert box.index(site) == np.ravel_multi_index(offset, (box.side,) * 3)
     s = box.side
     assert len(box.boundary_indices()) == 6 * s**2 - 12 * s + 8
-    with pytest.raises(ValueError):
-        box.index((3, 0, 0))  # outside [-3, 2]
+    with pytest.raises(ValueError, match=r"site \(3, 0, 0\) outside the cube \[-3, 2\]\^3"):
+        box.index((3, 0, 0))
+    with pytest.raises(ValueError, match=r"site \(0, -6, 0\) outside the cube \[-5, 5\]\^3"):
+        am.Box(side=11).index((0, -6, 0))
+
+
+@pytest.mark.parametrize("side", [2, 3, 6, 11])
+def test_boundary_indices_are_the_six_faces(side):
+    grid = np.zeros((side,) * 3, dtype=bool)
+    grid[0, :, :] = grid[-1, :, :] = True
+    grid[:, 0, :] = grid[:, -1, :] = True
+    grid[:, :, 0] = grid[:, :, -1] = True
+    assert np.array_equal(am.Box(side=side).boundary_indices(), np.flatnonzero(grid))
 
 
 def test_box_memory_budget():
-    with pytest.raises(ValueError):
-        am.Box(side=200)
+    # a Box is geometry of any size; what allocates per-site state checks the budget
+    box = am.Box(side=200)
+    assert box.n_sites > am.MAX_BOX_SITES
+    with pytest.raises(ValueError, match="memory budget"):
+        am.build_hamiltonian(box, np.broadcast_to(0.0, (box.n_sites,)), 0.0)
+    with pytest.raises(ValueError, match="memory budget"):
+        am.sample_potential(box, DensitySpec(), seed=0, index=0)
+    pairs = [((1, 0, 0), (0, 0, 0))]
+    for ctx in (se.solve_self_energy(0.45, 0.5), SimpleNamespace(lam=0.0, energy=0.45)):
+        with pytest.raises(ValueError, match="memory budget"):
+            am.fractional_moment(box, ctx, 0.3, pairs, samples=1)
+    with pytest.raises(ValueError, match="memory budget"):
+        am.finite_volume_criterion(100, se.solve_self_energy(0.85, 0.5), 0.24)
 
 
 def kronecker_hamiltonian(box, potential, lam):
@@ -363,6 +385,49 @@ def test_sparse_hamiltonian_matches_stencil(side, lam, shift):
     want = (h + shift * sp.identity(box.n_sites)) @ v
     got = am._apply_stencil(v.reshape((side,) * 3), shift, pot_grid).ravel()
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def six_slice_stencil(v, shift, pot):
+    """(H + shift) v with the six Dirichlet hops written out (test oracle)."""
+    out = (3.0 + shift) * v
+    if pot is not None:
+        out = out + pot * v
+    out[1:, :, :] -= 0.5 * v[:-1, :, :]
+    out[:-1, :, :] -= 0.5 * v[1:, :, :]
+    out[:, 1:, :] -= 0.5 * v[:, :-1, :]
+    out[:, :-1, :] -= 0.5 * v[:, 1:, :]
+    out[:, :, 1:] -= 0.5 * v[:, :, :-1]
+    out[:, :, :-1] -= 0.5 * v[:, :, 1:]
+    return out
+
+
+@pytest.mark.parametrize("shift", [0.85, 0.85 + 1e-3j])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("side", [2, 5, 12])
+def test_hop_table_stencil_is_the_six_slice_stencil(side, lam, shift):
+    box = am.Box(side=side)
+    pot = am.sample_potential(box, DensitySpec(), 4, side)
+    pot_grid = None if lam == 0.0 else (lam * pot).reshape((side,) * 3)
+    v = np.random.default_rng(side).standard_normal((side,) * 3)
+    assert np.array_equal(am._apply_stencil(v, shift, pot_grid),
+                          six_slice_stencil(v, shift, pot_grid))
+
+
+@pytest.mark.parametrize("call", [
+    lambda box, ctx: am.fractional_moment(
+        box, ctx, 0.3, [((1, 0, 0), (0, 0, 0)), ((4, 0, 0), (0, 0, 0))], samples=2),
+    lambda box, ctx: am.fractional_moment(
+        box, ctx, 0.3, [((1, 0, 0), (0, 0, 0)), ((0, 0, 3), (0, 0, 4))], samples=2),
+    lambda box, ctx: am.moment_difference(
+        box, ctx, 0.3, [((1, 0, 0), (0, 0, 0)), ((4, 0, 0), (3, 0, 0))], samples=2),
+], ids=["fracmom_x", "fracmom_second_y", "moment_difference_x"])
+def test_sites_are_indexed_before_the_first_solve(monkeypatch, call):
+    def no_solve(*args):
+        raise AssertionError("a Krylov run before the sites were checked")
+
+    monkeypatch.setattr(am, "_krylov_columns", no_solve)
+    with pytest.raises(ValueError, match=r"site \(.*\) outside the cube \[-4, 3\]\^3"):
+        call(am.Box(side=8), se.solve_self_energy(0.45, 0.5))
 
 
 def test_moments_need_no_sparse_hamiltonian(monkeypatch):

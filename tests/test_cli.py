@@ -80,6 +80,14 @@ def test_seed_is_unknown_to_deterministic_commands(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_box_over_the_site_budget_is_a_config_error(tmp_path):
+    # the solvers' site budget, not Box, rejects the run; nothing is written
+    out = tmp_path / "out"
+    assert run(["fracmom", "--lam", "0.5", "--energy", "0.45", "--box", "200",
+                "--samples", "1", "--distances", "1,2", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_missing_required_key_is_error(tmp_path):
     assert run(["selfenergy", "--out", str(tmp_path)]) == 2
 

@@ -147,6 +147,12 @@ def test_periodization_bound_is_conservative(monkeypatch):
     assert worst <= bound
 
 
+@pytest.mark.parametrize("estar", [0.0, -0.1])
+def test_periodization_bound_needs_positive_estar(estar):
+    with pytest.raises(ValueError, match="estar must be > 0"):
+        gr.periodization_bound(64, 5, estar)
+
+
 def resolvent_identity_residual(table: gr.GreenTable, patch_radius: int = 3) -> float:
     """Max |(-Delta/2 + E*) R - delta| applied to the table on a small patch."""
     best = 0.0
