@@ -40,6 +40,7 @@ import scipy.sparse.linalg as spla
 
 from .density import DensitySpec
 from .errors import SingularSolveError
+from .green import _lattice_site
 from .rng import substream
 from .selfenergy import EnergyContext
 
@@ -96,7 +97,7 @@ class Box:
 
     def index(self, site) -> int:
         s, off = self.side, self.origin_offset
-        i, j, k = (int(c) + off for c in site)
+        i, j, k = (c + off for c in _lattice_site(site))
         if not all(0 <= t < s for t in (i, j, k)):
             raise ValueError(f"site {tuple(site)} outside the cube "
                              f"[{-off}, {s - 1 - off}]^3")
@@ -109,7 +110,7 @@ class Box:
 
     def distance_to_boundary(self, site) -> int:
         s, off = self.side, self.origin_offset
-        return min(min(int(c) + off, s - 1 - (int(c) + off)) for c in site)
+        return min(min(c + off, s - 1 - (c + off)) for c in _lattice_site(site))
 
 
 def _check_site_budget(box: Box):

@@ -15,11 +15,12 @@ Two independent evaluation routes:
   gives the torus integrals I1 = R(0) and I2 = -dR(0)/dE* of `selfenergy`.
 
 * `green_free_fft` is the inverse DFT of 1/(e(p)+E*) sampled on an M^3 grid.
-  e(p) is even in each axis, so only the (M//2+1)^3 half spectrum is built
-  and inverse-transformed by three real one-axis `irfft`s (a real-even DFT is
-  a DCT-I), each pruned to the output rows x = -r..r before the next axis:
-  no M^3 array is formed.  By Poisson summation the only error is
-  periodization: the FFT table equals sum_m R(x + M m), so the documented
+  e(p) is even in each axis, so only the (M//2+1)^3 half spectrum is built,
+  and its inverse DFT is a real-even transform (a DCT-I): three products with
+  one real cosine matrix of the octant rows x = 0..r, one GEMM over the half
+  spectrum and two over arrays r+1 rows thick.  No M^3 array is formed and
+  one half spectrum is alive at a time.  By Poisson summation the only error
+  is periodization: the FFT table equals sum_m R(x + M m), so the documented
   bound is a wrapped-image sum of the exponential envelope, which must stay
   below FFT_TOL.
 
@@ -29,14 +30,16 @@ is real-valued (the FFT route needs E* > 0).
 
 Tables are immutable after construction and store the octant [0, r]^3:
 every read, `value(x)` and `items()` alike, takes the entry at
-(|x1|, |x2|, |x3|), so sign flips are exact.  Bessel tables are also exactly
-permutation-symmetric (each entry is copied from its sorted key); FFT tables
-are permutation-symmetric only to rounding, by their measured
-`symmetry_defect`.
+(|x1|, |x2|, |x3|), so sign flips are exact by construction (the FFT route's
+cosine phases are reduced to [0, pi], so row -x is row x).  Bessel tables are
+also exactly permutation-symmetric (each entry is copied from its sorted key);
+FFT tables contract each axis in its own order, so they are
+permutation-symmetric only to rounding, by their measured `symmetry_defect`.
 """
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +65,14 @@ T_FAR = 1e32           # grid end at E* = 0; the dropped tail is below 2.6e-17
 HANKEL_TOL = 1e-5      # largest mu / (8t) at which three Hankel terms are exact
 BESSEL_RELTOL = 1e-10  # relative error contract of the Bessel-integral route
 FFT_TOL = 1e-8         # largest periodization bound an FFT table may carry
+
+
+def _lattice_site(site) -> tuple:
+    """The coordinates of a lattice site as ints; a non-integer one is a ValueError."""
+    try:
+        return tuple(operator.index(c) for c in site)
+    except TypeError:
+        raise ValueError(f"site {tuple(site)} has a non-integer coordinate") from None
 
 
 def _ive_rows(orders, t):
@@ -142,7 +153,7 @@ def _green_octant(estar: float, radius: int, rmax: float = math.inf) -> np.ndarr
 
 def green_free(x, estar: float) -> float:
     """Free Green function at lattice vector x, energy distance estar >= 0."""
-    key = sorted(abs(int(c)) for c in x)
+    key = sorted(abs(c) for c in _lattice_site(x))
     return float(_trapezoid(key, estar, math.hypot(*key), BESSEL_RELTOL, 0,
                             lambda tab, w: np.prod(tab, axis=0) @ w, f"x={tuple(x)}"))
 
@@ -174,11 +185,11 @@ class GreenTable:
     method: str  # "bessel-integral" or "fft-grid"
     tolerance: float  # the route's contract: BESSEL_RELTOL or FFT_TOL
     grid_size: int = 0  # fft only
-    symmetry_defect: float = 0.0  # measured octahedral asymmetry (fft route)
+    symmetry_defect: float = 0.0  # measured axis-swap asymmetry (fft route; flips are exact)
     _data: np.ndarray = field(repr=False, default=None)  # octant cube, [|x1|, |x2|, |x3|]
 
     def value(self, x) -> float:
-        a, b, c = (abs(int(t)) for t in x)
+        a, b, c = (abs(t) for t in _lattice_site(x))
         if a * a + b * b + c * c > self.radius**2:
             raise KeyError(f"{tuple(x)} outside tabulated ball radius {self.radius}")
         return float(self._data[a, b, c])
@@ -235,7 +246,11 @@ def green_table_bessel(estar: float, radius: int = 20) -> GreenTable:
 
 
 def green_free_fft(grid_size: int, estar: float, radius: int = 20) -> GreenTable:
-    """Tabulate via inverse DFT of 1/(e(p)+E*) on a grid_size^3 momentum grid."""
+    """Tabulate via inverse DFT of 1/(e(p)+E*) on a grid_size^3 momentum grid.
+
+    The half spectrum is transformed as a real-even DFT: each axis is one product
+    with the cosine matrix of the output rows x = 0..radius.
+    """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     if estar <= 0:
@@ -248,24 +263,21 @@ def green_free_fft(grid_size: int, estar: float, radius: int = 20) -> GreenTable
             f"for grid {grid_size}, radius {radius}, estar {estar:g}",
             bound=bound,
         )
-    m, r = grid_size, radius
-    c = 2.0 * np.sin(np.pi * np.arange(m // 2 + 1) / m) ** 2
-    a = 1.0 / (estar + c[:, None, None] + c[None, :, None] + c[None, None, :])
-    # e(p) is even per axis, and the Hermitian extension irfft applies to a real half
-    # spectrum is the even one; after each axis only output rows x = -r..r are kept
-    keep = np.r_[: r + 1, m - r : m]
-    for axis in range(3):
-        a = np.take(np.fft.irfft(a, n=m, axis=axis), keep, axis=axis)
-    data = a[: r + 1, : r + 1, : r + 1].copy()
-    # measured octahedral symmetry: sign flips (row M - x sits at kept row 2r+1 - x)
-    # and an axis swap
-    idx = np.arange(r + 1)
-    flip = -idx % (2 * r + 1)
-    defect = 0.0
-    for sel in (np.ix_(flip, idx, idx), np.ix_(idx, flip, idx), np.ix_(idx, idx, flip)):
-        defect = max(defect, float(np.max(np.abs(a[sel] - data))))
-    defect = max(defect, float(np.max(np.abs(data - data.transpose(1, 0, 2)))))
-    defect = max(defect, float(np.max(np.abs(data - data.transpose(0, 2, 1)))))
+    m, k = grid_size, np.arange(grid_size // 2 + 1)
+    c = 2.0 * np.sin(np.pi * k / m) ** 2
+    # the even extension of a real half spectrum is a DCT-I: row x of the inverse
+    # DFT is sum_k w_k cos(2 pi x k / M) a_k / M, with the phase reduced to [0, pi]
+    p = np.outer(np.arange(radius + 1), k) % m
+    w = np.where((k == 0) | (2 * k == m), 1.0, 2.0)
+    cmat = w * np.cos(2.0 * np.pi * np.minimum(p, m - p) / m) / m
+    a = estar + c[:, None, None] + c[None, :, None] + c[None, None, :]
+    np.reciprocal(a, out=a)
+    a = (cmat @ a.reshape(len(k), -1)).reshape(radius + 1, len(k), len(k))
+    data = np.matmul(cmat, a) @ cmat.T
+    # measured axis-swap symmetry: each axis is contracted in its own order, so a
+    # swap is exact only to rounding (sign flips are exact: row -x is row x)
+    defect = max(float(np.max(np.abs(data - data.transpose(1, 0, 2)))),
+                 float(np.max(np.abs(data - data.transpose(0, 2, 1)))))
     table = GreenTable(estar=estar, radius=radius, method="fft-grid",
                        tolerance=FFT_TOL, grid_size=grid_size,
                        symmetry_defect=defect, _data=data)

@@ -44,6 +44,24 @@ def test_box_indexing_roundtrip_and_boundary():
         am.Box(side=11).index((0, -6, 0))
 
 
+@pytest.mark.parametrize("coord", [0.7, -0.9, 1.5])
+def test_box_rejects_non_integer_coordinates(coord):
+    # int() would truncate 0.7 and -0.9 to the origin and 1.5 to site 1
+    box = am.Box(side=6)
+    with pytest.raises(ValueError, match=rf"site \({coord}, 0, 0\) has a non-integer"):
+        box.index((coord, 0, 0))
+    with pytest.raises(ValueError, match=rf"site \(0, {coord}, 0\) has a non-integer"):
+        box.distance_to_boundary((0, coord, 0))
+
+
+def test_box_reads_numpy_integer_coordinates():
+    box = am.Box(side=6)
+    site = tuple(np.array([-3, 2, 1], dtype=np.int64))
+    assert box.index(site) == box.index((-3, 2, 1))
+    assert box.distance_to_boundary(site) == box.distance_to_boundary((-3, 2, 1)) == 0
+    assert box.distance_to_boundary((np.int32(1), 0, np.int64(-1))) == 1
+
+
 @pytest.mark.parametrize("side", [2, 3, 6, 11])
 def test_boundary_indices_are_the_six_faces(side):
     grid = np.zeros((side,) * 3, dtype=bool)

@@ -100,6 +100,19 @@ def irfftn_oracle_table(grid_size, estar, radius):
     return table_full[: radius + 1, : radius + 1, : radius + 1].copy()
 
 
+def pruned_irfft_oracle_table(grid_size, estar, radius):
+    """The FFT table by three one-axis irffts of the half spectrum, each pruned to
+    the rows x = -r..r before the next axis (test oracle)."""
+    m, r = grid_size, radius
+    c = 2.0 * np.sin(np.pi * np.arange(m // 2 + 1) / m) ** 2
+    a = 1.0 / (estar + c[:, None, None] + c[None, :, None] + c[None, None, :])
+    # the Hermitian extension irfft applies to a real half spectrum is the even one
+    keep = np.r_[: r + 1, m - r : m]
+    for axis in range(3):
+        a = np.take(np.fft.irfft(a, n=m, axis=axis), keep, axis=axis)
+    return a[: r + 1, : r + 1, : r + 1].copy()
+
+
 @pytest.mark.parametrize("m, estar, radius", [
     (64, 0.5, 8), (65, 0.5, 8), (96, 0.7, 10), (127, 0.3, 12), (128, 0.2, 8),
     (128, 1.0, 4), (128, 0.05, 12), (256, 0.05, 12), (256, 0.5, 12), (256, 0.4, 20),
@@ -121,6 +134,32 @@ def test_fft_table_never_holds_a_full_grid():
     finally:
         tracemalloc.stop()
     assert peak < 256**3 * 8
+
+
+@pytest.mark.parametrize("m", [64, 65, 128, 256])
+@pytest.mark.parametrize("radius", [4, 8, 12, 20])
+@pytest.mark.parametrize("estar", [0.05, 0.5])
+def test_cosine_products_match_pruned_irfft_oracle(m, radius, estar, monkeypatch):
+    if gr.periodization_bound(m, radius, estar) >= gr.FFT_TOL:
+        with pytest.raises(PeriodizationError):
+            gr.green_free_fft(m, estar, radius=radius)
+        monkeypatch.setattr(gr, "FFT_TOL", math.inf)  # compare the arithmetic all the same
+    table = gr.green_free_fft(m, estar, radius=radius)
+    oracle = pruned_irfft_oracle_table(m, estar, radius)
+    assert np.max(np.abs(table._data - oracle)) <= 1e-15
+    assert 0.0 < table.symmetry_defect <= 1e-15
+
+
+def test_fft_table_peak_is_one_half_spectrum():
+    # the spectrum is the one (M//2+1)^3 array; the three-irfft route peaked at 4.98 of them
+    m = 256
+    tracemalloc.start()
+    try:
+        gr.green_free_fft(m, 0.05, radius=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (m // 2 + 1) ** 3 * 8
 
 
 def test_fft_octahedral_symmetry_defect():
@@ -354,6 +393,23 @@ def test_table_validate_positivity():
                         tolerance=1e-10, _data=np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+@pytest.mark.parametrize("coord", [0.7, -0.9, 1.5])
+def test_non_integer_coordinates_are_rejected(coord):
+    # int() would truncate 0.7 and -0.9 to the origin and 1.5 to site 1
+    with pytest.raises(ValueError, match=rf"site \({coord}, 0, 0\) has a non-integer"):
+        gr.green_free((coord, 0, 0), 0.3)
+    table = gr.green_table_bessel(0.3, radius=3)
+    with pytest.raises(ValueError, match=rf"site \(0, 0, {coord}\) has a non-integer"):
+        table.value((0, 0, coord))
+
+
+def test_numpy_integer_coordinates_are_read():
+    site = tuple(np.array([2, -1, 0], dtype=np.int64))
+    assert gr.green_free(site, 0.3) == gr.green_free((2, -1, 0), 0.3)
+    table = gr.green_table_bessel(0.3, radius=3)
+    assert table.value(site) == table.value((np.int32(-2), 1, 0)) == table.value((2, 1, 0))
 
 
 def test_table_rejects_out_of_ball_lookup():
