@@ -137,10 +137,15 @@ def build_hamiltonian(box: Box, potential: np.ndarray, lam: float) -> sp.csc_mat
         raise ValueError("potential must be a flat field over the box")
     n = box.n_sites
     site = np.arange(n).reshape((box.side,) * 3)
-    rows = np.concatenate([site.ravel()] + [site[dst].ravel() for dst, _ in _HOPS])
-    cols = np.concatenate([site.ravel()] + [site[src].ravel() for _, src in _HOPS])
-    data = np.concatenate([3.0 + lam * potential, np.full(rows.size - n, -0.5)])
-    return sp.csc_matrix((data, (rows, cols)), shape=(n, n))
+    # DIA storage: data[i, j] sits at (j - offsets[i], j), so each hop's row is
+    # -1/2 on the columns of its sources and 0 across the wall
+    data = np.zeros((len(_HOPS) + 1, n))
+    data[0] = 3.0 + lam * potential
+    offsets = [0]
+    for row, (dst, src) in zip(data[1:], _HOPS):
+        row.reshape(site.shape)[src] = -0.5
+        offsets.append(int(site[src].flat[0] - site[dst].flat[0]))
+    return sp.dia_matrix((data, offsets), shape=(n, n)).tocsc()
 
 
 RESIDUAL_TOL = 1e-10

@@ -28,15 +28,21 @@ lattice sums of the free Green function.  Their agreement is the numerical
 witness of the tadpole cancellation that the renormalization buys.  The l=2
 Monte Carlo never forms the (n, n) Green matrix of the cube: it evaluates
 its quadratic form from the lower triangle of the symmetrised form, stored
-as column panels of two x-slabs (`_green_panels`), which about halves both
-the arithmetic and the memory.
+as column panels of two x-slabs, split by the reflections its two sites
+share (`_sector_panels`).  An axis on which both sites have coordinate 0
+folds: the form splits exactly into an even and an odd part on the half
+axis, with the image kernel [G(t - t') +- G(t + t')] / 2.  At the sites
+every caller uses, 0 and (1, 0, 0), axes 1 and 2 fold into four sectors
+whose panels take ((b+1)^2 + b^2)^2 / (2b+1)^4, about 1/4, of the whole
+cube's products and bytes: 0.14 x 8 n^2 bytes (27 MB at b = 8, 0.26 GB at
+b = 12) against 0.56 x 8 n^2 for the cube's own lower panels.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .anderson import Box, _direct_solver, build_hamiltonian
@@ -220,38 +226,119 @@ def _green_kernel(estar: float, radius: int) -> np.ndarray:
     return _green_octant(estar, radius)[np.ix_(a, a, a)]
 
 
-def _green_panels(kernel: np.ndarray, box_radius: int, rx, ry):
-    """The l=2 quadratic form (rx o v)^T G (ry o v) as lower column panels.
+def _axis_sectors(box_radius: int, folded: bool):
+    """(coordinates, sign) of each reflection sector of one cube axis.
 
-    G is symmetric, so the form is v^T S v with S = G o (rx ry^T + ry rx^T) / 2.
-    Its lower triangle T (T_aa = S_aa, T_ca = 2 S_ca for c > a) carries it
-    alone: v^T S v = sum_{c >= a} v_c T_ca v_a. T is kept as column panels
-    T[i0:, i0:i1] of two x-slabs each, every one read straight from the
-    kernel's window view (entry (c, a) is G(z_c - z_a), as the kernel is
-    reflection-symmetric), so no (n, n) array is formed. Returns (i0, i1, panel)
-    triples for `_panel_quadratic_form`.
+    An unfolded axis is one sector, t = -b..b, sign 0. A folded axis splits
+    into the even sector, t = 0..b, sign +1, and the odd one, t = 1..b, sign -1.
+    """
+    b = box_radius
+    if not folded:
+        return ((np.arange(-b, b + 1), 0),)
+    return ((np.arange(b + 1), 1), (np.arange(1, b + 1), -1))
+
+
+def _image_sum(a: np.ndarray, axis: int, coords: np.ndarray, sign: int) -> np.ndarray:
+    """Replace `axis` of a, indexed there by |difference|, by the pair (t, t').
+
+    Entry (t, t') is a(|t - t'|), plus sign a(t + t') on a folded axis: the
+    image of t' in the reflection.
+    """
+    out = np.take(a, np.abs(coords[:, None] - coords[None, :]), axis=axis)
+    if sign:
+        out += sign * np.take(a, coords[:, None] + coords[None, :], axis=axis)
+    return out
+
+
+def _reflect(u: np.ndarray, axis: int, box_radius: int, sign: int) -> np.ndarray:
+    """u(t) + sign u(-t) along `axis` over the sector's t; u itself for sign 0."""
+    if not sign:
+        return u
+    b = box_radius
+    cut = (slice(None),) * axis
+    start = 0 if sign > 0 else 1
+    pos = u[cut + (slice(b + start, None),)]
+    neg = u[cut + (slice(b - start, None, -1),)]
+    return pos + neg if sign > 0 else pos - neg
+
+
+def _fold(v: np.ndarray, axis_signs, box_radius: int) -> list:
+    """Sector coordinates u of the rows of v (m, n), in `_sector_panels`' order.
+
+    The even sector's u(0) is 2 v(0); its fields carry the 1/2 back. Each axis
+    is folded once, for all the sectors that share the axes before it.
     """
     side = 2 * box_radius + 1
-    slab = side * side
-    windows = sliding_window_view(kernel, (side,) * 3)[::-1, ::-1, ::-1]
-    panels = []
-    for x0 in range(0, side, 2):
-        x1 = min(x0 + 2, side)
-        i0, i1 = x0 * slab, x1 * slab
-        t = rx[i0:, None] * ry[i0:i1]
-        t += ry[i0:, None] * rx[i0:i1]
-        t *= windows[x0:, :, :, x0:x1].reshape(-1, i1 - i0)
-        top = t[:i1 - i0]
-        top[np.triu_indices_from(top, 1)] = 0.0
-        top[np.diag_indices_from(top)] *= 0.5
-        panels.append((i0, i1, t))
-    return panels
+    us = [v.reshape(-1, side, side, side)]
+    for axis, signs in enumerate(axis_signs, start=1):
+        us = [_reflect(u, axis, box_radius, sign) for u in us for sign in signs]
+    return [u.reshape(len(v), -1) for u in us]
 
 
-def _panel_quadratic_form(panels, v: np.ndarray) -> np.ndarray:
-    """Row-wise v^T T v over the panels of `_green_panels`, for v of shape (m, n)."""
-    return sum(np.einsum("ij,ij->i", v[:, i0:i1], v[:, i0:] @ t)
-               for i0, i1, t in panels)
+def _sector_panels(kernel: np.ndarray, box_radius: int, x_site, y_site):
+    """The l=2 quadratic form (rx o v)^T G (ry o v) as reflection-sector panels.
+
+    G is symmetric, so the form is v^T S v with S = G o (rx ry^T + ry rx^T) / 2.
+    An axis on which both sites have coordinate 0 is folded: t -> -t leaves
+    G, rx and ry unchanged, so S commutes with it and the form splits, with
+    no cross term, into an even and an odd part over the half axis (`_fold`)
+    with kernel [G(t - t') +- G(t + t')] / 2, the method of images. Each
+    sector's form is its lower triangle T (T_aa = S_aa, T_ca = 2 S_ca for
+    c > a), u^T S u = sum_{c >= a} u_c T_ca u_a, kept as column panels
+    T[i0:, i0:i1] of two axis-0 slabs. The images of axes 1 and 2 are summed
+    first into one small kernel per sector over (t1, t2, |dx0|, t1', t2'), so
+    each panel is one gather of it (two on a folded axis 0). With no folded
+    axis there is one sector, the cube, with one image of weight 1.
+
+    Returns (axis_signs, panels): each axis's sector signs for `_fold`, and
+    per sector, in `_fold`'s order, its (i0, i1, panel) triples.
+    """
+    b = box_radius
+    side = 2 * b + 1
+    octant = kernel[2 * b:, 2 * b:, 2 * b:]
+    rx3 = _shifted_field(kernel, 2 * b, b, x_site).reshape((side,) * 3)
+    ry3 = _shifted_field(kernel, 2 * b, b, y_site).reshape((side,) * 3)
+    axes = [_axis_sectors(b, x == y == 0) for x, y in zip(x_site, y_site)]
+    scale = 0.5 ** sum(len(a) - 1 for a in axes)
+    sectors = []
+    for (c0, s0), (c1, s1), (c2, s2) in itertools.product(*axes):
+        images = _image_sum(_image_sum(octant, 1, c1, s1), 3, c2, s2)
+        images = np.ascontiguousarray(images.transpose(1, 3, 0, 2, 4))
+        images *= scale
+        # an even sector's u(0) is 2 v(0) (`_fold`): halve its fields there
+        h0, h1, h2 = (np.where((c == 0) & (s > 0), 0.5, 1.0)
+                      for c, s in ((c0, s0), (c1, s1), (c2, s2)))
+        h = (h0[:, None, None] * h1[:, None] * h2).ravel()
+        ix = np.ix_(c0 + b, c1 + b, c2 + b)
+        rx, ry = rx3[ix].ravel() * h, ry3[ix].ravel() * h
+        t1 = np.arange(c1.size)[None, :, None, None]
+        t2 = np.arange(c2.size)[None, None, :, None]
+        slab = c1.size * c2.size
+        panels = []
+        for x0 in range(0, c0.size, 2):
+            x1 = min(x0 + 2, c0.size)
+            i0, i1 = x0 * slab, x1 * slab
+            xc, xa = c0[x0:, None, None, None], c0[None, None, None, x0:x1]
+            t = rx[i0:, None] * ry[i0:i1]
+            t += ry[i0:, None] * rx[i0:i1]
+            g = images[t1, t2, np.abs(xc - xa)]
+            if s0:
+                g += s0 * images[t1, t2, xc + xa]
+            t *= g.reshape(t.shape)
+            del g  # at most two panel-sized temporaries at a time
+            top = t[:i1 - i0]
+            top[np.triu_indices_from(top, 1)] = 0.0
+            top[np.diag_indices_from(top)] *= 0.5
+            panels.append((i0, i1, t))
+        sectors.append(panels)
+    return tuple(tuple(sign for _, sign in a) for a in axes), sectors
+
+
+def _sector_quadratic_form(sectors, v: np.ndarray, box_radius: int) -> np.ndarray:
+    """Row-wise v^T S v over the sectors of `_sector_panels`, for v of shape (m, n)."""
+    axis_signs, panels = sectors
+    return sum(sum(np.einsum("ij,ij->i", u[:, i0:i1], u[:, i0:] @ t) for i0, i1, t in p)
+               for u, p in zip(_fold(v, axis_signs, box_radius), panels))
 
 
 def _convolve_same(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -346,9 +433,11 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     that `diagram_moment` sums for the prediction, so only statistical error
     separates them. For l = 2 each sample's A_2 is lam^2 (rx o v)^T G (ry o v)
     - sigma sum_z rx ry, the quadratic form read from the lower column panels
-    of `_green_panels`: about half the products of a dense (n, n) G, and
-    about (1/2 + 1/(2b+1)) x 8 n^2 bytes of panels, with n = (2b+1)^3 (0.56 x
-    8 n^2 = 108 MB at b = 8).
+    of its reflection sectors (`_sector_panels`). With no folded axis these
+    hold about (1/2 + 1/(2b+1)) x 8 n^2 bytes, n = (2b+1)^3, half the
+    products of a dense (n, n) G; each folded axis halves that again, so the
+    on-axis sites x = 0, y = (1, 0, 0) need 0.14 x 8 n^2 bytes (27 MB at
+    b = 8, against 108 MB unfolded).
 
     A_2^2 is heavy-tailed at E* = 0.1, b = 8: a run of a few hundred samples
     that misses the tail reports both a low mean and a low stderr, so its
@@ -367,7 +456,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     rx = _shifted_field(kernel, 2 * b, b, x_site)
     ry = _shifted_field(kernel, 2 * b, b, y_site)
     if order == 2:
-        panels = _green_panels(kernel, b, rx, ry)
+        sectors = _sector_panels(kernel, b, x_site, y_site)
 
     density = DensitySpec()
     rng = substream(seed, "moment-mc", order)
@@ -380,7 +469,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
         if order == 1:
             a = lam * (v @ (rx * ry))
         else:
-            a = lam**2 * _panel_quadratic_form(panels, v) - sigma * pxy
+            a = lam**2 * _sector_quadratic_form(sectors, v, b) - sigma * pxy
         vals[done:done + m] = a**2
         done += m
     mc = float(np.mean(vals))
@@ -411,10 +500,13 @@ def check_decay_envelope(order: int, context: EnergyContext, distances,
     The envelope rate sqrt(E*/3) is an upper bound on the kernel, hence a
     lower bound for the fitted rate; the constant K is fitted as the smallest
     value for which (4l)! E* (K ln^9(e+1/E*) lam^2 / sqrt(E*))^l e^{-rate r}
-    dominates the computed moments.  A box_margin too small for the
-    distances raises TruncationError from `diagram_moment`.
+    dominates the computed moments.  Fewer than two distinct distances raise
+    ValueError; a box_margin too small for the distances raises
+    TruncationError from `diagram_moment`.
     """
     distances = sorted(int(r) for r in distances)
+    if len(set(distances)) < 2:
+        raise ValueError(f"a decay rate needs two distinct distances, got {distances}")
     b = max(distances) // 2 + box_margin
     kernel = _green_kernel(context.estar, 2 * b)
     vals = []

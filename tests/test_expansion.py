@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from lifshitzlab import anderson as am
@@ -311,6 +312,17 @@ def test_mc_moment_decay_rate(context_factory):
     assert rate >= 2.0 * math.sqrt(2.0 * ctx.estar) * 0.9
 
 
+@pytest.mark.parametrize("distances", [[4], [4, 4]])
+def test_decay_envelope_needs_two_distinct_distances(context_factory, monkeypatch,
+                                                     distances):
+    def no_kernel(*args):
+        raise AssertionError("kernel built before the distances were checked")
+
+    monkeypatch.setattr(ex, "_green_kernel", no_kernel)
+    with pytest.raises(ValueError, match="two distinct distances"):
+        ex.check_decay_envelope(1, context_factory(0.5, 0.45), distances)
+
+
 def test_decay_envelope_l1(context_factory):
     ctx = context_factory(0.5, 0.05)
     rep = ex.check_decay_envelope(1, ctx, [10, 13, 16, 20], box_margin=4)
@@ -362,17 +374,70 @@ def dense_green_matrix(kernel, b):
     return kernel[2 * b:, 2 * b:, 2 * b:][diffs[..., 0], diffs[..., 1], diffs[..., 2]]
 
 
+def window_green_panels(kernel, box_radius, rx, ry):
+    """Lower column panels of the whole-cube form, read from the kernel's
+    sliding windows: the l=2 panel build before reflection sectors (test oracle).
+
+    Entry (c, a) of panel T[i0:, i0:i1] is (rx_c ry_a + ry_c rx_a) G(z_c - z_a),
+    halved on the diagonal and zero above it.
+    """
+    side = 2 * box_radius + 1
+    slab = side * side
+    windows = sliding_window_view(kernel, (side,) * 3)[::-1, ::-1, ::-1]
+    panels = []
+    for x0 in range(0, side, 2):
+        x1 = min(x0 + 2, side)
+        i0, i1 = x0 * slab, x1 * slab
+        t = rx[i0:, None] * ry[i0:i1]
+        t += ry[i0:, None] * rx[i0:i1]
+        t *= windows[x0:, :, :, x0:x1].reshape(-1, i1 - i0)
+        top = t[:i1 - i0]
+        top[np.triu_indices_from(top, 1)] = 0.0
+        top[np.diag_indices_from(top)] *= 0.5
+        panels.append((i0, i1, t))
+    return panels
+
+
+def window_panel_quadratic_form(panels, v):
+    """Row-wise v^T T v over the panels of `window_green_panels` (test oracle)."""
+    return sum(np.einsum("ij,ij->i", v[:, i0:i1], v[:, i0:] @ t)
+               for i0, i1, t in panels)
+
+
+# site pairs with 0, 1, 2 and 3 folded axes (both coordinates 0 on the axis)
+FOLD_PAIRS = [((1, 2, -1), (0, 1, 3)), ((0, 0, 0), (1, 1, 1)), ((0, 1, 0), (0, -2, 1)),
+              ((0, 0, 0), (1, 1, 0)), ((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 2, 0)),
+              ((0, 0, 0), (0, 0, 0))]
+
+
 @pytest.mark.parametrize("b", [3, 4, 5])
 @pytest.mark.parametrize("estar", [0.45, 0.1])
 def test_panel_quadratic_form_equals_dense_oracle(b, estar):
     kernel = ex._green_kernel(estar, 2 * b)
-    rx = ex._shifted_field(kernel, 2 * b, b, (0, 0, 0))
-    ry = ex._shifted_field(kernel, 2 * b, b, (1, -1, 0))
-    panels = ex._green_panels(kernel, b, rx, ry)
+    gmat = dense_green_matrix(kernel, b)
+    v = np.random.default_rng(b).uniform(-1.0, 1.0, size=(7, (2 * b + 1) ** 3))
+    for x, y in FOLD_PAIRS:
+        rx = ex._shifted_field(kernel, 2 * b, b, x)
+        ry = ex._shifted_field(kernel, 2 * b, b, y)
+        sectors = ex._sector_panels(kernel, b, x, y)
+        dense = np.einsum("ma,ac,mc->m", v * rx, gmat, v * ry)
+        np.testing.assert_allclose(ex._sector_quadratic_form(sectors, v, b), dense,
+                                   rtol=1e-13, atol=0.0, err_msg=f"{x}, {y}")
+
+
+@pytest.mark.parametrize("b", [3, 4, 5])
+@pytest.mark.parametrize("estar", [0.45, 0.1])
+@pytest.mark.parametrize("x, y", [((1, 2, -1), (0, 1, 3)), ((0, 0, 0), (1, 1, 1))])
+def test_unfolded_sector_form_is_the_window_panel_form(b, estar, x, y):
+    # no folded axis: one sector, one image of weight 1, the same arithmetic
+    kernel = ex._green_kernel(estar, 2 * b)
+    rx = ex._shifted_field(kernel, 2 * b, b, x)
+    ry = ex._shifted_field(kernel, 2 * b, b, y)
+    sectors = ex._sector_panels(kernel, b, x, y)
+    assert sectors[0] == ((0,), (0,), (0,)) and len(sectors[1]) == 1
     v = np.random.default_rng(b).uniform(-1.0, 1.0, size=(7, rx.size))
-    dense = np.einsum("ma,ac,mc->m", v * rx, dense_green_matrix(kernel, b), v * ry)
-    np.testing.assert_allclose(ex._panel_quadratic_form(panels, v), dense,
-                               rtol=1e-13, atol=0.0)
+    assert np.array_equal(ex._sector_quadratic_form(sectors, v, b),
+                          window_panel_quadratic_form(window_green_panels(kernel, b, rx, ry), v))
 
 
 def dense_mc_moment_l2(ctx, x_site, y_site, samples, b, seed):
@@ -402,6 +467,16 @@ def test_l2_moment_mc_matches_dense_oracle(context_factory):
     assert cmp2.mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("x, y", [((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (1, 1, 1))])
+def test_l2_moment_mc_matches_dense_oracle_with_three_and_no_folded_axes(context_factory,
+                                                                           x, y):
+    ctx = context_factory(0.5, 0.45)
+    cmp2 = ex.mc_moment_Al_squared(2, ctx, x, y, samples=1200, box_radius=5, seed=4)
+    mean, stderr = dense_mc_moment_l2(ctx, x, y, 1200, 5, 4)
+    assert cmp2.mc_estimate == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert cmp2.mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
 def test_l2_moment_mc_forms_no_dense_green_matrix(context_factory):
     # the panels hold about 0.56 of the 8 n^2 bytes of a dense (n, n) matrix at b = 8
     b = 8
@@ -414,6 +489,22 @@ def test_l2_moment_mc_forms_no_dense_green_matrix(context_factory):
     finally:
         tracemalloc.stop()
     assert peak < 0.7 * 8 * n * n
+
+
+def test_l2_moment_mc_folds_the_two_axes_its_sites_share(context_factory):
+    # x = 0, y = (1, 0, 0) fold axes 1 and 2: four sectors whose panels take
+    # ((b+1)^2 + b^2)^2 / (2b+1)^4 = 0.25 of the whole cube's panel bytes,
+    # about 0.14 of the 8 n^2 bytes of a dense (n, n) matrix at b = 8
+    b = 8
+    n = (2 * b + 1) ** 3
+    ctx = context_factory(0.3, 0.1)
+    tracemalloc.start()
+    try:
+        ex.mc_moment_Al_squared(2, ctx, (0, 0, 0), (1, 0, 0), samples=2, box_radius=b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * n * n
 
 
 @pytest.mark.parametrize("b", [3, 4])
