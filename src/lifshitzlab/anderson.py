@@ -24,6 +24,15 @@ that does not, or a seed that breaks down, is solved again by the direct
 sparse factorization `resolvent_column` at the same eta and counted as a
 fallback in the result.
 
+Each column's CG run keeps to its light cone: iteration k from delta_y
+reaches only Manhattan distance k, so it works on the window [y-k, y+k]^3 of
+one workspace allocated up front, whose faces act as Dirichlet walls, until
+the window is the whole box.  Its inner products sum a full-box scratch array
+that is zero outside the window, so NumPy sums in the same order and every
+column is bit-identical to the same run over the whole box.  The Krylov steps,
+into workspace buffers, and the residual checks apply one stencil,
+`_apply_stencil`.
+
 Fractional moments E|R(x,y)|^s are eta-resolved disorder averages; the
 finite-volume criterion assembles B_s L^4 lam^{-2s} sum_{boundary}
 E|R(n,0)|^s < b on the box of side 2L: sites -L..L-1 on each axis, so its
@@ -189,13 +198,22 @@ def resolvent_column(hamiltonian, energy: float, eta: float, box: Box,
     return _direct_solver(hamiltonian, energy, eta)(rhs)
 
 
-def _apply_stencil(v, shift, pot):
-    """(H + shift) v on the grid-shaped array v, matrix-free."""
-    out = (3.0 + shift) * v
+def _apply_stencil(v, shift, pot, out=None, scratch=None):
+    """(H + shift) v on the grid-shaped array v, matrix-free.
+
+    Writes into `out` and uses `scratch` for pot v and v / 2 when they are
+    given (both shaped like v, of the result's dtype), so a caller that keeps
+    them allocates nothing.  v may be a window of a larger grid: the hops in
+    `_HOPS` fit any shape, so the window's faces act as Dirichlet walls.
+    """
+    out = np.multiply(3.0 + shift, v, out=out)
+    if scratch is None:
+        scratch = np.empty_like(out)
     if pot is not None:
-        out = out + pot * v
+        out += np.multiply(pot, v, out=scratch)
+    np.multiply(v, 0.5, out=scratch)
     for dst, src in _HOPS:
-        out[dst] -= 0.5 * v[src]
+        out[dst] -= scratch[src]
     return out
 
 
@@ -222,39 +240,60 @@ def _krylov_columns(side, energy, pot_grid, rhs_index, etas, tol):
     max |zeta| |r| < tol and returns (columns, iterations); returns None if
     the seed is not positive definite (p.Ap <= 0) or KRYLOV_MAXIT is reached.
     True residuals are the caller's to check.
+
+    Light cone: before iteration k, p and every ps are zero beyond Manhattan
+    distance k - 1 of y, so iteration k runs `_apply_stencil` and every
+    update on views of the window [y - k, y + k]^3 cut to the box; the
+    window's faces act as Dirichlet walls, exactly, since p is zero across
+    them.  Once the window is the box, the views are the whole arrays.  The
+    run updates x (when an eta = 0 column is asked for), r, p, xs and ps in
+    place in one workspace allocated up front.  Each inner product sums a
+    full-box scratch array that is zero outside the window, so NumPy's
+    pairwise summation, and with it every iterate, iteration count and
+    column, is bit-identical to the same run over the whole box.
     """
-    b = np.zeros((side, side, side))
-    b.ravel()[rhs_index] = 1.0
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = 1.0
+    shape = (side,) * 3
+    centre = np.unravel_index(rhs_index, shape)
+    reach = max(max(c, side - 1 - c) for c in centre)  # first k whose window is the box
     sigma = np.array([1j * eta for eta in etas if eta > 0])
-    xs = np.zeros((sigma.size, b.size), dtype=complex)
-    ps = np.repeat(b.reshape(1, -1), sigma.size, axis=0).astype(complex)
+    x, r, p, ap, scratch = (np.zeros(shape) for _ in range(5))
+    xs, ps, cscratch = (np.zeros((sigma.size,) + shape, dtype=complex) for _ in range(3))
+    r[centre] = p[centre] = 1.0
+    ps[(slice(None),) + centre] = 1.0
+    rs = 1.0
     zeta = zeta_old = np.ones(sigma.size, dtype=complex)
+    to_shifts = (slice(None),) + (None,) * 3  # a per-shift factor against (shift, grid)
     alpha_old, beta_old = 1.0, 0.0
     seed_weight = 1.0 if 0.0 in etas else 0.0
     for it in range(1, KRYLOV_MAXIT + 1):
-        ap = _apply_stencil(p, energy, pot_grid)
-        pap = float(np.sum(p * ap))
+        if it <= reach:
+            win = tuple(slice(max(c - it, 0), c + it + 1) for c in centre)
+            x_w, r_w, p_w, ap_w, s_w = (a[win] for a in (x, r, p, ap, scratch))
+            pot_w = None if pot_grid is None else pot_grid[win]
+            xs_w, ps_w, cs_w = (a[(slice(None),) + win] for a in (xs, ps, cscratch))
+        _apply_stencil(p_w, energy, pot_w, out=ap_w, scratch=s_w)
+        np.multiply(p_w, ap_w, out=s_w)
+        pap = float(scratch.sum())
         if pap <= 0.0:
             return None
         alpha = rs / pap
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.sum(r * r))
+        if seed_weight:  # x is read only as the eta = 0 column
+            x_w += np.multiply(alpha, p_w, out=s_w)
+        r_w -= np.multiply(alpha, ap_w, out=s_w)
+        np.multiply(r_w, r_w, out=s_w)
+        rs_new = float(scratch.sum())
         zeta_new = zeta * zeta_old * alpha_old / (
             alpha_old * zeta_old * (1.0 + sigma * alpha)
             + alpha * beta_old * (zeta_old - zeta))
-        xs += (alpha * zeta_new / zeta)[:, None] * ps
+        xs_w += np.multiply((alpha * zeta_new / zeta)[to_shifts], ps_w, out=cs_w)
         if np.abs(zeta_new).max(initial=seed_weight) * math.sqrt(rs_new) < tol:
-            cols = iter(xs)
+            cols = (col.ravel() for col in xs)
             return [x.ravel() if eta == 0.0 else next(cols) for eta in etas], it
         beta = rs_new / rs
-        p = r + beta * p
-        ps = (zeta_new[:, None] * r.reshape(1, -1)
-              + (beta * (zeta_new / zeta) ** 2)[:, None] * ps)
+        p_w *= beta
+        p_w += r_w
+        np.multiply((beta * (zeta_new / zeta) ** 2)[to_shifts], ps_w, out=ps_w)
+        ps_w += np.multiply(zeta_new[to_shifts], r_w, out=cs_w)
         zeta_old, zeta = zeta, zeta_new
         alpha_old, beta_old, rs = alpha, beta, rs_new
     return None
@@ -268,6 +307,8 @@ def _resolvent_columns(box: Box, potential, lam, energy, ys, etas, tol):
     solved by `resolvent_column` at the same eta and counted as a fallback.
     """
     _check_site_budget(box)
+    if not etas:
+        raise ValueError("the eta schedule is empty")
     if any(eta < 0 for eta in etas):
         raise ValueError("eta must be >= 0")
     shape = (box.side,) * 3
@@ -348,6 +389,8 @@ def fractional_moment(box: Box, context: EnergyContext, s: float, pairs,
     if not (0 < s < 1):
         raise ValueError("s must be in (0, 1)")
     pairs = tuple((tuple(x), tuple(y)) for x, y in pairs)
+    if not pairs:
+        raise ValueError("no (x, y) pairs given")
     etas = tuple(eta_schedule)
     index = {site: box.index(site) for pair in pairs for site in pair}
 
@@ -429,7 +472,8 @@ class CriterionResult:
     raw_boundary_sum: float
     samples: int
     lambda_factor_applied: bool
-    fallbacks: int  # Krylov columns redone by factorization
+    fallbacks: int          # Krylov columns redone by factorization
+    krylov_iterations: int  # largest seed CG iteration count
 
     @property
     def passes(self) -> bool:
@@ -463,7 +507,7 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
     _check_site_budget(box)  # before the boundary shell is built
     bidx = box.boundary_indices()
     origin = (0, 0, 0)
-    raw, raw_err, fallbacks, _ = _sample_average(
+    raw, raw_err, fallbacks, iterations = _sample_average(
         box, context, [origin], (0.0,), samples, seed, CG_TOL,
         lambda cols: np.sum(np.abs(cols[origin][0][bidx]) ** s))
     raw, raw_err, lam = float(raw), float(raw_err), context.lam
@@ -471,7 +515,7 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
     return CriterionResult(L=L, s=s, b=b, B_s=B_s, value=factor * raw,
                            stderr=factor * raw_err, raw_boundary_sum=raw,
                            samples=samples, lambda_factor_applied=lam > 0,
-                           fallbacks=fallbacks)
+                           fallbacks=fallbacks, krylov_iterations=iterations)
 
 
 @dataclass(frozen=True)

@@ -387,6 +387,7 @@ def run_criterion(cfg):
         "implied_decay_rate": res.implied_decay_rate,
         "lambda_factor_applied": res.lambda_factor_applied,
         "samples": res.samples, "fallbacks": res.fallbacks,
+        "krylov_iterations": res.krylov_iterations,
     })}, {}
 
 

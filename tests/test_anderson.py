@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -318,6 +320,7 @@ def test_criterion_falls_back_to_factorization_at_same_eta(monkeypatch, cg_resul
 
     res = am.finite_volume_criterion(L, ctx, s, samples=1, seed=3)
     assert res.fallbacks == 0
+    assert 0 < res.krylov_iterations < am.KRYLOV_MAXIT
     assert res.raw_boundary_sum == pytest.approx(direct, rel=1e-8)
 
     wrong = col + 1e-6
@@ -326,6 +329,7 @@ def test_criterion_falls_back_to_factorization_at_same_eta(monkeypatch, cg_resul
                         else ([wrong], 1))
     res = am.finite_volume_criterion(L, ctx, s, samples=1, seed=3)
     assert res.fallbacks == 1
+    assert res.krylov_iterations == (0 if cg_result == "breakdown" else 1)
     assert res.raw_boundary_sum == direct
 
 
@@ -356,6 +360,104 @@ def test_unshifted_engine_is_plain_cg():
     origin = box.index((0, 0, 0))
     (u,), _ = am._krylov_columns(14, 0.85, pot, origin, (0.0,), am.CG_TOL)
     assert np.array_equal(u, plain_cg(14, 0.85, pot, origin, am.CG_TOL))
+
+
+def full_box_krylov_columns(side, energy, pot_grid, rhs_index, etas, tol):
+    """The shifted-CG engine over the whole box, a fresh array per step (test oracle).
+
+    The recurrence of `anderson._krylov_columns` with every update on the
+    full grid and the six hops written out; the light-cone columns must
+    equal it bit for bit.
+    """
+    b = np.zeros((side, side, side))
+    b.ravel()[rhs_index] = 1.0
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = 1.0
+    sigma = np.array([1j * eta for eta in etas if eta > 0])
+    xs = np.zeros((sigma.size, b.size), dtype=complex)
+    ps = np.repeat(b.reshape(1, -1), sigma.size, axis=0).astype(complex)
+    zeta = zeta_old = np.ones(sigma.size, dtype=complex)
+    alpha_old, beta_old = 1.0, 0.0
+    seed_weight = 1.0 if 0.0 in etas else 0.0
+    for it in range(1, am.KRYLOV_MAXIT + 1):
+        ap = six_slice_stencil(p, energy, pot_grid)
+        pap = float(np.sum(p * ap))
+        if pap <= 0.0:
+            return None
+        alpha = rs / pap
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = float(np.sum(r * r))
+        zeta_new = zeta * zeta_old * alpha_old / (
+            alpha_old * zeta_old * (1.0 + sigma * alpha)
+            + alpha * beta_old * (zeta_old - zeta))
+        xs += (alpha * zeta_new / zeta)[:, None] * ps
+        if np.abs(zeta_new).max(initial=seed_weight) * math.sqrt(rs_new) < tol:
+            cols = iter(xs)
+            return [x.ravel() if eta == 0.0 else next(cols) for eta in etas], it
+        beta = rs_new / rs
+        p = r + beta * p
+        ps = (zeta_new[:, None] * r.reshape(1, -1)
+              + (beta * (zeta_new / zeta) ** 2)[:, None] * ps)
+        zeta_old, zeta = zeta, zeta_new
+        alpha_old, beta_old, rs = alpha, beta, rs_new
+    return None
+
+
+# right-hand sides by grid index: the light-cone window meets no wall until
+# it reaches the box (centre), meets two at once (off centre) or three
+# (corner) from the first step
+RHS_GRID = {
+    "centre": lambda side: (side // 2,) * 3,
+    "off_centre": lambda side: (side // 2, 1, side - 2),
+    "corner": lambda side: (0, side - 1, 0),
+}
+
+
+@pytest.mark.parametrize("etas", [(0.0,), (1e-2, 1e-3, 1e-4), (0.0, 1e-3)],
+                         ids=["seed", "three_shifts", "seed_and_shift"])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("rhs", sorted(RHS_GRID))
+@pytest.mark.parametrize("side", [2, 5, 14, 38])
+def test_light_cone_columns_equal_full_box_columns(side, rhs, lam, etas):
+    shape = (side,) * 3
+    pot = am.sample_potential(am.Box(side=side), DensitySpec(), 8, side)
+    pot_grid = None if lam == 0.0 else (lam * pot).reshape(shape)
+    rhs_index = int(np.ravel_multi_index(RHS_GRID[rhs](side), shape))
+    tol = am.CG_TOL if etas == (0.0,) else am.KRYLOV_TOL  # the criterion's stop
+    want_cols, want_its = full_box_krylov_columns(side, 0.45, pot_grid, rhs_index,
+                                                  etas, tol)
+    cols, its = am._krylov_columns(side, 0.45, pot_grid, rhs_index, etas, tol)
+    assert its == want_its
+    assert len(cols) == len(etas)
+    for u, want in zip(cols, want_cols):
+        assert u.dtype == want.dtype and np.array_equal(u, want)
+
+
+@pytest.mark.parametrize("etas, tol, grid_arrays", [
+    ((0.0,), am.CG_TOL, 5.5),                    # x, r, p, Ap, scratch
+    ((1e-2, 1e-3, 1e-4), am.KRYLOV_TOL, 23.5),   # and xs, ps, scratch per shift
+])
+@pytest.mark.parametrize("rhs", ["centre", "corner"])
+def test_krylov_column_allocates_one_workspace(etas, tol, grid_arrays, rhs):
+    # the workspace is the whole allocation; full_box_krylov_columns, which
+    # allocates per step, peaks at 7.1 grid arrays (eta = 0) and 29 (three
+    # shifts) on the centre column
+    side = 50
+    shape = (side,) * 3
+    pot = 0.5 * am.sample_potential(am.Box(side=side), DensitySpec(), 5, 0)
+    rhs_index = int(np.ravel_multi_index(RHS_GRID[rhs](side), shape))
+    pot_grid = pot.reshape(shape)
+    tracemalloc.start()
+    try:
+        run = am._krylov_columns(side, 0.45, pot_grid, rhs_index, etas, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run is not None and run[1] >= side  # the window grew to the whole box
+    assert peak <= grid_arrays * pot.nbytes
 
 
 def _within(box, y, radius):
@@ -446,6 +548,25 @@ def test_sites_are_indexed_before_the_first_solve(monkeypatch, call):
     monkeypatch.setattr(am, "_krylov_columns", no_solve)
     with pytest.raises(ValueError, match=r"site \(.*\) outside the cube \[-4, 3\]\^3"):
         call(am.Box(side=8), se.solve_self_energy(0.45, 0.5))
+
+
+def _no_solve(*args):
+    raise AssertionError("a Krylov run for a request with nothing to estimate")
+
+
+def test_empty_eta_schedule_is_rejected_before_solving(monkeypatch):
+    monkeypatch.setattr(am, "_krylov_columns", _no_solve)
+    ctx = se.solve_self_energy(0.45, 0.5)
+    with pytest.raises(ValueError, match="eta schedule is empty"):
+        am.fractional_moment(am.Box(side=6), ctx, 0.3, [((1, 0, 0), (0, 0, 0))],
+                             samples=2, eta_schedule=())
+
+
+def test_empty_pair_list_is_rejected_before_solving(monkeypatch):
+    monkeypatch.setattr(am, "_krylov_columns", _no_solve)
+    ctx = se.solve_self_energy(0.45, 0.5)
+    with pytest.raises(ValueError, match=r"no \(x, y\) pairs"):
+        am.fractional_moment(am.Box(side=6), ctx, 0.3, [], samples=2)
 
 
 def test_moments_need_no_sparse_hamiltonian(monkeypatch):
@@ -542,3 +663,107 @@ def test_full_determinism_of_estimates():
     b = am.fractional_moment(box, ctx, 0.3, [((0, 0, 0), (1, 0, 0))], 10, **kwargs)
     assert np.array_equal(a.estimates, b.estimates)
     assert np.array_equal(a.stderrs, b.stderrs)
+
+
+# Exact disorder averages on the 8-site box Box(side=2).  In the admissible
+# window H + E is a positive definite M-matrix, so R(., 0) is positive and
+# analytic in the potential, and a tensor Gauss-Legendre rule over the eight
+# site potentials converges exponentially: 5 nodes per site match 6 to 4e-9
+# relative on E|R(x, 0)|^s and E R(0, 0).
+EXACT_CTX = se.solve_self_energy(0.45, 0.5)
+ORIGIN = (0, 0, 0)
+CORNERS = [(-1, 0, 0), (-1, -1, -1)]  # one hop and three hops from the origin
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre_columns(lam, energy, nodes):
+    """Weights and columns R(., 0) at the nodes^8 grid of the uniform law (test oracle).
+
+    The disorder average of f(R(., 0)) over i.i.d. V uniform on
+    [-sqrt 3, sqrt 3] is weights @ f(columns), columns indexed like
+    Box(side=2).  On that box the three bits of a flat index are the grid
+    coordinates, so two sites are neighbours when their indices differ in one
+    bit; the 8 x 8 systems are solved in batches of nodes^6.
+    """
+    box = am.Box(side=2)
+    hop = np.array([[float(bin(i ^ j).count("1") == 1) for j in range(8)]
+                    for i in range(8)])
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    values, probs = SQRT3 * u, w / 2.0
+    inner = np.indices((nodes,) * 6).reshape(6, -1).T
+    weights, columns = [], []
+    for head in np.ndindex(nodes, nodes):
+        grid = np.hstack([np.broadcast_to(head, (len(inner), 2)), inner])
+        a = np.broadcast_to((3.0 + energy) * np.eye(8) - 0.5 * hop,
+                            (len(grid), 8, 8)).copy()
+        a[:, range(8), range(8)] += lam * values[grid]
+        rhs = np.zeros((len(grid), 8, 1))
+        rhs[:, box.index(ORIGIN), 0] = 1.0
+        columns.append(np.linalg.solve(a, rhs)[..., 0])
+        weights.append(np.prod(probs[grid], axis=1))
+    return np.concatenate(weights), np.concatenate(columns)
+
+
+def exact_average(f, nodes=5):
+    weights, columns = gauss_legendre_columns(EXACT_CTX.lam, EXACT_CTX.energy, nodes)
+    return weights @ f(columns)
+
+
+def _abs_moment(s, sites):
+    box = am.Box(side=2)
+    return lambda cols: np.abs(cols[:, [box.index(x) for x in sites]]) ** s
+
+
+def test_gauss_legendre_rule_has_converged():
+    for f in (_abs_moment(0.3, CORNERS), _abs_moment(0.2, [ORIGIN]),
+              lambda cols: cols[:, am.Box(side=2).index(ORIGIN)]):
+        five, four = exact_average(f), exact_average(f, nodes=4)
+        assert np.all(np.abs(four / five - 1.0) <= 1e-6)
+    weights, _ = gauss_legendre_columns(EXACT_CTX.lam, EXACT_CTX.energy, 5)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("etas", [(0.0,), am.DEFAULT_ETA_SCHEDULE],
+                         ids=["eta0", "default"])
+def test_fractional_moment_matches_exact_average(etas):
+    # the shifts move the exact value by under 1e-5 relative at eta = 1e-2,
+    # far below the stderr, so every eta row is held to the eta = 0 average
+    est = am.fractional_moment(am.Box(side=2), EXACT_CTX, 0.3,
+                               [(x, ORIGIN) for x in CORNERS], samples=2000,
+                               eta_schedule=etas, seed=1)
+    exact = exact_average(_abs_moment(0.3, CORNERS))
+    z = (est.estimates - exact) / est.stderrs
+    assert est.fallbacks == 0
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_criterion_at_L1_matches_exact_boundary_sum():
+    # on the box of side 2 every site is a boundary site
+    res = am.finite_volume_criterion(1, EXACT_CTX, s=0.2, samples=2000, seed=4)
+    exact = float(np.sum(exact_average(lambda cols: np.abs(cols) ** 0.2)))
+    raw_err = res.stderr * res.raw_boundary_sum / res.value
+    assert res.fallbacks == 0
+    assert abs(res.raw_boundary_sum - exact) <= 4.0 * raw_err
+
+
+def test_sample_average_mean_matches_exact_resolvent():
+    box = am.Box(side=2)
+    mean, err, fallbacks, _ = am._sample_average(
+        box, EXACT_CTX, [ORIGIN], (0.0,), 2000, 6, am.KRYLOV_TOL,
+        lambda cols: cols[ORIGIN][0])
+    z = (mean - exact_average(lambda cols: cols)) / err
+    assert fallbacks == 0
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_stderr_matches_the_spread_of_estimates():
+    # z over 40 independent 200-sample estimates has unit spread when the
+    # stderr divides the right standard deviation by the right sqrt(samples)
+    pair = [(CORNERS[0], ORIGIN)]
+    exact = exact_average(_abs_moment(0.3, CORNERS[:1]))[0]
+    z = []
+    for seed in range(40):
+        est = am.fractional_moment(am.Box(side=2), EXACT_CTX, 0.3, pair, samples=200,
+                                   eta_schedule=(0.0,), seed=seed)
+        z.append((est.estimates[0, 0] - exact) / est.stderrs[0, 0])
+    assert 0.7 <= np.std(z, ddof=1) <= 1.3

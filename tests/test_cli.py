@@ -269,6 +269,8 @@ def test_criterion_run(tmp_path):
     report = json.loads((tmp_path / "criterion.json").read_text())
     assert report["L"] == 5 and not report["lambda_factor_applied"]
     assert report["value"] > 0 and "margin" in report
+    assert report["fallbacks"] == 0
+    assert 0 < report["krylov_iterations"] < am.KRYLOV_MAXIT
 
 
 def test_outdir_env_default(tmp_path, monkeypatch):
