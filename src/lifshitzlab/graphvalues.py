@@ -7,15 +7,16 @@ The value of a (pairing) graph is the momentum integral
 
 reduced by the spanning tree to an integral over the l = n + 2 loop momenta.
 Loop momenta are importance-sampled from the isotropic heavy-tailed density
-g(q) = (1/pi^2) (1 + q^2)^{-2} (radius tan(theta) with theta ~ sin^2), which
-is normalizable in 3D and heavier-tailed than F^2.
+g(q) = (1/pi^2) (1 + q^2)^{-2}, normalizable in 3D and heavier-tailed than F^2.
+It is the 3D Student t with one degree of freedom: q = z/|c| for four standard
+normals (z, c), with no rejection step.
 
 Momenta are stored component-major: the loop momenta of a run form one
 (3, loops, samples) array and the tree momenta one (3, tree lines, samples)
 array, so |q|^2 is q[0]^2 + q[1]^2 + q[2]^2 over contiguous rows and the
-products over loops and lines run along axis 0. The draws are made in
-(samples, loops, 3) order and then transposed, so each sample's value does
-not depend on the layout.
+products over loops and lines run along axis 0. The isotropic normals are drawn
+in that order, as one (4, loops, samples) array; the torus uniforms are drawn
+(samples, loops, 3) and transposed, so no sample's value depends on the layout.
 
 The torus variant integrates prod 1/(e(p)+E*) with loop momenta uniform on
 T^3; its continuum surrogate replaces propagators by 1/(q^2+E*) over R^3 and
@@ -26,7 +27,7 @@ the surrogate has Lambda = 4 loops and I = 6 propagators, so 3 Lambda - 2 I
 = 0 (`divergence_degree` gives (0, -20)). Without the ln^4 damping of
 `graph_value` the integral diverges logarithmically in the UV, and its Monte
 Carlo estimate has no finite limit: at E* = 0.2, stream "scaling", seed 0
-gives 7.03e5 +- 8.6e4, 1.12e6 +- 3.1e5 and 9.06e6 +- 8.1e6 at 1e5, 1e6 and
+gives 9.73e5 +- 2.1e5, 7.67e5 +- 5.8e4 and 2.14e6 +- 8.7e5 at 1e5, 1e6 and
 2e6 samples, so the reported stderr understates the spread. Each sample of
 the estimator scales exactly as (E*)^{1 - n/2}, because the proposal is
 rescaled with sqrt(E*); the scaling checks rest on that alone.
@@ -38,6 +39,7 @@ flagged in the assembly record.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +75,10 @@ class MCParams:
     stream: str = "graphvalue"
 
     def __post_init__(self):
+        try:
+            operator.index(self.samples)
+        except TypeError:
+            raise ValueError(f"samples must be an integer, got {self.samples!r}") from None
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
 
@@ -92,25 +98,15 @@ class GraphValueEstimate:
             raise ValueError("MC stderr must be positive")
 
 
+def _check_estar(estar):
+    if not (math.isfinite(estar) and estar > 0):
+        raise ValueError("estar must be finite and > 0")
+
+
 def propagator_log_damped(q2):
     """F(q) = 1 / ((q^2+1) ln^4(q^2+2)) as a function of |q|^2."""
     q2 = np.asarray(q2, dtype=float)
     return 1.0 / ((q2 + 1.0) * np.log(q2 + 2.0) ** 4)
-
-
-def _sample_heavy_radius(rng, count, scale=1.0):
-    """Radii with density ~ r^2/(scale^2 + r^2)^2 (rejection from sin^2)."""
-    out = np.empty(count)
-    have = 0
-    while have < count:
-        m = 2 * (count - have) + 16
-        theta = rng.uniform(0.0, math.pi / 2.0, size=m)
-        u = rng.uniform(0.0, 1.0, size=m)
-        acc = theta[u < np.sin(theta) ** 2]
-        take = min(count - have, acc.size)
-        out[have:have + take] = np.tan(acc[:take])
-        have += take
-    return scale * out
 
 
 def _norm2(q):
@@ -119,15 +115,15 @@ def _norm2(q):
 
 
 def _sample_isotropic(rng, shape, scale=1.0):
-    """Vectors from g(q) = (sqrt(scale2)/pi^2) (scale2 + q^2)^{-2}, scale2=scale^2.
+    """Vectors from g(q) = (scale/pi^2) (scale^2 + q^2)^{-2}, shape (3, *reversed(shape)).
 
-    Drawn in `shape` order and returned component-major, shape (3, *reversed(shape)).
+    q = scale z/|c| for four standard normals (z, c), drawn as one (4, ...) array. An
+    exact-zero c (chance below 1e-9 per 400k-sample call) gives a non-finite
+    weight, which `GraphValueEstimate` rejects.
     """
-    count = int(np.prod(shape))
-    r = _sample_heavy_radius(rng, count, scale)
-    d = np.ascontiguousarray(rng.normal(size=(*shape, 3)).T)
-    d /= np.sqrt(_norm2(d))
-    d *= r.reshape(shape).T
+    g = rng.normal(size=(4, *reversed(shape)))
+    d = g[:3]
+    d *= scale / np.abs(g[3])
     return d
 
 
@@ -171,8 +167,7 @@ def graph_value(graph: FeynmanGraph, mc: MCParams = MCParams()) -> GraphValueEst
 def torus_pairing_integral(graph: FeynmanGraph, estar: float,
                            mc: MCParams = MCParams()) -> GraphValueEstimate:
     """Torus integral of prod 1/(e(p)+E*) over the graph's delta-constrained momenta."""
-    if estar <= 0:
-        raise ValueError("estar must be > 0")
+    _check_estar(estar)
     propagator = lambda p: 1.0 / (dispersion(np.moveaxis(p, 0, -1)) + estar)
     uniform = lambda rng, shape: np.ascontiguousarray(
         rng.uniform(-0.5, 0.5, size=(*shape, 3)).T)
@@ -186,8 +181,7 @@ def torus_pairing_integral(graph: FeynmanGraph, estar: float,
 def continuum_pairing_integral(graph: FeynmanGraph, estar: float,
                                mc: MCParams = MCParams()) -> GraphValueEstimate:
     """Continuum surrogate: propagators 1/(q^2+E*) over R^3 (exact scaling E*^{1-n/2})."""
-    if estar <= 0:
-        raise ValueError("estar must be > 0")
+    _check_estar(estar)
     scale = math.sqrt(estar)
     propagator = lambda q: 1.0 / (_norm2(q) + estar)
     value, stderr = _loop_momentum_mc(
@@ -201,8 +195,7 @@ def continuum_pairing_integral(graph: FeynmanGraph, estar: float,
 
 def log_damping_constant(estar: float, k_const: float = 1.0) -> float:
     """C(E*) = K ln^9(e + 1/E*), the positive normalization of K ln^9 E*."""
-    if estar <= 0:
-        raise ValueError("estar must be > 0")
+    _check_estar(estar)
     return k_const * math.log(math.e + 1.0 / estar) ** 9
 
 

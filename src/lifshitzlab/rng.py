@@ -6,6 +6,7 @@ independent components never share a stream.
 """
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -16,5 +17,8 @@ def _tag(name: str) -> int:
 
 def substream(seed: int, name: str, index: int = 0) -> np.random.Generator:
     """Generator for substream `name`/`index` of the given root seed."""
-    ss = np.random.SeedSequence(entropy=[int(seed), _tag(name), int(index)])
-    return np.random.default_rng(ss)
+    try:
+        entropy = [operator.index(seed), _tag(name), operator.index(index)]
+    except TypeError:
+        raise ValueError(f"seed {seed!r} and index {index!r} must be integers") from None
+    return np.random.default_rng(np.random.SeedSequence(entropy=entropy))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import kstest
 
 from lifshitzlab import diagrams as dg
 from lifshitzlab import graphvalues as gv
@@ -56,6 +57,29 @@ def _gate_free_graphs(n):
     return [dg.build_feynman_graph(p) for p in parts]
 
 
+def rejection_heavy_radius(rng, count, scale=1.0):
+    """Radii with density ~ r^2/(scale^2 + r^2)^2: tan(theta), theta ~ sin^2 by rejection.
+
+    Independent of the Student t draw in `graphvalues` (test oracle for its radius law).
+    """
+    out = np.empty(count)
+    have = 0
+    while have < count:
+        m = 2 * (count - have) + 16
+        theta = rng.uniform(0.0, math.pi / 2.0, size=m)
+        u = rng.uniform(0.0, 1.0, size=m)
+        acc = theta[u < np.sin(theta) ** 2]
+        take = min(count - have, acc.size)
+        out[have:have + take] = np.tan(acc[:take])
+        have += take
+    return scale * out
+
+
+def heavy_radius_cdf(r):
+    """F(r) = (2/pi) (arctan r - r/(1 + r^2)), the law of |q|/scale under g."""
+    return (2.0 / math.pi) * (np.arctan(r) - r / (1.0 + r * r))
+
+
 def row_major_loop_momentum_mc(graph, mc, stream, sample, loop_weight, line_weight):
     """The loop-momentum MC with momenta stored (samples, loops, 3) (test oracle)."""
     tree, loops, a = dg.spanning_tree_decomposition(graph)
@@ -70,10 +94,8 @@ def row_major_loop_momentum_mc(graph, mc, stream, sample, loop_weight, line_weig
 def row_major_values(graph, estar, mc):
     """(value, stderr) of graph_value, torus and continuum integrals, row-major oracle."""
     def isotropic(rng, shape, scale):
-        r = gv._sample_heavy_radius(rng, int(np.prod(shape)), scale)
-        d = rng.normal(size=(r.size, 3))
-        d /= np.linalg.norm(d, axis=1)[:, None]
-        return (r[:, None] * d).reshape(*shape, 3)
+        g = rng.normal(size=(4, *reversed(shape))).T
+        return g[..., :3] * (scale / np.abs(g[..., 3:]))
 
     q2 = lambda q: np.sum(q * q, axis=-1)
     density = lambda q, scale: (scale / math.pi**2) / (scale * scale + q2(q)) ** 2
@@ -107,6 +129,32 @@ def test_component_major_mc_matches_row_major_oracle(graph):
                       ("continuum", gv.continuum_pairing_integral(graph, estar, mc))]:
         expected = pytest.approx(oracle[name], rel=1e-13, abs=0.0)
         assert (est.value, est.stderr) == expected, name
+
+
+@pytest.mark.parametrize("scale", [1.0, math.sqrt(0.2)])
+def test_proposal_radius_follows_closed_form_law(scale):
+    q = gv._sample_isotropic(substream(21, "radius-law"), (200_000, 1), scale)
+    r = np.sqrt(gv._norm2(q)).ravel() / scale
+    assert kstest(r, heavy_radius_cdf).pvalue > 1e-3
+    oracle = rejection_heavy_radius(substream(22, "radius-law"), r.size)
+    assert kstest(r, oracle).pvalue > 1e-3
+
+
+def test_proposal_is_isotropic():
+    q = gv._sample_isotropic(substream(23, "isotropy"), (200_000, 1)).reshape(3, -1)
+    unit = q / np.sqrt(gv._norm2(q))
+    assert np.abs(unit.mean(axis=1)).max() < 0.005  # stderr 1/sqrt(3 * 2e5) ~ 1.3e-3
+    np.testing.assert_allclose(unit @ unit.T / unit.shape[1], np.eye(3) / 3.0,
+                               atol=0.005)
+
+
+def test_proposal_scale_is_an_exact_covariance():
+    # the common-random-number scaling checks compare draws at two scales
+    scale = math.sqrt(0.2)
+    one = gv._sample_isotropic(substream(24, "covariance"), (10_000, 4))
+    scaled = gv._sample_isotropic(substream(24, "covariance"), (10_000, 4), scale)
+    assert one.shape == scaled.shape == (3, 4, 10_000)
+    np.testing.assert_allclose(scaled, scale * one, rtol=1e-15, atol=0.0)
 
 
 def test_two_line_loop_matches_radial_quadrature():
@@ -204,6 +252,30 @@ def test_lambda_exponent_reported_in_unit_interval_deep_regime():
     # window opens and the reported exponent lands in (0, 1)
     ba = gv.assemble_An_bound(1, 1e-60, 1e-180)
     assert 0.0 < ba.lambda_exponent < 1.0
+
+
+def test_non_finite_estar_rejected_before_sampling(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("sampled before checking estar")
+    monkeypatch.setattr(gv, "substream", no_draws)
+    graph = _gate_free_graphs(2)[0]
+    for estar in (math.nan, math.inf, 0.0, -0.1):
+        for integral in (gv.continuum_pairing_integral, gv.torus_pairing_integral):
+            with pytest.raises(ValueError, match="estar must be finite and > 0"):
+                integral(graph, estar)
+
+
+@pytest.mark.parametrize("estar", [math.nan, math.inf, 0.0])
+def test_log_damping_constant_rejects_non_finite_estar(estar):
+    with pytest.raises(ValueError, match="estar must be finite and > 0"):
+        gv.log_damping_constant(estar)
+
+
+@pytest.mark.parametrize("samples", [2.5, 2000.0, "2000"])
+def test_mc_params_reject_non_integer_samples(samples):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        gv.MCParams(samples=samples)
+    assert gv.MCParams(samples=np.int64(2000)).samples == 2000
 
 
 def test_mc_reproducible_bit_for_bit():
