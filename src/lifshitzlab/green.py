@@ -11,8 +11,12 @@ Two independent evaluation routes:
   fails) plus a bound on the tail beyond the grid, held to BESSEL_RELTOL; a
   whole octant is one matrix product.  E* = 0 is allowed: the grid then ends
   at T_FAR.  Where `ive` is NaN (t >= 2^30) its three-term Hankel expansion
-  takes over.  The same provider, `_trapezoid`, with an extra power of t,
-  gives the torus integrals I1 = R(0) and I2 = -dR(0)/dE* of `selfenergy`.
+  takes over.  The grid is fixed, so every call's nodes are a prefix of it:
+  the `ive` rows are kept per process, per (order, step), grown on demand to
+  the longest prefix a call has used and read-only; each call slices them and
+  checks the Hankel range of its own prefix.  A non-finite E* is a ValueError.
+  The same provider, `_trapezoid`, with an extra power of t, gives the torus
+  integrals I1 = R(0) and I2 = -dR(0)/dE* of `selfenergy`.
 
 * `green_free_fft` is the inverse DFT of 1/(e(p)+E*) sampled on an M^3 grid.
   e(p) is even in each axis, so only the (M//2+1)^3 half spectrum is built,
@@ -37,6 +41,7 @@ FFT tables contract each axis in its own order, so they are
 permutation-symmetric only to rounding, by their measured `symmetry_defect`.
 """
 
+import itertools
 import json
 import math
 import operator
@@ -75,23 +80,60 @@ def _lattice_site(site) -> tuple:
         raise ValueError(f"site {tuple(site)} has a non-integer coordinate") from None
 
 
-def _ive_rows(orders, t):
-    """ive(n, t) rows; where scipy gives NaN (t >= 2^30), three Hankel terms."""
-    n = np.asarray(orders)[:, None]
-    tab = ive(n, t)
-    far = np.isnan(tab)
-    if far.any():
-        mu, z = 4.0 * n * n, 8.0 * t
-        ratio = float(np.max(np.where(far, mu / z, 0.0)))
-        if ratio > HANKEL_TOL:
-            # the first dropped term is of relative size (mu / 8t)^3
-            raise NonConvergenceError(
-                f"Hankel expansion of ive inexact: mu/(8t) = {ratio:.2e} "
-                f"at order {int(n.max())}", achieved=ratio**3)
-        hankel = (1.0 - (mu - 1.0) / z + (mu - 1.0) * (mu - 9.0) / (2.0 * z * z)) \
-            / np.sqrt(2.0 * np.pi * t)
-        tab = np.where(far, hankel, tab)
-    return tab
+# Bessel rows kept per process.  Every call's nodes are a prefix of one fixed
+# ln-t grid, so ive is evaluated once per (step, order) node: _NODES[step] holds
+# t_k and _ROWS[step, n] holds (ive(n, t_k) with its Hankel terms, index of the
+# row's first Hankel node or None).  Rows are read-only and grow only to the
+# longest prefix a call has asked for; nothing is tabulated at import.
+_NODES, _ROWS = {}, {}
+
+
+def _nodes(step, count):
+    """t_k = e^{u_min + k h} for k < count."""
+    t = _NODES.get(step)
+    if t is None or len(t) < count:
+        # u_k = u_min + k h exactly: the rounded step of np.arange biases every sum
+        t = np.exp(_U_MIN + step * np.arange(count))
+        t.flags.writeable = False
+        _NODES[step] = t
+    return t[:count]
+
+
+def _ive_row(n, step, count):
+    """ive(n, t_k) for k < count; where scipy gives NaN (t >= 2^30), three Hankel terms."""
+    row, far = _ROWS.get((step, n), (None, None))
+    if row is None or len(row) < count:
+        start = 0 if row is None else len(row)
+        t = _nodes(step, count)[start:]
+        ext = ive(n, t)
+        nan = np.flatnonzero(np.isnan(ext))
+        if nan.size:
+            mu, z = 4.0 * n * n, 8.0 * t[nan]
+            ext[nan] = (1.0 - (mu - 1.0) / z + (mu - 1.0) * (mu - 9.0) / (2.0 * z * z)) \
+                / np.sqrt(2.0 * np.pi * t[nan])
+            far = start + int(nan[0]) if far is None else far
+        row = ext if row is None else np.concatenate((row, ext))
+        row.flags.writeable = False
+        _ROWS[step, n] = row, far
+    return row[:count], far
+
+
+def _ive_rows(orders, step, count):
+    """ive(n, t_k) rows for n in orders, k < count, and the t_k; Hankel terms checked."""
+    t = _nodes(step, count)
+    rows, ratio = [], 0.0
+    for n in orders:
+        row, far = _ive_row(n, step, count)
+        rows.append(row)
+        if far is not None and far < count:
+            # mu / (8t) falls along the row: its first Hankel node is its largest
+            ratio = max(ratio, 4.0 * n * n / (8.0 * float(t[far])))
+    if ratio > HANKEL_TOL:
+        # the first dropped term is of relative size (mu / 8t)^3
+        raise NonConvergenceError(
+            f"Hankel expansion of ive inexact: mu/(8t) = {ratio:.2e} "
+            f"at order {max(orders)}", achieved=ratio**3)
+    return np.array(rows), t
 
 
 def _trapezoid(orders, estar, rmax, reltol, power, contract, what):
@@ -101,10 +143,11 @@ def _trapezoid(orders, estar, rmax, reltol, power, contract, what):
     reltol.  t_max covers the e^{-E* t} tail and the peak near t = rmax / sqrt(2 E*),
     capped at T_FAR.  The error estimate (every other node; where that fails, a
     second sum at h/2) is floored at summation rounding and carries a bound on the
-    tail beyond t_max.
+    tail beyond t_max.  A value that is NaN or not positive fails; `what(i)` names
+    the i-th entry of the flattened result in the error.
     """
-    if estar < 0:
-        raise ValueError("estar must be >= 0")
+    if not (math.isfinite(estar) and estar >= 0):
+        raise ValueError("estar must be >= 0 and finite")
     tmax = T_FAR if estar == 0 else \
         min(T_FAR, 60.0 / estar + 1e3 + 10.0 * rmax / math.sqrt(2.0 * estar))
     nodes = math.ceil((math.log(tmax) - _U_MIN) / _STEP) + 1
@@ -114,48 +157,52 @@ def _trapezoid(orders, estar, rmax, reltol, power, contract, what):
     tail = 2.0 * (2.0 * math.pi) ** -1.5 * tmax ** (power - 0.5) \
         * math.exp(-estar * tmax) / slack if slack > 0 else math.inf
 
-    def rows(step, count):
-        # u_k = u_min + k h exactly: the rounded step of np.arange biases every sum
-        t = np.exp(_U_MIN + step * np.arange(count))
-        return _ive_rows(orders, t), step * t * np.exp(-estar * t) * t**power
+    def weighted(step, count):
+        tab, t = _ive_rows(orders, step, count)
+        return tab, step * t * np.exp(-estar * t) * t**power
 
-    tab, w = rows(_STEP, nodes)
+    tab, w = weighted(_STEP, nodes)
     val = contract(tab, w)
     floor = nodes * np.finfo(float).eps * val
     err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])), floor) + tail
     if np.any(err > reltol * val):
         # the half-grid difference is the error of the 2h rule; |S_h - S_{h/2}| is that of S_h
-        err = np.maximum(np.abs(val - contract(*rows(_STEP / 2, 2 * nodes - 1))),
+        err = np.maximum(np.abs(val - contract(*weighted(_STEP / 2, 2 * nodes - 1))),
                          floor) + tail
-    bad = np.flatnonzero((val <= 0.0) | (err > reltol * val))
+    bad = np.flatnonzero(~((val > 0.0) & (err <= reltol * val)))
     if bad.size:
-        i = np.unravel_index(bad[0], val.shape)
+        i = bad[0]
         raise NonConvergenceError(
-            f"Bessel trapezoid at {what}{tuple(map(int, i)) or ''}, estar={estar:g}: "
-            f"achieved {err[i]:.2e} absolute on value {val[i]:.3e}", achieved=float(err[i]))
+            f"Bessel trapezoid at {what(i)}, estar={estar:g}: achieved "
+            f"{err.flat[i]:.2e} absolute on value {val.flat[i]:.3e}",
+            achieved=float(err.flat[i]))
     return val
 
 
 def _green_octant(estar: float, radius: int, rmax: float = math.inf) -> np.ndarray:
     """R over [0, radius]^3, exactly permutation-symmetric, NaN beyond |x| = rmax."""
     # the product is symmetric only to rounding: every entry copies its sorted key
-    keys = tuple(np.sort(np.indices((radius + 1,) * 3), axis=0))
+    sites = np.indices((radius + 1,) * 3)
+    ball = np.sum(sites * sites, axis=0) <= rmax**2
+    keys = tuple(np.sort(sites, axis=0)[:, ball])
 
     def contract(tab, w):
         ab = (tab[:, None, :] * tab[None, :, :]).reshape(len(tab) ** 2, -1)
-        out = (ab @ (tab * w).T).reshape((len(tab),) * 3)[keys]
-        out[sum(k * k for k in keys) > rmax**2] = np.nan
-        return out
+        return (ab @ (tab * w).T).reshape((len(tab),) * 3)[keys]
 
-    return _trapezoid(range(radius + 1), estar, min(rmax, math.sqrt(3.0) * radius),
-                      BESSEL_RELTOL, 0, contract, "octant entry ")
+    out = np.full(ball.shape, np.nan)
+    out[ball] = _trapezoid(range(radius + 1), estar, min(rmax, math.sqrt(3.0) * radius),
+                           BESSEL_RELTOL, 0, contract,
+                           lambda i: f"octant entry {tuple(int(s[ball][i]) for s in sites)}")
+    return out
 
 
 def green_free(x, estar: float) -> float:
     """Free Green function at lattice vector x, energy distance estar >= 0."""
     key = sorted(abs(c) for c in _lattice_site(x))
     return float(_trapezoid(key, estar, math.hypot(*key), BESSEL_RELTOL, 0,
-                            lambda tab, w: np.prod(tab, axis=0) @ w, f"x={tuple(x)}"))
+                            lambda tab, w: np.prod(tab, axis=0) @ w,
+                            lambda i: f"x={tuple(x)}"))
 
 
 def periodization_bound(grid_size: int, radius: float, estar: float) -> float:
@@ -166,8 +213,8 @@ def periodization_bound(grid_size: int, radius: float, estar: float) -> float:
     with K <= 1 is summed over the 26 nearest image cells with a geometric
     tail factor.
     """
-    if estar <= 0:
-        raise ValueError("estar must be > 0")
+    if not (math.isfinite(estar) and estar > 0):
+        raise ValueError("estar must be > 0 and finite")
     d = grid_size - radius
     if d <= 0:
         return math.inf
@@ -195,13 +242,23 @@ class GreenTable:
         return float(self._data[a, b, c])
 
     def items(self):
-        """Iterate (lattice vector, value) over the full ball."""
+        """Iterate (lattice vector, value) over the full ball, x3 fastest."""
+        for x1, x2, x3, vals in self._slabs():
+            yield from zip(zip(itertools.repeat(x1), x2, x3), vals)
+
+    def _slabs(self):
+        """(x1, x2 list, x3 list, value list) per x1 slab of the ball, x3 fastest.
+
+        One mask over the (x2, x3) plane serves every slab, so no ball-sized
+        list of Python objects is alive at once.
+        """
         r = self.radius
-        for i in range(-r, r + 1):
-            for j in range(-r, r + 1):
-                for k in range(-r, r + 1):
-                    if i * i + j * j + k * k <= r * r:
-                        yield (i, j, k), float(self._data[abs(i), abs(j), abs(k)])
+        plane = np.indices((2 * r + 1,) * 2).reshape(2, -1) - r
+        d2 = np.sum(plane * plane, axis=0)
+        for x1 in range(-r, r + 1):
+            x2, x3 = plane[:, d2 <= r * r - x1 * x1]
+            vals = self._data[abs(x1), np.abs(x2), np.abs(x3)]
+            yield x1, x2.tolist(), x3.tolist(), vals.tolist()
 
     def fitted_envelope_constant(self) -> float:
         """Smallest K with value(x) <= K / (|x| + 1) over the table."""
@@ -253,8 +310,8 @@ def green_free_fft(grid_size: int, estar: float, radius: int = 20) -> GreenTable
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
-    if estar <= 0:
-        raise ValueError("estar must be > 0")
+    if not (math.isfinite(estar) and estar > 0):
+        raise ValueError("estar must be > 0 and finite")
     _check_radius(radius)
     bound = periodization_bound(grid_size, radius, estar)
     if not bound < FFT_TOL:
@@ -293,8 +350,8 @@ def write_table_csv(table: GreenTable, path):
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(header) + "\n")
         fh.write("x1,x2,x3,value\n")
-        for (i, j, k), v in table.items():
-            fh.write(f"{i},{j},{k},{v!r}\n")
+        for x1, x2, x3, vals in table._slabs():
+            fh.write("".join(f"{x1},{j},{k},{v!r}\n" for j, k, v in zip(x2, x3, vals)))
 
 
 def read_table_csv(path) -> GreenTable:
@@ -348,16 +405,28 @@ class AsymptoticsReport:
 
 
 def check_asymptotics(distances, estar: float) -> AsymptoticsReport:
-    """Fit rate and prefactor of R(x) ~ e^{-sqrt(2E*)|x|} / (2 pi (|x|+1)) on an axis."""
-    if estar <= 0:
-        raise ValueError("estar must be > 0")
-    distances = sorted(int(r) for r in distances)
+    """Fit rate and prefactor of R(x) ~ e^{-sqrt(2E*)|x|} / (2 pi (|x|+1)) on an axis.
+
+    The distances are integers >= 1, at least two of them distinct, and E* is
+    finite and > 0; anything else is a ValueError before any quadrature.
+    """
+    if not (math.isfinite(estar) and estar > 0):
+        raise ValueError("estar must be > 0 and finite")
+    distances = list(distances)
+    try:
+        distances = sorted(operator.index(r) for r in distances)
+    except TypeError:
+        raise ValueError(f"distances {distances} must be integers") from None
+    if len(set(distances)) < 2:
+        raise ValueError(f"a decay rate needs two distinct distances, got {distances}")
+    if distances[0] < 1:
+        raise ValueError(f"distances must be >= 1, got {distances}")
     kappa = math.sqrt(2.0 * estar)
     if kappa * max(distances) > 50.0:
         raise ValueError("range too deep: sqrt(2E*) |x| must stay below 50")
     vals = _trapezoid([0, *distances], estar, max(distances), BESSEL_RELTOL, 0,
                       lambda tab, w: (tab[1:] * tab[0] ** 2) @ w,
-                      f"axis distances {tuple(distances)}, entry ")
+                      lambda i: f"axis distance {distances[i]}")
     rs = np.array(distances, dtype=float)
     ratios = vals * 2.0 * math.pi * (rs + 1.0) * np.exp(kappa * rs)
 

@@ -17,9 +17,12 @@ int_T3 e^{-e(p) t} d^3p = (e^{-t} I_0(t))^3,
     I2(s) = int_0^inf t e^{-s t} ive(0, t)^3 dt = -dI1/ds,
 
 which `green._trapezoid`, the one heat-kernel provider, evaluates by the
-ln-t trapezoid rule held to QUAD_TOL = 1e-12 relative.  Below s ~ 5e-8 the
-grid reaches t >= 2^30, where its Hankel expansion stands in for scipy's ive;
-at s = 0 it ends at T_FAR.  I1(0) is checked against Watson's closed form.
+ln-t trapezoid rule held to QUAD_TOL = 1e-12 relative, reading the ive(0, t)
+row it keeps per process (scipy's ive runs once per node, not once per call).
+Below s ~ 5e-8 the grid reaches t >= 2^30, where its Hankel expansion stands
+in for scipy's ive; at s = 0 it ends at T_FAR.  I1(0) is checked against
+Watson's closed form.  A non-finite E*, E or lam is a ValueError before any
+quadrature.
 """
 
 import math
@@ -60,20 +63,21 @@ def dispersion(p):
 def _origin_moment(estar: float, power: int) -> float:
     """int_T3 d^3p / (e(p) + estar)^(power+1) from the heat-kernel provider."""
     return float(_trapezoid((0,), estar, 0.0, QUAD_TOL, power,
-                            lambda tab, w: tab[0] ** 3 @ w, f"origin, power {power}"))
+                            lambda tab, w: tab[0] ** 3 @ w,
+                            lambda i: f"origin, power {power}"))
 
 
 def torus_integral_I1(estar: float) -> float:
     """int_T3 d^3p / (e(p) + estar); finite for all estar >= 0."""
-    if estar < 0:
-        raise ValueError("estar must be >= 0")
+    if not (math.isfinite(estar) and estar >= 0):
+        raise ValueError("estar must be >= 0 and finite")
     return _origin_moment(estar, 0)
 
 
 def torus_integral_I2(estar: float) -> float:
     """int_T3 d^3p / (e(p) + estar)^2 = -d I1 / d estar; needs estar > 0."""
-    if estar <= 0:
-        raise ValueError("estar must be > 0")
+    if not (math.isfinite(estar) and estar > 0):
+        raise ValueError("estar must be > 0 and finite")
     return _origin_moment(estar, 1)
 
 
@@ -97,8 +101,10 @@ def i1_zero() -> float:
 
 def energy_of_estar(estar: float, lam: float) -> float:
     """E(E*) = E* + lam^2 I1(E*), the inverse of the self-energy map."""
-    if estar < 0:
-        raise ValueError("estar must be >= 0")
+    if not (math.isfinite(estar) and estar >= 0):
+        raise ValueError("estar must be >= 0 and finite")
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
     if lam == 0.0:
         return estar
     return estar + lam**2 * torus_integral_I1(estar)
@@ -106,8 +112,8 @@ def energy_of_estar(estar: float, lam: float) -> float:
 
 def threshold_E_eps(lam: float, epsilon: float = 1.0) -> float:
     """Lower edge of the admissible energy window: lam^2 I1(0) + lam^(4-eps)."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be >= 0 and finite")
     if not (0 < epsilon < 4):
         raise ValueError("epsilon must be in (0, 4)")
     if lam == 0.0:
@@ -129,6 +135,8 @@ class EnergyContext:
     sigma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lam, self.energy, self.estar, self.sigma))):
+            raise ValueError("need finite lam, E, estar and sigma")
         if self.lam < 0 or self.energy <= 0 or self.estar <= 0:
             raise ValueError("need lam >= 0, E > 0, estar > 0")
         if self.sigma < 0:
@@ -145,6 +153,8 @@ class EnergyContext:
     @classmethod
     def from_estar(cls, lam: float, estar: float) -> "EnergyContext":
         """Context pinned at (lam, E*): sigma = lam^2 I1(E*), E = E* + sigma."""
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError("lam must be >= 0 and finite")
         sigma = lam**2 * torus_integral_I1(estar) if lam else 0.0
         return cls(lam=lam, energy=estar + sigma, estar=estar, sigma=sigma)
 
@@ -155,8 +165,10 @@ def solve_self_energy(energy: float, lam: float, epsilon: float = 1.0) -> Energy
     Bisection brackets the root, a safeguarded Newton iteration polishes it;
     the fixed-point residual is driven below NEWTON_TOL * max(1, E).
     """
-    if energy <= 0:
-        raise ValueError("energy must be > 0")
+    if not (math.isfinite(energy) and energy > 0):
+        raise ValueError("energy must be > 0 and finite")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be >= 0 and finite")
     if not (0 < epsilon < 4):
         raise ValueError("epsilon must be in (0, 4)")
     if lam == 0.0:

@@ -423,3 +423,272 @@ def test_large_radius_is_rejected():
         gr.green_table_bessel(0.4, radius=80)
     with pytest.raises(ValueError):
         gr.green_free_fft(256, 0.4, radius=100)
+
+
+# --- the per-process Bessel-row table against the per-call ive route ---------------
+
+
+def per_call_ive_rows(orders, t):
+    """ive(n, t) rows evaluated afresh for one call, Hankel terms where scipy gives NaN
+    (test oracle: the route before the rows were tabulated)."""
+    n = np.asarray(orders)[:, None]
+    tab = ive(n, t)
+    far = np.isnan(tab)
+    if far.any():
+        mu, z = 4.0 * n * n, 8.0 * t
+        ratio = float(np.max(np.where(far, mu / z, 0.0)))
+        if ratio > gr.HANKEL_TOL:
+            raise NonConvergenceError(f"Hankel ratio {ratio:.2e}", achieved=ratio**3)
+        hankel = (1.0 - (mu - 1.0) / z + (mu - 1.0) * (mu - 9.0) / (2.0 * z * z)) \
+            / np.sqrt(2.0 * np.pi * t)
+        tab = np.where(far, hankel, tab)
+    return tab
+
+
+def per_call_trapezoid(orders, estar, rmax, reltol, power, contract, what):
+    """`green._trapezoid` with ive evaluated on fresh nodes at every call (test oracle)."""
+    if not (math.isfinite(estar) and estar >= 0):
+        raise ValueError("estar must be >= 0 and finite")
+    tmax = gr.T_FAR if estar == 0 else \
+        min(gr.T_FAR, 60.0 / estar + 1e3 + 10.0 * rmax / math.sqrt(2.0 * estar))
+    nodes = math.ceil((math.log(tmax) - gr._U_MIN) / gr._STEP) + 1
+    slack = 0.5 - power + estar * tmax
+    tail = 2.0 * (2.0 * math.pi) ** -1.5 * tmax ** (power - 0.5) \
+        * math.exp(-estar * tmax) / slack if slack > 0 else math.inf
+
+    def rows(step, count):
+        t = np.exp(gr._U_MIN + step * np.arange(count))
+        return per_call_ive_rows(orders, t), step * t * np.exp(-estar * t) * t**power
+
+    tab, w = rows(gr._STEP, nodes)
+    val = contract(tab, w)
+    floor = nodes * np.finfo(float).eps * val
+    err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])), floor) + tail
+    if np.any(err > reltol * val):
+        err = np.maximum(np.abs(val - contract(*rows(gr._STEP / 2, 2 * nodes - 1))),
+                         floor) + tail
+    bad = np.flatnonzero(~((val > 0.0) & (err <= reltol * val)))
+    if bad.size:
+        raise NonConvergenceError(what(bad[0]), achieved=float(err.flat[bad[0]]))
+    return val
+
+
+def per_call(fn, *args):
+    """fn(*args) with every heat-kernel integral on the per-call ive route."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_trapezoid", per_call_trapezoid)
+        mp.setattr(se, "_trapezoid", per_call_trapezoid)
+        return fn(*args)
+
+
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    """An empty Bessel-row table for one test; the process-wide one comes back after."""
+    monkeypatch.setattr(gr, "_NODES", {})
+    monkeypatch.setattr(gr, "_ROWS", {})
+
+
+TABLE_ESTARS = (0.0, 1e-9, 1e-4, 0.01, 0.45, 6.0)
+TABLE_SITES = ((0, 0, 0), (1, 0, 0), (3, -1, 2), (7, 2, 1), (20, 0, 0), (12, 12, 12))
+
+
+def table_route_values():
+    """Every integral the table feeds, in one order of calls."""
+    out = {}
+    for estar in TABLE_ESTARS:
+        out["I1", estar] = se.torus_integral_I1(estar)
+        if estar > 0:
+            out["I2", estar] = se.torus_integral_I2(estar)
+        for x in TABLE_SITES:
+            out[x, estar] = gr.green_free(x, estar)
+    out["solve"] = se.solve_self_energy(0.3, 0.1)
+    out["asymptotics"] = gr.check_asymptotics(range(20, 61, 5), 0.01)
+    return out
+
+
+def test_table_route_equals_per_call_route_exactly(fresh_rows):
+    got = table_route_values()
+    assert got == per_call(table_route_values)
+    # warm rows (all now longer than most calls need) give the same values again
+    assert table_route_values() == got
+
+
+def test_results_do_not_depend_on_call_order(monkeypatch):
+    calls = [(se.torus_integral_I1, 0.0), (se.torus_integral_I1, 0.3),
+             (se.torus_integral_I2, 1e-9), (gr.green_free, (7, 2, 1), 1e-4),
+             (gr.green_free, (0, 0, 5), 6.0), (gr._green_octant, 0.05, 12)]
+    oracle = [per_call(fn, *args) for fn, *args in calls]
+    for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
+        monkeypatch.setattr(gr, "_NODES", {})
+        monkeypatch.setattr(gr, "_ROWS", {})
+        got = {i: calls[i][0](*calls[i][1:]) for i in order}
+        for i, want in enumerate(oracle):
+            assert np.array_equal(got[i], want, equal_nan=True)
+
+
+@pytest.mark.parametrize("estar", [0.05, 0.5, 1e-9])
+@pytest.mark.parametrize("radius", [12, 40])
+def test_octants_equal_per_call_route_exactly(estar, radius):
+    for build in (lambda: gr._green_octant(estar, radius),          # the kernel cube
+                  lambda: gr.green_table_bessel(estar, radius)._data):  # NaN off the ball
+        assert np.array_equal(build(), per_call(build), equal_nan=True)
+
+
+@pytest.mark.parametrize("estar, x", [(2.0, (11, 42, 47)), (5.0, (0, 22, 60))])
+def test_half_step_fallback_equals_per_call_route(estar, x, fresh_rows):
+    # the every-other-node estimate fails at these points, so the h/2 rows are read
+    value = gr.green_free(x, estar)
+    assert any(step == gr._STEP / 2 for step, _ in gr._ROWS)
+    assert value == per_call(gr.green_free, x, estar)
+    assert gr.green_free(x, estar) == value  # warm rows read back the same sums
+
+
+def test_far_hankel_check_judges_each_calls_own_prefix(monkeypatch):
+    # the order-1000 row at E* = 0.01 stops near t = 8e4; at E* = 1e-9 it runs past
+    # t = 2^30, where mu/(8t) is too large for three Hankel terms (at E* = 1 the
+    # value underflows to 0 on either route)
+    with pytest.raises(NonConvergenceError) as oracle:
+        per_call(gr.green_free, (1000, 0, 0), 1e-9)
+    near = per_call(gr.green_free, (1000, 0, 0), 0.01)
+    for near_first in (False, True):
+        monkeypatch.setattr(gr, "_NODES", {})
+        monkeypatch.setattr(gr, "_ROWS", {})
+        if near_first:
+            assert gr.green_free((1000, 0, 0), 0.01) == near
+        with pytest.raises(NonConvergenceError) as err:
+            gr.green_free((1000, 0, 0), 1e-9)
+        assert err.value.achieved == oracle.value.achieved
+        # a short prefix does not raise because a longer one of the same row did
+        assert gr.green_free((1000, 0, 0), 0.01) == near
+
+
+def test_asymptotics_equal_per_call_route_exactly():
+    for distances, estar in ((range(1, 41, 4), 0.01), (range(12, 33, 4), 0.01),
+                             ((2, 3, 5, 8), 0.4)):
+        assert gr.check_asymptotics(distances, estar) == \
+            per_call(gr.check_asymptotics, distances, estar)
+
+
+def test_stored_rows_are_read_only(fresh_rows):
+    gr.green_free((3, 2, 1), 0.3)
+    gr.green_free((3, 2, 1), 0.01)  # longer prefixes: the rows were grown
+    stored = [row for row, _ in gr._ROWS.values()] + list(gr._NODES.values())
+    assert len(stored) == 4
+    for arr in stored:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_rows_grow_only_to_the_longest_prefix_asked_for(fresh_rows):
+    se.torus_integral_I1(0.3)
+    short = len(gr._ROWS[gr._STEP, 0][0])
+    assert short == len(gr._NODES[gr._STEP]) < 1000
+    se.torus_integral_I1(0.01)
+    longer = len(gr._ROWS[gr._STEP, 0][0])
+    assert short < longer == len(gr._NODES[gr._STEP]) < 1500
+    se.torus_integral_I1(0.3)
+    assert len(gr._ROWS[gr._STEP, 0][0]) == longer
+
+
+def test_table_memory_after_a_spectral_pass(fresh_rows):
+    for lam in (0.05, 0.1, 0.2):
+        edge = se.threshold_E_eps(lam)
+        for energy in np.linspace(edge * 1.05, 2.0, 6):
+            se.solve_self_energy(float(energy), lam)
+    se.torus_integral_I1(0.0)
+    for estar in (0.05, 0.5):
+        gr.green_table_bessel(estar, radius=12)
+    gr.check_asymptotics(range(20, 61, 5), 0.01)
+    gr._green_octant(0.05, 16)
+    gr.green_free((0, 0, 0), 0.05)
+    full = math.ceil((math.log(gr.T_FAR) - gr._U_MIN) / gr._STEP) + 1  # 2195 nodes
+    for (step, _), (row, _) in gr._ROWS.items():
+        assert len(row) <= (full if step == gr._STEP else 2 * full - 1)
+    stored = sum(row.nbytes for row, _ in gr._ROWS.values()) \
+        + sum(t.nbytes for t in gr._NODES.values())
+    assert stored < 2**19  # half a MiB
+
+
+def test_nothing_is_tabulated_at_import():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import lifshitzlab, lifshitzlab.cli; from lifshitzlab import green; "
+            "print(len(green._ROWS), len(green._NODES))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+# --- non-finite inputs and the asymptotics input contract ----------------------------
+
+
+def no_quadrature(*args):
+    raise AssertionError("a quadrature ran")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda e: gr.green_free((1, 0, 0), e),
+    lambda e: gr.green_table_bessel(e, radius=3),
+    lambda e: gr._green_octant(e, 3),
+    lambda e: gr.check_asymptotics(range(4, 9), e),
+    lambda e: gr.green_free_fft(64, e, radius=4),
+    lambda e: gr.periodization_bound(64, 3, e),
+], ids=["green_free", "table", "octant", "asymptotics", "fft", "periodization_bound"])
+def test_non_finite_estar_is_rejected_before_quadrature(call, bad, monkeypatch):
+    monkeypatch.setattr(gr, "_ive_rows", no_quadrature)
+    with pytest.raises(ValueError, match="estar must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("distances, match", [
+    ([5], "two distinct"), ([5, 5], "two distinct"), ([0, 5], ">= 1"),
+    ([-3, 5], ">= 1"), ([2.7, 5], "integers"), (np.array([2.0, 5.0]), "integers"),
+])
+def test_asymptotics_rejects_bad_distances_before_quadrature(distances, match,
+                                                             monkeypatch):
+    # one point fitted a line (RankWarning), 0 reached LAPACK, -3 gave a NaN rate
+    # and 2.7 was truncated to 2
+    monkeypatch.setattr(gr, "_ive_rows", no_quadrature)
+    with pytest.raises(ValueError, match=match):
+        gr.check_asymptotics(distances, 0.01)
+
+
+def test_asymptotics_reads_numpy_integer_distances():
+    assert gr.check_asymptotics(np.arange(12, 33, 4), 0.01) == \
+        gr.check_asymptotics(range(12, 33, 4), 0.01)
+
+
+# --- the CSV writer against the per-row writer ---------------------------------------
+
+
+def per_row_write_table_csv(table, path):
+    """The table CSV written one row at a time from a triple loop (test oracle)."""
+    header = {"estar": table.estar, "method": table.method,
+              "tolerance": table.tolerance, "radius": table.radius,
+              "grid_size": table.grid_size}
+    r = table.radius
+    with open(path, "w") as fh:
+        fh.write("# " + json.dumps(header) + "\n")
+        fh.write("x1,x2,x3,value\n")
+        for i in range(-r, r + 1):
+            for j in range(-r, r + 1):
+                for k in range(-r, r + 1):
+                    if i * i + j * j + k * k <= r * r:
+                        v = float(table._data[abs(i), abs(j), abs(k)])
+                        fh.write(f"{i},{j},{k},{v!r}\n")
+
+
+@pytest.mark.parametrize("radius", [0, 5, 12])
+@pytest.mark.parametrize("method", ["bessel", "fft"])
+def test_table_csv_bytes_equal_the_per_row_writer(radius, method, tmp_path):
+    table = gr.green_table_bessel(0.05, radius=radius) if method == "bessel" \
+        else gr.green_free_fft(128, 0.05, radius=radius)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    gr.write_table_csv(table, fast)
+    per_row_write_table_csv(table, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    ball = list(table.items())
+    assert all(type(c) is int for x, _ in ball for c in x)
+    assert all(type(v) is float for _, v in ball)

@@ -248,3 +248,33 @@ def test_energy_context_invariants():
         se.EnergyContext(lam=0.1, energy=0.3, estar=0.2, sigma=0.2)  # sigma != E - E*
     with pytest.raises(ValueError):
         se.EnergyContext(lam=0.1, energy=0.3, estar=-0.1, sigma=0.4)
+
+
+def no_quadrature(*args):
+    raise AssertionError("a quadrature ran")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: se.torus_integral_I1(v),
+    lambda v: se.torus_integral_I2(v),
+    lambda v: se.energy_of_estar(v, 0.5),
+    lambda v: se.energy_of_estar(v, 0.0),
+    lambda v: se.energy_of_estar(0.3, v),
+    lambda v: se.EnergyContext.from_estar(0.5, v),
+    lambda v: se.EnergyContext.from_estar(v, 0.3),
+    lambda v: se.EnergyContext(lam=0.5, energy=v, estar=v, sigma=v),
+    lambda v: se.EnergyContext(lam=0.5, energy=0.3, estar=0.2, sigma=v),
+    lambda v: se.solve_self_energy(v, 0.5),
+    lambda v: se.solve_self_energy(0.5, v),
+    lambda v: se.threshold_E_eps(v),
+], ids=["I1", "I2", "energy_of_estar", "energy_of_estar_lam0", "energy_of_estar_lam",
+        "from_estar", "from_estar_lam", "context", "context_sigma", "solve_energy",
+        "solve_lam", "threshold"])
+def test_non_finite_inputs_are_rejected_before_quadrature(call, bad, monkeypatch):
+    # NaN passed every `<= 0` check: I1(nan) was nan, solve_self_energy ran 200
+    # Newton/bisection steps, and E* = inf ended in NonConvergenceError on a zero value
+    se.i1_zero()  # cached before the quadrature is switched off
+    monkeypatch.setattr(se, "_trapezoid", no_quadrature)
+    with pytest.raises(ValueError):
+        call(bad)
