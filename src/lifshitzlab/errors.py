@@ -13,6 +13,19 @@ class NonConvergenceError(LifshitzLabError):
         self.achieved = achieved
 
 
+class TailDepthError(NonConvergenceError):
+    """A point lies deeper in the exponential tail than the quadrature resolves.
+
+    `depth` is sqrt(2E*)|x|. Past `green.TRAPEZOID_DEPTH` the heat-kernel
+    integrand's peak in ln t is narrower than the fixed trapezoid grid holds to
+    its tolerance, and deeper still the value underflows to 0.
+    """
+
+    def __init__(self, message, achieved=None, depth=None):
+        super().__init__(message, achieved=achieved)
+        self.depth = depth
+
+
 class BelowLifshitzWindowError(LifshitzLabError):
     """Requested energy lies below the admissible window E >= E_eps(lambda)."""
 

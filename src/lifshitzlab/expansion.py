@@ -28,18 +28,24 @@ lattice sums of the free Green function.  Their agreement is the numerical
 witness of the tadpole cancellation that the renormalization buys.  The l=2
 Monte Carlo never forms the (n, n) Green matrix of the cube: it evaluates
 its quadratic form from the lower triangle of the symmetrised form, stored
-as column panels of two x-slabs, split by the reflections its two sites
-share (`_sector_panels`).  An axis on which both sites have coordinate 0
-folds: the form splits exactly into an even and an odd part on the half
-axis, with the image kernel [G(t - t') +- G(t + t')] / 2.  At the sites
-every caller uses, 0 and (1, 0, 0), axes 1 and 2 fold into four sectors
-whose panels take ((b+1)^2 + b^2)^2 / (2b+1)^4, about 1/4, of the whole
-cube's products and bytes: 0.14 x 8 n^2 bytes (27 MB at b = 8, 0.26 GB at
-b = 12) against 0.56 x 8 n^2 for the cube's own lower panels.
+as column panels of two x-slabs, split by the reflections that leave the
+pair of sites in place (`_sector_panels`).  An axis on which both sites have
+coordinate 0 folds about 0, and the one axis on which two sites differ, if
+they agree on the other two, folds about the midpoint c/2 of their
+coordinates there (the mirror swaps the sites); either way the form splits
+exactly into an even and an odd part on the half axis, with the image
+kernel [S(z, z') +- S(z, R z')] / 2, and the mirror's c leftover slabs
+couple to both through the tail rows of their panels.  At the sites every
+caller uses, 0 and (1, 0, 0), all three axes fold into twelve sectors whose
+panels take 0.084 x 8 n^2 bytes (16 MB at b = 8, 0.15 GB at b = 12), 0.60 of
+the four sectors of axes 1 and 2 alone (0.14 x 8 n^2) and against
+0.56 x 8 n^2 for the cube's own lower panels.  The draw is folded
+samples-minor, so every panel is one product t^T @ u.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,16 +232,23 @@ def _green_kernel(estar: float, radius: int) -> np.ndarray:
     return _green_octant(estar, radius)[np.ix_(a, a, a)]
 
 
-def _axis_sectors(box_radius: int, folded: bool):
-    """(coordinates, sign) of each reflection sector of one cube axis.
+def _axis_sectors(box_radius: int, centre):
+    """(own, tail, sign) of each reflection sector of one cube axis.
 
-    An unfolded axis is one sector, t = -b..b, sign 0. A folded axis splits
-    into the even sector, t = 0..b, sign +1, and the odd one, t = 1..b, sign -1.
+    An unfolded axis (centre None) is one sector, own t = -b..b, sign 0. An axis
+    folded by the reflection t -> c - t, c = centre >= 0, keeps the range
+    [c - b, b] and splits it into the even sector, own t = ceil(c/2)..b, sign +1,
+    and the odd one, own t = floor(c/2)+1..b, sign -1. Its c leftover values
+    t = -b..c-b-1 are the tail rows of both and one more sector of their own,
+    sign 0.
     """
     b = box_radius
-    if not folded:
-        return ((np.arange(-b, b + 1), 0),)
-    return ((np.arange(b + 1), 1), (np.arange(1, b + 1), -1))
+    if centre is None:
+        return ((np.arange(-b, b + 1), np.arange(0), 0),)
+    left = np.arange(-b, centre - b)
+    folded = ((np.arange((centre + 1) // 2, b + 1), left, 1),
+              (np.arange(centre // 2 + 1, b + 1), left, -1))
+    return folded + ((left, np.arange(0), 0),) if centre else folded
 
 
 def _image_sum(a: np.ndarray, axis: int, coords: np.ndarray, sign: int) -> np.ndarray:
@@ -250,95 +263,170 @@ def _image_sum(a: np.ndarray, axis: int, coords: np.ndarray, sign: int) -> np.nd
     return out
 
 
-def _reflect(u: np.ndarray, axis: int, box_radius: int, sign: int) -> np.ndarray:
-    """u(t) + sign u(-t) along `axis` over the sector's t; u itself for sign 0."""
-    if not sign:
-        return u
-    b = box_radius
+def _reflect(u: np.ndarray, axis: int, box_radius: int, centre, sector,
+             out: np.ndarray) -> np.ndarray:
+    """The sector's coordinates of u along `axis`: u(t) + sign u(c - t) over its
+    own t, then u(t) over its tail, written to the flat buffer out. A sector of
+    sign 0 is a view of u and leaves out alone."""
+    own, tail, sign = sector
+    b, k = box_radius, own.size
     cut = (slice(None),) * axis
-    start = 0 if sign > 0 else 1
-    pos = u[cut + (slice(b + start, None),)]
-    neg = u[cut + (slice(b - start, None, -1),)]
-    return pos + neg if sign > 0 else pos - neg
+    pos = u[cut + (slice(own[0] + b, own[0] + b + k),)]
+    if not sign:
+        return pos
+    hi = centre - own[0] + b  # index of c - t at the first own t
+    neg = u[cut + (slice(hi, hi - k if hi >= k else None, -1),)]
+    out = out.reshape(u.shape[:axis] + (k + tail.size,) + u.shape[axis + 1:])
+    head = out[cut + (slice(k),)]
+    # copy, then add in place: both iterate as out lies, also where u is the
+    # draw read transposed
+    np.copyto(head, pos)
+    (np.add if sign > 0 else np.subtract)(head, neg, out=head)
+    out[cut + (slice(k, None),)] = u[cut + (slice(tail.size),)]  # the tail is t = -b..
+    return out
 
 
-def _fold(v: np.ndarray, axis_signs, box_radius: int) -> list:
-    """Sector coordinates u of the rows of v (m, n), in `_sector_panels`' order.
+def _fold(v: np.ndarray, sectors, box_radius: int, work: list) -> list:
+    """Sector coordinates u, shape (n_s, m), of the rows of v (m, n), in
+    `_sector_panels`' order.
 
-    The even sector's u(0) is 2 v(0); its fields carry the 1/2 back. Each axis
-    is folded once, for all the sectors that share the axes before it.
+    v is read transposed, so the first reflection writes samples-minor arrays
+    and each later one moves contiguous runs of m values. The axes that fold
+    write in turn to the two flat buffers of `work`, which the caller keeps
+    across batches; they grow to the largest axis's output when too small.
+    The even sector's u(c/2) is 2 v(c/2); its fields carry the 1/2 back.
     """
-    side = 2 * box_radius + 1
-    us = [v.reshape(-1, side, side, side)]
-    for axis, signs in enumerate(axis_signs, start=1):
-        us = [_reflect(u, axis, box_radius, sign) for u in us for sign in signs]
-    return [u.reshape(len(v), -1) for u in us]
+    (perm, flip), axes, _ = sectors
+    side, m = 2 * box_radius + 1, len(v)
+    # a folding axis writes the rows of its signed sectors for each row the
+    # axes before it left, times the axes after it
+    left = itertools.accumulate((sum(own.size + tail.size for own, tail, _ in secs)
+                                 for _, secs in axes), operator.mul, initial=m)
+    need = max(n * sum(own.size + tail.size for own, tail, sign in secs if sign)
+               * side ** (2 - a) for a, ((_, secs), n) in enumerate(zip(axes, left)))
+    if work[0] is None or work[0].size < need:
+        work[:] = None, None  # free the old buffers before taking larger ones
+        # one allocation, large enough to be mapped and given back to the system whole
+        work[:] = np.split(np.empty(2 * need), 2)
+    u = v.T.reshape(side, side, side, m).transpose(*perm, 3)
+    us, w = [u[::-1] if flip else u], 0
+    for axis, (centre, secs) in enumerate(axes):
+        if centre is None:
+            continue  # one sector, the whole axis: u itself
+        pairs = list(itertools.product(us, secs))
+        sizes = [sign and x.size // x.shape[axis] * (own.size + tail.size)
+                 for x, (own, tail, sign) in pairs]
+        ends = itertools.accumulate(sizes)
+        us = [_reflect(x, axis, box_radius, centre, sec, work[w][end - size:end])
+              for (x, sec), size, end in zip(pairs, sizes, ends)]
+        w = 1 - w
+    return [x.reshape(-1, m) for x in us]
+
+
+def _fold_frame(x_site, y_site):
+    """Axis order, axis-0 flip, fold centres and sites of the pair's folded frame.
+
+    Sites that differ on one axis only are swapped by the mirror t -> c - t of
+    that axis, c their coordinate sum there: it becomes axis 0, flipped where
+    c < 0 so that its centre is |c|. Any other axis on which both sites have
+    coordinate 0 folds about 0 (centre 0); the rest do not fold (None).
+    """
+    x, y = tuple(x_site), tuple(y_site)
+    differ = [a for a in range(3) if x[a] != y[a]]
+    if len(differ) != 1:
+        return ((0, 1, 2), False), [0 if x[a] == y[a] == 0 else None for a in range(3)], x, y
+    a = differ[0]
+    perm = (a, *(j for j in range(3) if j != a))
+    flip = x[a] + y[a] < 0
+    x, y = (((-1 if flip else 1) * s[a], *(s[j] for j in perm[1:])) for s in (x, y))
+    return (perm, flip), [x[0] + y[0], *(0 if x[j] == y[j] == 0 else None for j in (1, 2))], x, y
 
 
 def _sector_panels(kernel: np.ndarray, box_radius: int, x_site, y_site):
     """The l=2 quadratic form (rx o v)^T G (ry o v) as reflection-sector panels.
 
     G is symmetric, so the form is v^T S v with S = G o (rx ry^T + ry rx^T) / 2.
-    An axis on which both sites have coordinate 0 is folded: t -> -t leaves
-    G, rx and ry unchanged, so S commutes with it and the form splits, with
-    no cross term, into an even and an odd part over the half axis (`_fold`)
-    with kernel [G(t - t') +- G(t + t')] / 2, the method of images. Each
-    sector's form is its lower triangle T (T_aa = S_aa, T_ca = 2 S_ca for
-    c > a), u^T S u = sum_{c >= a} u_c T_ca u_a, kept as column panels
-    T[i0:, i0:i1] of two axis-0 slabs. The images of axes 1 and 2 are summed
-    first into one small kernel per sector over (t1, t2, |dx0|, t1', t2'), so
-    each panel is one gather of it (two on a folded axis 0). With no folded
-    axis there is one sector, the cube, with one image of weight 1.
+    A reflection R of one axis that leaves the cube's range [c - b, b] of it
+    and the pair {x, y} in place commutes with S, so on that range the form
+    splits, with no cross term, into an even and an odd part (`_fold`) with
+    kernel [S(z, z') +- S(z, R z')] / 2, the method of images. Two such
+    reflections: t -> -t on an axis where both sites are 0 (R fixes x and y),
+    and t -> c - t on the one axis where the sites differ, c = x + y there
+    (R swaps them, so S(z, R z') = G(z - R z') (rx rx'^T + ry ry'^T) / 2 is a
+    second field product). The mirror axis is axis 0 of the folded frame
+    (`_fold_frame`); its c leftover slabs t < c - b are the tail rows of both
+    parts and a third sector of their own, unfolded.
 
-    Returns (axis_signs, panels): each axis's sector signs for `_fold`, and
-    per sector, in `_fold`'s order, its (i0, i1, panel) triples.
+    Each sector's form is its lower triangle T (T_aa = S_aa, T_ca = 2 S_ca
+    for c > a), u^T S u = sum_{c >= a} u_c T_ca u_a, kept as column panels
+    T[i0:, i0:i1] of two axis-0 slabs of the sector's own coordinates; the rows
+    run on through its tail. The images of axes 1 and 2 are summed first into
+    one small kernel per sector over (t1, t2, |dx0|, t1', t2'), so each panel
+    is one gather of it (two on a folded axis 0). With no folded axis there is
+    one sector, the cube, with one image of weight 1.
+
+    Returns (view, axes, panels): the frame's axis order and flip, each axis's
+    centre and (own, tail, sign) sectors for `_fold`, and per sector, in
+    `_fold`'s order, its (i0, i1, panel) triples.
     """
     b = box_radius
     side = 2 * b + 1
+    view, centres, x, y = _fold_frame(x_site, y_site)
     octant = kernel[2 * b:, 2 * b:, 2 * b:]
-    rx3 = _shifted_field(kernel, 2 * b, b, x_site).reshape((side,) * 3)
-    ry3 = _shifted_field(kernel, 2 * b, b, y_site).reshape((side,) * 3)
-    axes = [_axis_sectors(b, x == y == 0) for x, y in zip(x_site, y_site)]
-    scale = 0.5 ** sum(len(a) - 1 for a in axes)
+    rx3 = _shifted_field(kernel, 2 * b, b, x).reshape((side,) * 3)
+    ry3 = _shifted_field(kernel, 2 * b, b, y).reshape((side,) * 3)
+    axes = [(c, _axis_sectors(b, c)) for c in centres]
+    c = centres[0]
     sectors = []
-    for (c0, s0), (c1, s1), (c2, s2) in itertools.product(*axes):
+    for (own, tail, s0), (c1, _, s1), (c2, _, s2) in itertools.product(*(a for _, a in axes)):
         images = _image_sum(_image_sum(octant, 1, c1, s1), 3, c2, s2)
         images = np.ascontiguousarray(images.transpose(1, 3, 0, 2, 4))
-        images *= scale
-        # an even sector's u(0) is 2 v(0) (`_fold`): halve its fields there
-        h0, h1, h2 = (np.where((c == 0) & (s > 0), 0.5, 1.0)
-                      for c, s in ((c0, s0), (c1, s1), (c2, s2)))
+        images *= 0.5 ** ((s0 != 0) + (s1 != 0) + (s2 != 0))
+        c0 = np.concatenate((own, tail))
+        # an even sector's u(c/2) is 2 v(c/2) (`_fold`): halve its fields there
+        h0, h1, h2 = (np.where((2 * coords == centre) & (s > 0), 0.5, 1.0)
+                      for coords, centre, s in ((c0, c, s0), (c1, 0, s1), (c2, 0, s2)))
         h = (h0[:, None, None] * h1[:, None] * h2).ravel()
         ix = np.ix_(c0 + b, c1 + b, c2 + b)
         rx, ry = rx3[ix].ravel() * h, ry3[ix].ravel() * h
+        slab = c1.size * c2.size
+        if s0:
+            # the fields at the image c - t' of each own column t'
+            ix, k = np.ix_(c - own + b, c1 + b, c2 + b), own.size * slab
+            rxi, ryi = rx3[ix].ravel() * h[:k], ry3[ix].ravel() * h[:k]
         t1 = np.arange(c1.size)[None, :, None, None]
         t2 = np.arange(c2.size)[None, None, :, None]
-        slab = c1.size * c2.size
         panels = []
-        for x0 in range(0, c0.size, 2):
-            x1 = min(x0 + 2, c0.size)
+        for x0 in range(0, own.size, 2):
+            x1 = min(x0 + 2, own.size)
             i0, i1 = x0 * slab, x1 * slab
-            xc, xa = c0[x0:, None, None, None], c0[None, None, None, x0:x1]
+            xc, xa = c0[x0:, None, None, None], own[None, None, None, x0:x1]
             t = rx[i0:, None] * ry[i0:i1]
             t += ry[i0:, None] * rx[i0:i1]
-            g = images[t1, t2, np.abs(xc - xa)]
+            t *= images[t1, t2, np.abs(xc - xa)].reshape(t.shape)
             if s0:
-                g += s0 * images[t1, t2, xc + xa]
-            t *= g.reshape(t.shape)
-            del g  # at most two panel-sized temporaries at a time
+                w = rx[i0:, None] * ryi[i0:i1]
+                w += ry[i0:, None] * rxi[i0:i1]
+                w *= images[t1, t2, np.abs(xc + xa - c)].reshape(w.shape)
+                (np.add if s0 > 0 else np.subtract)(t, w, out=t)
+                del w
             top = t[:i1 - i0]
             top[np.triu_indices_from(top, 1)] = 0.0
             top[np.diag_indices_from(top)] *= 0.5
             panels.append((i0, i1, t))
         sectors.append(panels)
-    return tuple(tuple(sign for _, sign in a) for a in axes), sectors
+    return view, axes, sectors
 
 
-def _sector_quadratic_form(sectors, v: np.ndarray, box_radius: int) -> np.ndarray:
-    """Row-wise v^T S v over the sectors of `_sector_panels`, for v of shape (m, n)."""
-    axis_signs, panels = sectors
-    return sum(sum(np.einsum("ij,ij->i", u[:, i0:i1], u[:, i0:] @ t) for i0, i1, t in p)
-               for u, p in zip(_fold(v, axis_signs, box_radius), panels))
+def _sector_quadratic_form(sectors, v: np.ndarray, box_radius: int,
+                           work: list = None) -> np.ndarray:
+    """Row-wise v^T S v over the sectors of `_sector_panels`, for v of shape (m, n).
+
+    `work` is `_fold`'s pair of buffers, [None, None] before the first batch.
+    """
+    us = _fold(v, sectors, box_radius, [None, None] if work is None else work)
+    return sum(sum(np.einsum("ij,ij->j", u[i0:i1], t.T @ u[i0:]) for i0, i1, t in p)
+               for u, p in zip(us, sectors[2]))
 
 
 def _convolve_same(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -435,9 +523,10 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     - sigma sum_z rx ry, the quadratic form read from the lower column panels
     of its reflection sectors (`_sector_panels`). With no folded axis these
     hold about (1/2 + 1/(2b+1)) x 8 n^2 bytes, n = (2b+1)^3, half the
-    products of a dense (n, n) G; each folded axis halves that again, so the
-    on-axis sites x = 0, y = (1, 0, 0) need 0.14 x 8 n^2 bytes (27 MB at
-    b = 8, against 108 MB unfolded).
+    products of a dense (n, n) G; each folded axis about halves that again,
+    so the on-axis sites x = 0, y = (1, 0, 0), whose three axes fold, need
+    0.084 x 8 n^2 bytes (16 MB at b = 8, against 108 MB unfolded). Each batch
+    is DensitySpec().sample(rng, (m, n)) on the order's substream.
 
     A_2^2 is heavy-tailed at E* = 0.1, b = 8: a run of a few hundred samples
     that misses the tail reports both a low mean and a low stderr, so its
@@ -456,7 +545,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     rx = _shifted_field(kernel, 2 * b, b, x_site)
     ry = _shifted_field(kernel, 2 * b, b, y_site)
     if order == 2:
-        sectors = _sector_panels(kernel, b, x_site, y_site)
+        sectors, work = _sector_panels(kernel, b, x_site, y_site), [None, None]
 
     density = DensitySpec()
     rng = substream(seed, "moment-mc", order)
@@ -469,9 +558,10 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
         if order == 1:
             a = lam * (v @ (rx * ry))
         else:
-            a = lam**2 * _sector_quadratic_form(sectors, v, b) - sigma * pxy
+            a = lam**2 * _sector_quadratic_form(sectors, v, b, work) - sigma * pxy
         vals[done:done + m] = a**2
         done += m
+        del v  # free this draw before the next one
     mc = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return MomentComparison(order=order, mc_estimate=mc, mc_stderr=err,
@@ -500,11 +590,15 @@ def check_decay_envelope(order: int, context: EnergyContext, distances,
     The envelope rate sqrt(E*/3) is an upper bound on the kernel, hence a
     lower bound for the fitted rate; the constant K is fitted as the smallest
     value for which (4l)! E* (K ln^9(e+1/E*) lam^2 / sqrt(E*))^l e^{-rate r}
-    dominates the computed moments.  Fewer than two distinct distances raise
-    ValueError; a box_margin too small for the distances raises
-    TruncationError from `diagram_moment`.
+    dominates the computed moments.  Distances are integers: anything else, or
+    fewer than two distinct ones, raises ValueError; a box_margin too small for
+    the distances raises TruncationError from `diagram_moment`.
     """
-    distances = sorted(int(r) for r in distances)
+    distances = list(distances)
+    try:
+        distances = sorted(operator.index(r) for r in distances)
+    except TypeError:
+        raise ValueError(f"distances {distances} must be integers") from None
     if len(set(distances)) < 2:
         raise ValueError(f"a decay rate needs two distinct distances, got {distances}")
     b = max(distances) // 2 + box_margin

@@ -121,14 +121,15 @@ def _sample_isotropic(rng, shape, scale=1.0):
     exact-zero c (chance below 1e-9 per 400k-sample call) gives a non-finite
     weight, which `GraphValueEstimate` rejects.
     """
-    g = rng.normal(size=(4, *reversed(shape)))
+    g = rng.standard_normal(size=(4, *reversed(shape)))
     d = g[:3]
     d *= scale / np.abs(g[3])
     return d
 
 
-def _proposal_density(q, scale=1.0):
-    return (scale / math.pi**2) / (scale * scale + _norm2(q)) ** 2
+def _proposal_density(q):
+    """g(q) = (1/pi^2) (1 + q^2)^{-2}, the density of `_sample_isotropic` at scale 1."""
+    return (1.0 / math.pi**2) / (1.0 + _norm2(q)) ** 2
 
 
 def _loop_momentum_mc(graph: FeynmanGraph, mc: MCParams, stream: str, sample,
@@ -144,6 +145,7 @@ def _loop_momentum_mc(graph: FeynmanGraph, mc: MCParams, stream: str, sample,
     est = np.prod(loop_weight(w), axis=0)
     if tree:
         u = np.array(a, dtype=float) @ w
+        del w  # free the draw before the tree-line weights
         est = est * np.prod(line_weight(u), axis=0)
     return float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(est.size))
 
@@ -184,10 +186,12 @@ def continuum_pairing_integral(graph: FeynmanGraph, estar: float,
     _check_estar(estar)
     scale = math.sqrt(estar)
     propagator = lambda q: 1.0 / (_norm2(q) + estar)
+    # propagator / proposal = pi^2 (|q|^2 + E*)^2 / (scale (|q|^2 + E*)), scale^2 = E*
+    loop_factor = math.pi**2 / scale
     value, stderr = _loop_momentum_mc(
         graph, mc, mc.stream + ".continuum",
         lambda rng, shape: _sample_isotropic(rng, shape, scale=scale),
-        lambda w: propagator(w) / _proposal_density(w, scale=scale), propagator)
+        lambda w: (_norm2(w) + estar) * loop_factor, propagator)
     return GraphValueEstimate(graph_id=graph.label() + f"@continuum(E*={estar:g})",
                               value=value, stderr=stderr, samples=mc.samples,
                               method="importance-MC")

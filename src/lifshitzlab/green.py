@@ -14,7 +14,9 @@ Two independent evaluation routes:
   takes over.  The grid is fixed, so every call's nodes are a prefix of it:
   the `ive` rows are kept per process, per (order, step), grown on demand to
   the longest prefix a call has used and read-only; each call slices them and
-  checks the Hankel range of its own prefix.  A non-finite E* is a ValueError.
+  checks the Hankel range of its own prefix.  A non-finite E* is a ValueError;
+  a `green_free` point deeper than TRAPEZOID_DEPTH that fails its check is a
+  TailDepthError (its peak in ln t is narrower than the grid resolves).
   The same provider, `_trapezoid`, with an extra power of t, gives the torus
   integrals I1 = R(0) and I2 = -dR(0)/dE* of `selfenergy`.
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ive
 
-from .errors import NonConvergenceError, PeriodizationError
+from .errors import NonConvergenceError, PeriodizationError, TailDepthError
 
 __all__ = [
     "green_free",
@@ -70,6 +72,12 @@ T_FAR = 1e32           # grid end at E* = 0; the dropped tail is below 2.6e-17
 HANKEL_TOL = 1e-5      # largest mu / (8t) at which three Hankel terms are exact
 BESSEL_RELTOL = 1e-10  # relative error contract of the Bessel-integral route
 FFT_TOL = 1e-8         # largest periodization bound an FFT table may carry
+# sqrt(2E*)|x| past which a failed green_free check is a TailDepthError: near the
+# continuum limit the integrand's peak in u = ln t has width (sqrt(2E*)|x|)^(-1/2),
+# and the step-h rule's relative error 2 exp(-2 pi^2 / (h^2 sqrt(2E*)|x|)) reaches
+# BESSEL_RELTOL at this depth, about 333.  A probe of axis, face-diagonal and
+# diagonal points at E* = 0.05..5 found the first failures at depths 346..914.
+TRAPEZOID_DEPTH = 2.0 * math.pi**2 / (_STEP**2 * math.log(2.0 / BESSEL_RELTOL))
 
 
 def _lattice_site(site) -> tuple:
@@ -198,11 +206,26 @@ def _green_octant(estar: float, radius: int, rmax: float = math.inf) -> np.ndarr
 
 
 def green_free(x, estar: float) -> float:
-    """Free Green function at lattice vector x, energy distance estar >= 0."""
+    """Free Green function at lattice vector x, energy distance estar >= 0.
+
+    A point the trapezoid cannot hold to BESSEL_RELTOL raises
+    NonConvergenceError; at depth sqrt(2E*)|x| >= TRAPEZOID_DEPTH that error is
+    a TailDepthError, the value lying deeper in its tail than the grid resolves.
+    """
     key = sorted(abs(c) for c in _lattice_site(x))
-    return float(_trapezoid(key, estar, math.hypot(*key), BESSEL_RELTOL, 0,
-                            lambda tab, w: np.prod(tab, axis=0) @ w,
-                            lambda i: f"x={tuple(x)}"))
+    r = math.hypot(*key)
+    try:
+        return float(_trapezoid(key, estar, r, BESSEL_RELTOL, 0,
+                                lambda tab, w: np.prod(tab, axis=0) @ w,
+                                lambda i: f"x={tuple(x)}"))
+    except NonConvergenceError as err:
+        depth = math.sqrt(2.0 * estar) * r
+        if depth < TRAPEZOID_DEPTH:
+            raise
+        raise TailDepthError(
+            f"x={tuple(x)}, estar={estar:g}: depth sqrt(2E*)|x| = {depth:.0f} is past "
+            f"{TRAPEZOID_DEPTH:.0f}, deeper than the ln-t trapezoid resolves ({err})",
+            achieved=err.achieved, depth=depth) from err
 
 
 def periodization_bound(grid_size: int, radius: float, estar: float) -> float:

@@ -323,6 +323,24 @@ def test_decay_envelope_needs_two_distinct_distances(context_factory, monkeypatc
         ex.check_decay_envelope(1, context_factory(0.5, 0.45), distances)
 
 
+@pytest.mark.parametrize("distances", [[2.7, 4.2], [2, 4.0], [np.float64(2), 4], ["2", 4]])
+def test_decay_envelope_rejects_non_integer_distances(context_factory, monkeypatch,
+                                                      distances):
+    def no_kernel(*args):
+        raise AssertionError("kernel built before the distances were checked")
+
+    monkeypatch.setattr(ex, "_green_kernel", no_kernel)
+    with pytest.raises(ValueError, match="must be integers"):
+        ex.check_decay_envelope(1, context_factory(0.05, 0.5), distances, box_margin=3)
+
+
+def test_decay_envelope_takes_numpy_integer_distances(context_factory):
+    ctx = context_factory(0.05, 0.5)
+    rep = ex.check_decay_envelope(1, ctx, np.array([2, 4]), box_margin=3)
+    assert rep.distances == (2, 4)
+    assert rep.fitted_rate == ex.check_decay_envelope(1, ctx, [2, 4], box_margin=3).fitted_rate
+
+
 def test_decay_envelope_l1(context_factory):
     ctx = context_factory(0.5, 0.05)
     rep = ex.check_decay_envelope(1, ctx, [10, 13, 16, 20], box_margin=4)
@@ -404,10 +422,15 @@ def window_panel_quadratic_form(panels, v):
                for i0, i1, t in panels)
 
 
-# site pairs with 0, 1, 2 and 3 folded axes (both coordinates 0 on the axis)
+# site pairs with 0, 1, 2 and 3 axes folded about 0 (both coordinates 0 on the axis)
 FOLD_PAIRS = [((1, 2, -1), (0, 1, 3)), ((0, 0, 0), (1, 1, 1)), ((0, 1, 0), (0, -2, 1)),
               ((0, 0, 0), (1, 1, 0)), ((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 2, 0)),
               ((0, 0, 0), (0, 0, 0))]
+# pairs that differ on one axis only, mirror-folded about c / 2 with c = x + y
+# there: c odd, even, zero and negative, on each axis, with and without other folds
+MIRROR_PAIRS = [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (0, -1, 0)), ((1, 0, 2), (1, 3, 2)),
+                ((0, 0, -2), (0, 0, 0)), ((0, 1, 3), (0, 1, 2)), ((2, 0, 1), (-2, 0, 1)),
+                ((-3, 0, 0), (-1, 0, 0)), ((0, 0, 0), (0, 0, 1))]
 
 
 @pytest.mark.parametrize("b", [3, 4, 5])
@@ -416,7 +439,7 @@ def test_panel_quadratic_form_equals_dense_oracle(b, estar):
     kernel = ex._green_kernel(estar, 2 * b)
     gmat = dense_green_matrix(kernel, b)
     v = np.random.default_rng(b).uniform(-1.0, 1.0, size=(7, (2 * b + 1) ** 3))
-    for x, y in FOLD_PAIRS:
+    for x, y in FOLD_PAIRS + MIRROR_PAIRS:
         rx = ex._shifted_field(kernel, 2 * b, b, x)
         ry = ex._shifted_field(kernel, 2 * b, b, y)
         sectors = ex._sector_panels(kernel, b, x, y)
@@ -429,15 +452,53 @@ def test_panel_quadratic_form_equals_dense_oracle(b, estar):
 @pytest.mark.parametrize("estar", [0.45, 0.1])
 @pytest.mark.parametrize("x, y", [((1, 2, -1), (0, 1, 3)), ((0, 0, 0), (1, 1, 1))])
 def test_unfolded_sector_form_is_the_window_panel_form(b, estar, x, y):
-    # no folded axis: one sector, one image of weight 1, the same arithmetic
+    # no folded axis: one sector, one image of weight 1, the same panels
     kernel = ex._green_kernel(estar, 2 * b)
     rx = ex._shifted_field(kernel, 2 * b, b, x)
     ry = ex._shifted_field(kernel, 2 * b, b, y)
     sectors = ex._sector_panels(kernel, b, x, y)
-    assert sectors[0] == ((0,), (0,), (0,)) and len(sectors[1]) == 1
+    assert [c for c, _ in sectors[1]] == [None] * 3 and len(sectors[2]) == 1
+    oracle = window_green_panels(kernel, b, rx, ry)
+    assert len(sectors[2][0]) == len(oracle)
+    for (i0, i1, t), (j0, j1, w) in zip(sectors[2][0], oracle):
+        assert (i0, i1) == (j0, j1) and np.array_equal(t, w)
+    # the form contracts samples-minor, so it matches the oracles to rounding
     v = np.random.default_rng(b).uniform(-1.0, 1.0, size=(7, rx.size))
-    assert np.array_equal(ex._sector_quadratic_form(sectors, v, b),
-                          window_panel_quadratic_form(window_green_panels(kernel, b, rx, ry), v))
+    form = ex._sector_quadratic_form(sectors, v, b)
+    dense = np.einsum("ma,ac,mc->m", v * rx, dense_green_matrix(kernel, b), v * ry)
+    np.testing.assert_allclose(form, dense, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(form, window_panel_quadratic_form(oracle, v),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("pair, axis, centre", [
+    (((0, 0, 0), (1, 0, 0)), 0, 1), (((0, 0, 0), (0, -1, 0)), 1, 1),
+    (((1, 0, 2), (1, 3, 2)), 1, 3), (((0, 0, -2), (0, 0, 0)), 2, 2),
+    (((2, 0, 1), (-2, 0, 1)), 0, 0)])
+def test_mirror_fold_moves_the_differing_axis_to_axis_0(pair, axis, centre):
+    (perm, flip), centres, xf, yf = ex._fold_frame(*pair)
+    assert perm[0] == axis and sorted(perm) == [0, 1, 2]
+    assert centres[0] == centre and flip == (pair[0][axis] + pair[1][axis] < 0)
+    # the frame's sites are the pair's, reordered and flipped on axis 0
+    assert xf[0] + yf[0] == centre and xf[1:] == yf[1:]
+    for site, frame in zip(pair, (xf, yf)):
+        assert frame[1:] == tuple(site[a] for a in perm[1:])
+        assert frame[0] == (-1 if flip else 1) * site[axis]
+    # axes 1 and 2 fold about 0 where both sites are 0 there
+    assert centres[1:] == [0 if xf[a] == yf[a] == 0 else None for a in (1, 2)]
+
+
+@pytest.mark.parametrize("b", [3, 5])
+def test_mirror_sectors_cover_the_axis(b):
+    # even + odd own coordinates span the mirror range, the tail the rest
+    for centre in range(0, 2 * b):
+        secs = ex._axis_sectors(b, centre)
+        (even, tail, s_even), (odd, tail_o, s_odd) = secs[:2]
+        assert (s_even, s_odd) == (1, -1) and np.array_equal(tail, tail_o)
+        assert even.size + odd.size + tail.size == 2 * b + 1
+        assert np.array_equal(tail, np.arange(-b, centre - b))
+        assert even[0] == (centre + 1) // 2 and odd[0] == centre // 2 + 1
+        assert len(secs) == (3 if centre else 2)
 
 
 def dense_mc_moment_l2(ctx, x_site, y_site, samples, b, seed):
@@ -477,6 +538,32 @@ def test_l2_moment_mc_matches_dense_oracle_with_three_and_no_folded_axes(context
     assert cmp2.mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("x, y", [((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (0, -1, 0)),
+                                  ((1, 0, 2), (1, 3, 2)), ((0, 0, -2), (0, 0, 0))])
+def test_l2_moment_mc_matches_dense_oracle_on_mirror_pairs(context_factory, x, y):
+    ctx = context_factory(0.5, 0.45)
+    cmp2 = ex.mc_moment_Al_squared(2, ctx, x, y, samples=1200, box_radius=5, seed=4)
+    mean, stderr = dense_mc_moment_l2(ctx, x, y, 1200, 5, 4)
+    assert cmp2.mc_estimate == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert cmp2.mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+def test_l1_moment_mc_reads_the_stream_batch_by_batch(context_factory):
+    # each batch is DensitySpec().sample(rng, (m, n)) on the substream, m <= MC_BATCH
+    ctx = context_factory(0.5, 0.45)
+    b, x, y, samples, seed = 4, (0, 0, 0), (1, 0, 0), 1200, 6
+    cmp1 = ex.mc_moment_Al_squared(1, ctx, x, y, samples=samples, box_radius=b, seed=seed)
+    kernel = ex._green_kernel(ctx.estar, 2 * b)
+    w = ex._shifted_field(kernel, 2 * b, b, x) * ex._shifted_field(kernel, 2 * b, b, y)
+    rng = substream(seed, "moment-mc", 1)
+    vals = []
+    for m in (ex.MC_BATCH, ex.MC_BATCH, samples - 2 * ex.MC_BATCH):
+        vals.extend((ctx.lam * (DensitySpec().sample(rng, (m, w.size)) @ w)) ** 2)
+    assert cmp1.mc_estimate == pytest.approx(np.mean(vals), rel=1e-12, abs=0.0)
+    assert cmp1.mc_stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(samples),
+                                           rel=1e-12, abs=0.0)
+
+
 def test_l2_moment_mc_forms_no_dense_green_matrix(context_factory):
     # the panels hold about 0.56 of the 8 n^2 bytes of a dense (n, n) matrix at b = 8
     b = 8
@@ -505,6 +592,26 @@ def test_l2_moment_mc_folds_the_two_axes_its_sites_share(context_factory):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * 8 * n * n
+
+
+def test_l2_moment_mc_mirror_folds_the_axis_its_sites_differ_on(context_factory):
+    # x = 0, y = (1, 0, 0): the mirror t -> 1 - t splits axis 0 into an even and
+    # an odd half of b slabs each plus one leftover slab, on top of the folds of
+    # axes 1 and 2; the panels take about 0.084 of the 8 n^2 bytes of a dense
+    # (n, n) matrix at b = 8, against 0.14 for the four sectors of axes 1 and 2
+    b = 8
+    n = (2 * b + 1) ** 3
+    ctx = context_factory(0.3, 0.1)
+    tracemalloc.start()
+    try:
+        ex.mc_moment_Al_squared(2, ctx, (0, 0, 0), (1, 0, 0), samples=2, box_radius=b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.12 * 8 * n * n
+    sectors = ex._sector_panels(ex._green_kernel(ctx.estar, 2 * b), b, (0, 0, 0), (1, 0, 0))
+    panel_bytes = sum(t.nbytes for p in sectors[2] for _, _, t in p)
+    assert len(sectors[2]) == 12 and panel_bytes < 0.09 * 8 * n * n
 
 
 @pytest.mark.parametrize("b", [3, 4])

@@ -110,11 +110,25 @@ def row_major_values(graph, estar, mc):
         "torus": row_major_loop_momentum_mc(
             graph, mc, mc.stream + ".torus",
             lambda rng, shape: rng.uniform(-0.5, 0.5, size=(*shape, 3)), torus, torus),
+        # the loop weight continuum / density in closed form, as the library computes
+        # it: for the two-line graph the estimator is constant, so its stderr is
+        # rounding noise that only the same arithmetic reproduces
         "continuum": row_major_loop_momentum_mc(
             graph, mc, mc.stream + ".continuum",
             lambda rng, shape: isotropic(rng, shape, scale),
-            lambda w: continuum(w) / density(w, scale), continuum),
+            lambda w: (q2(w) + estar) * (math.pi**2 / scale), continuum),
     }
+
+
+@pytest.mark.parametrize("estar", [0.2, 0.4, 1e-3])
+def test_continuum_loop_weight_is_propagator_over_proposal(estar):
+    # pi^2 (|q|^2 + E*) / sqrt(E*) = [1 / (|q|^2 + E*)] / g_scale(q), scale^2 = E*
+    scale = math.sqrt(estar)
+    q = gv._sample_isotropic(substream(25, "loop-weight"), (20_000, 3), scale)
+    q2 = gv._norm2(q)
+    ratio = (1.0 / (q2 + estar)) / ((scale / math.pi**2) / (scale * scale + q2) ** 2)
+    np.testing.assert_allclose((q2 + estar) * (math.pi**2 / scale), ratio,
+                               rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("graph", [

@@ -12,7 +12,7 @@ from scipy.special import ive
 
 from lifshitzlab import green as gr
 from lifshitzlab import selfenergy as se
-from lifshitzlab.errors import NonConvergenceError, PeriodizationError
+from lifshitzlab.errors import NonConvergenceError, PeriodizationError, TailDepthError
 from test_selfenergy import midpoint_pair
 
 
@@ -692,3 +692,32 @@ def test_table_csv_bytes_equal_the_per_row_writer(radius, method, tmp_path):
     ball = list(table.items())
     assert all(type(c) is int for x, _ in ball for c in x)
     assert all(type(v) is float for _, v in ball)
+
+
+@pytest.mark.parametrize("estar, value_is_zero", [(1.0, True), (0.5, True), (0.2, False)])
+def test_green_free_too_deep_is_a_tail_depth_error(estar, value_is_zero):
+    # at E* = 1 and 0.5 every node underflows; at 0.2 the value (8.2e-275) is
+    # resolved by too few nodes of the ln-t grid
+    with pytest.raises(TailDepthError, match="deeper than the ln-t trapezoid") as err:
+        gr.green_free((1000, 0, 0), estar)
+    assert isinstance(err.value, NonConvergenceError)
+    assert err.value.depth == pytest.approx(1000 * math.sqrt(2 * estar))
+    assert (err.value.achieved == 0.0) == value_is_zero
+    assert ("on value 0.000e+00" in str(err.value)) == value_is_zero
+
+
+def test_green_free_depth_threshold_sits_below_the_first_failures():
+    # the probe's shallowest failures (E* = 0.05, depth about 346) lie past the
+    # threshold; deeper points that converge still return a value
+    assert 330 < gr.TRAPEZOID_DEPTH < 346
+    assert 0 < gr.green_free((1000, 0, 0), 0.05) < 1e-140      # depth 316
+    assert 0 < gr.green_free((300, 0, 0), 2.0) < 1e-230        # depth 600
+    with pytest.raises(TailDepthError):
+        gr.green_free((1200, 0, 0), 0.05)                       # depth 379
+
+
+def test_green_free_shallow_failure_stays_a_non_convergence_error(monkeypatch):
+    monkeypatch.setattr(gr, "BESSEL_RELTOL", 1e-17)
+    with pytest.raises(NonConvergenceError) as err:
+        gr.green_free((3, 1, 0), 0.5)
+    assert not isinstance(err.value, TailDepthError)
