@@ -49,7 +49,7 @@ import scipy.sparse.linalg as spla
 
 from .density import DensitySpec
 from .errors import SingularSolveError
-from .green import _lattice_site
+from .green import _integer, _lattice_site
 from .rng import substream
 from .selfenergy import EnergyContext
 
@@ -92,6 +92,7 @@ class Box:
     side: int
 
     def __post_init__(self):
+        object.__setattr__(self, "side", _integer(self.side, "side"))
         if self.side < 2:
             raise ValueError("side must be >= 2")
 

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -255,12 +255,7 @@ def run_green(cfg):
     notes["envelope_constant"] = table.fitted_envelope_constant()
     if hi:
         report = gr.check_asymptotics(range(lo, hi + 1, max((hi - lo) // 8, 1)), estar)
-        files["green_asymptotics.json"] = _json({
-            "estar": report.estar, "distances": list(report.distances),
-            "ratios": list(report.ratios), "fitted_rate": report.fitted_rate,
-            "expected_rate": report.expected_rate, "c1": report.c1,
-            "c2": report.c2, "envelope_constant": report.envelope_constant,
-        })
+        files["green_asymptotics.json"] = _json(asdict(report))
     return files, notes
 
 
@@ -381,14 +376,8 @@ def run_criterion(cfg):
                                      B_s=cfg["bs"], samples=cfg["samples"],
                                      seed=cfg["seed"])
     return {"criterion.json": _json({
-        "L": res.L, "s": res.s, "b": res.b, "B_s": res.B_s,
-        "value": res.value, "stderr": res.stderr, "margin": res.margin,
-        "passes": res.passes, "raw_boundary_sum": res.raw_boundary_sum,
-        "implied_decay_rate": res.implied_decay_rate,
-        "lambda_factor_applied": res.lambda_factor_applied,
-        "samples": res.samples, "fallbacks": res.fallbacks,
-        "krylov_iterations": res.krylov_iterations,
-    })}, {}
+        **asdict(res), "margin": res.margin, "passes": res.passes,
+        "implied_decay_rate": res.implied_decay_rate})}, {}
 
 
 RUNNERS = {

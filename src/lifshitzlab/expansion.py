@@ -45,7 +45,6 @@ samples-minor, so every panel is one product t^T @ u.
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,7 @@ from .anderson import Box, _direct_solver, build_hamiltonian
 from .density import DensitySpec
 from .diagrams import cumulant_coefficient
 from .errors import CombinatorialBudgetError, TruncationError
-from .green import _green_octant
+from .green import _decay_distances, _green_octant
 from .graphvalues import log_damping_constant
 from .rng import substream
 from .selfenergy import EnergyContext
@@ -263,11 +262,10 @@ def _image_sum(a: np.ndarray, axis: int, coords: np.ndarray, sign: int) -> np.nd
     return out
 
 
-def _reflect(u: np.ndarray, axis: int, box_radius: int, centre, sector,
-             out: np.ndarray) -> np.ndarray:
+def _reflect(u: np.ndarray, axis: int, box_radius: int, centre, sector) -> np.ndarray:
     """The sector's coordinates of u along `axis`: u(t) + sign u(c - t) over its
-    own t, then u(t) over its tail, written to the flat buffer out. A sector of
-    sign 0 is a view of u and leaves out alone."""
+    own t, then u(t) over its tail, in a new array. A sector of sign 0 is a
+    view of u."""
     own, tail, sign = sector
     b, k = box_radius, own.size
     cut = (slice(None),) * axis
@@ -276,7 +274,7 @@ def _reflect(u: np.ndarray, axis: int, box_radius: int, centre, sector,
         return pos
     hi = centre - own[0] + b  # index of c - t at the first own t
     neg = u[cut + (slice(hi, hi - k if hi >= k else None, -1),)]
-    out = out.reshape(u.shape[:axis] + (k + tail.size,) + u.shape[axis + 1:])
+    out = np.empty(u.shape[:axis] + (k + tail.size,) + u.shape[axis + 1:])
     head = out[cut + (slice(k),)]
     # copy, then add in place: both iterate as out lies, also where u is the
     # draw read transposed
@@ -286,40 +284,24 @@ def _reflect(u: np.ndarray, axis: int, box_radius: int, centre, sector,
     return out
 
 
-def _fold(v: np.ndarray, sectors, box_radius: int, work: list) -> list:
+def _fold(v: np.ndarray, sectors, box_radius: int) -> list:
     """Sector coordinates u, shape (n_s, m), of the rows of v (m, n), in
     `_sector_panels`' order.
 
     v is read transposed, so the first reflection writes samples-minor arrays
-    and each later one moves contiguous runs of m values. The axes that fold
-    write in turn to the two flat buffers of `work`, which the caller keeps
-    across batches; they grow to the largest axis's output when too small.
-    The even sector's u(c/2) is 2 v(c/2); its fields carry the 1/2 back.
+    and each later one moves contiguous runs of m values. Each axis that folds
+    reflects every array the axes before it left into new arrays, so two
+    levels are alive at a time and nothing is kept between calls. The even
+    sector's u(c/2) is 2 v(c/2); its fields carry the 1/2 back.
     """
     (perm, flip), axes, _ = sectors
     side, m = 2 * box_radius + 1, len(v)
-    # a folding axis writes the rows of its signed sectors for each row the
-    # axes before it left, times the axes after it
-    left = itertools.accumulate((sum(own.size + tail.size for own, tail, _ in secs)
-                                 for _, secs in axes), operator.mul, initial=m)
-    need = max(n * sum(own.size + tail.size for own, tail, sign in secs if sign)
-               * side ** (2 - a) for a, ((_, secs), n) in enumerate(zip(axes, left)))
-    if work[0] is None or work[0].size < need:
-        work[:] = None, None  # free the old buffers before taking larger ones
-        # one allocation, large enough to be mapped and given back to the system whole
-        work[:] = np.split(np.empty(2 * need), 2)
     u = v.T.reshape(side, side, side, m).transpose(*perm, 3)
-    us, w = [u[::-1] if flip else u], 0
+    us = [u[::-1] if flip else u]
     for axis, (centre, secs) in enumerate(axes):
         if centre is None:
             continue  # one sector, the whole axis: u itself
-        pairs = list(itertools.product(us, secs))
-        sizes = [sign and x.size // x.shape[axis] * (own.size + tail.size)
-                 for x, (own, tail, sign) in pairs]
-        ends = itertools.accumulate(sizes)
-        us = [_reflect(x, axis, box_radius, centre, sec, work[w][end - size:end])
-              for (x, sec), size, end in zip(pairs, sizes, ends)]
-        w = 1 - w
+        us = [_reflect(x, axis, box_radius, centre, sec) for x in us for sec in secs]
     return [x.reshape(-1, m) for x in us]
 
 
@@ -418,13 +400,13 @@ def _sector_panels(kernel: np.ndarray, box_radius: int, x_site, y_site):
     return view, axes, sectors
 
 
-def _sector_quadratic_form(sectors, v: np.ndarray, box_radius: int,
-                           work: list = None) -> np.ndarray:
+def _sector_quadratic_form(sectors, v: np.ndarray, box_radius: int) -> np.ndarray:
     """Row-wise v^T S v over the sectors of `_sector_panels`, for v of shape (m, n).
 
-    `work` is `_fold`'s pair of buffers, [None, None] before the first batch.
+    Each call folds its own batch (`_fold`), so batches of any size, in any
+    order, give the rows a single call gives.
     """
-    us = _fold(v, sectors, box_radius, [None, None] if work is None else work)
+    us = _fold(v, sectors, box_radius)
     return sum(sum(np.einsum("ij,ij->j", u[i0:i1], t.T @ u[i0:]) for i0, i1, t in p)
                for u, p in zip(us, sectors[2]))
 
@@ -545,7 +527,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
     rx = _shifted_field(kernel, 2 * b, b, x_site)
     ry = _shifted_field(kernel, 2 * b, b, y_site)
     if order == 2:
-        sectors, work = _sector_panels(kernel, b, x_site, y_site), [None, None]
+        sectors = _sector_panels(kernel, b, x_site, y_site)
 
     density = DensitySpec()
     rng = substream(seed, "moment-mc", order)
@@ -558,7 +540,7 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
         if order == 1:
             a = lam * (v @ (rx * ry))
         else:
-            a = lam**2 * _sector_quadratic_form(sectors, v, b, work) - sigma * pxy
+            a = lam**2 * _sector_quadratic_form(sectors, v, b) - sigma * pxy
         vals[done:done + m] = a**2
         done += m
         del v  # free this draw before the next one
@@ -594,13 +576,7 @@ def check_decay_envelope(order: int, context: EnergyContext, distances,
     fewer than two distinct ones, raises ValueError; a box_margin too small for
     the distances raises TruncationError from `diagram_moment`.
     """
-    distances = list(distances)
-    try:
-        distances = sorted(operator.index(r) for r in distances)
-    except TypeError:
-        raise ValueError(f"distances {distances} must be integers") from None
-    if len(set(distances)) < 2:
-        raise ValueError(f"a decay rate needs two distinct distances, got {distances}")
+    distances = _decay_distances(distances)
     b = max(distances) // 2 + box_margin
     kernel = _green_kernel(context.estar, 2 * b)
     vals = []

@@ -216,7 +216,7 @@ class BoundAssembly:
     bound_value: float
     log_bound_value: float
     chosen_N: int
-    lambda_exponent: float  # B with ratio = lam^(B * epsilon) at epsilon = 1
+    lambda_exponent: float  # B with ratio = lam^B, the tail exponent epsilon fixed at 1
     positive_log_normalization: bool = True
 
     def __post_init__(self):
@@ -224,8 +224,8 @@ class BoundAssembly:
             raise ValueError("bound must be >= 0 and chosen_N >= 1")
 
 
-def assemble_An_bound(n: int, lam: float, estar: float, k_const: float = 1.0,
-                      epsilon: float = 1.0) -> BoundAssembly:
+def assemble_An_bound(n: int, lam: float, estar: float,
+                      k_const: float = 1.0) -> BoundAssembly:
     """Assemble the order-n bound and the stopping order (4N)^4 = 1/ratio."""
     if not (0 < estar < 1):
         raise ValueError("estar must be in (0, 1)")
@@ -241,7 +241,7 @@ def assemble_An_bound(n: int, lam: float, estar: float, k_const: float = 1.0,
     log_bound = math.lgamma(4 * n + 1) + math.log(estar) + n * math.log(ratio)
     bound = math.exp(log_bound) if log_bound < 700 else math.inf
     chosen = max(1, math.ceil((1.0 / ratio) ** 0.25 / 4.0))
-    b_exp = math.log(ratio) / (epsilon * math.log(lam)) if lam != 1.0 else math.nan
+    b_exp = math.log(ratio) / math.log(lam) if lam != 1.0 else math.nan
     return BoundAssembly(n=n, lam=lam, estar=estar, k_const=k_const,
                          c_of_estar=c_val, ratio=ratio, bound_value=bound,
                          log_bound_value=log_bound, chosen_N=chosen,

@@ -80,6 +80,14 @@ FFT_TOL = 1e-8         # largest periodization bound an FFT table may carry
 TRAPEZOID_DEPTH = 2.0 * math.pi**2 / (_STEP**2 * math.log(2.0 / BESSEL_RELTOL))
 
 
+def _integer(value, what: str) -> int:
+    """value as an int (a NumPy integer too); anything else is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _lattice_site(site) -> tuple:
     """The coordinates of a lattice site as ints; a non-integer one is a ValueError."""
     try:
@@ -306,7 +314,9 @@ class GreenTable:
 MAX_RADIUS = 64  # beyond this, tail underflow degrades table checks
 
 
-def _check_radius(radius: int):
+def _check_radius(radius: int) -> int:
+    """The table radius as an int; a non-integer or out-of-range one is a ValueError."""
+    radius = _integer(radius, "radius")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if radius > MAX_RADIUS:
@@ -314,11 +324,12 @@ def _check_radius(radius: int):
             f"radius {radius} beyond {MAX_RADIUS} (exponential tails underflow "
             "the table tolerances)"
         )
+    return radius
 
 
 def green_table_bessel(estar: float, radius: int = 20) -> GreenTable:
     """Tabulate via the Bessel-integral representation over the octant."""
-    _check_radius(radius)
+    radius = _check_radius(radius)
     table = GreenTable(estar=estar, radius=radius, method="bessel-integral",
                        tolerance=BESSEL_RELTOL, _data=_green_octant(estar, radius, radius))
     table.validate()
@@ -331,11 +342,12 @@ def green_free_fft(grid_size: int, estar: float, radius: int = 20) -> GreenTable
     The half spectrum is transformed as a real-even DFT: each axis is one product
     with the cosine matrix of the output rows x = 0..radius.
     """
+    grid_size = _integer(grid_size, "grid_size")
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     if not (math.isfinite(estar) and estar > 0):
         raise ValueError("estar must be > 0 and finite")
-    _check_radius(radius)
+    radius = _check_radius(radius)
     bound = periodization_bound(grid_size, radius, estar)
     if not bound < FFT_TOL:
         raise PeriodizationError(
@@ -392,8 +404,7 @@ def read_table_csv(path) -> GreenTable:
         columns = fh.readline().strip()
         if columns != "x1,x2,x3,value":
             raise ValueError(f"{path}: expected columns x1,x2,x3,value, got {columns!r}")
-        radius = int(header["radius"])
-        _check_radius(radius)
+        radius = _check_radius(header["radius"])
         data = np.full((radius + 1,) * 3, np.nan)
         for line in fh:
             i, j, k, v = line.strip().split(",")
@@ -427,6 +438,18 @@ class AsymptoticsReport:
         return self.fitted_rate / self.expected_rate
 
 
+def _decay_distances(distances) -> list:
+    """The distances of a decay fit, sorted; ValueError unless integers, two distinct."""
+    distances = list(distances)
+    try:
+        distances = sorted(operator.index(r) for r in distances)
+    except TypeError:
+        raise ValueError(f"distances {distances} must be integers") from None
+    if len(set(distances)) < 2:
+        raise ValueError(f"a decay rate needs two distinct distances, got {distances}")
+    return distances
+
+
 def check_asymptotics(distances, estar: float) -> AsymptoticsReport:
     """Fit rate and prefactor of R(x) ~ e^{-sqrt(2E*)|x|} / (2 pi (|x|+1)) on an axis.
 
@@ -435,13 +458,7 @@ def check_asymptotics(distances, estar: float) -> AsymptoticsReport:
     """
     if not (math.isfinite(estar) and estar > 0):
         raise ValueError("estar must be > 0 and finite")
-    distances = list(distances)
-    try:
-        distances = sorted(operator.index(r) for r in distances)
-    except TypeError:
-        raise ValueError(f"distances {distances} must be integers") from None
-    if len(set(distances)) < 2:
-        raise ValueError(f"a decay rate needs two distinct distances, got {distances}")
+    distances = _decay_distances(distances)
     if distances[0] < 1:
         raise ValueError(f"distances must be >= 1, got {distances}")
     kappa = math.sqrt(2.0 * estar)

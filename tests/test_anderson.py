@@ -64,6 +64,19 @@ def test_box_reads_numpy_integer_coordinates():
     assert box.distance_to_boundary((np.int32(1), 0, np.int64(-1))) == 1
 
 
+@pytest.mark.parametrize("side", [7.5, 8.0, "8"])
+def test_box_rejects_a_non_integer_side(side):
+    # read as it stands, side 7.5 gives 421.875 sites and the origin index 194.25
+    with pytest.raises(ValueError, match="side must be an integer"):
+        am.Box(side=side)
+
+
+def test_box_reads_a_numpy_integer_side():
+    box = am.Box(side=np.int64(7))
+    assert type(box.side) is int and box == am.Box(side=7)
+    assert box.n_sites == 343 and box.index((0, 0, 0)) == 171
+
+
 @pytest.mark.parametrize("side", [2, 3, 6, 11])
 def test_boundary_indices_are_the_six_faces(side):
     grid = np.zeros((side,) * 3, dtype=bool)

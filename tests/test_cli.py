@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -198,6 +199,12 @@ def test_numerical_failure_exit_code(tmp_path):
                 "--box", "6", "--distances", "1,2", "--out", str(tmp_path)]) == 3
 
 
+def _record_fields(record):
+    """A result record's fields as JSON reads them back: tuples become lists."""
+    return {f.name: list(v) if isinstance(v, tuple) else v
+            for f in dataclasses.fields(record) for v in [getattr(record, f.name)]}
+
+
 def test_green_run_with_asymptotics(tmp_path):
     assert run(["green", "--estar", "0.05", "--radius", "6", "--method", "bessel",
                 "--asymptotics-min", "10", "--asymptotics-max", "26",
@@ -206,6 +213,8 @@ def test_green_run_with_asymptotics(tmp_path):
     assert table[1] == "x1,x2,x3,value"
     report = json.loads((tmp_path / "green_asymptotics.json").read_text())
     assert 0.8 < report["fitted_rate"] / report["expected_rate"] < 1.2
+    # the file is the report: its fields, and no others, at the library's values
+    assert report == _record_fields(gr.check_asymptotics(range(10, 27, 2), 0.05))
     notes = json.loads((tmp_path / "green_manifest.json").read_text())["notes"]
     assert set(notes) == {"envelope_constant"}  # fft-only keys stay out
 
@@ -271,6 +280,11 @@ def test_criterion_run(tmp_path):
     assert report["value"] > 0 and "margin" in report
     assert report["fallbacks"] == 0
     assert 0 < report["krylov_iterations"] < am.KRYLOV_MAXIT
+    # the file is the result's fields plus its verdict, at the library's values
+    res = am.finite_volume_criterion(5, se.EnergyContext.from_estar(0.0, 0.3), 0.2,
+                                     b=0.5, B_s=1.0, samples=20, seed=0)
+    assert report == {**_record_fields(res), "margin": res.margin, "passes": res.passes,
+                      "implied_decay_rate": res.implied_decay_rate}
 
 
 def test_outdir_env_default(tmp_path, monkeypatch):

@@ -471,6 +471,24 @@ def test_unfolded_sector_form_is_the_window_panel_form(b, estar, x, y):
                                rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("x, y", [((0, 0, 0), (1, 0, 0)), ((1, 2, -1), (0, 1, 3))])
+def test_sector_form_keeps_no_state_between_batches(x, y):
+    # a mirror pair (three folded axes) and a pair with none: batches of 7, 500
+    # and 7 rows, the larger one after a smaller one and before, give bit for
+    # bit the rows of single calls on sectors built for that call alone
+    b = 3
+    kernel = ex._green_kernel(0.45, 2 * b)
+    rng = np.random.default_rng(11)
+    batches = [rng.uniform(-1.0, 1.0, size=(m, (2 * b + 1) ** 3)) for m in (7, 500, 7)]
+    fresh = [ex._sector_quadratic_form(ex._sector_panels(kernel, b, x, y), v, b)
+             for v in batches]
+    sectors = ex._sector_panels(kernel, b, x, y)
+    for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
+        for i in order:
+            assert np.array_equal(ex._sector_quadratic_form(sectors, batches[i], b),
+                                  fresh[i]), (order, i)
+
+
 @pytest.mark.parametrize("pair, axis, centre", [
     (((0, 0, 0), (1, 0, 0)), 0, 1), (((0, 0, 0), (0, -1, 0)), 1, 1),
     (((1, 0, 2), (1, 3, 2)), 1, 3), (((0, 0, -2), (0, 0, 0)), 2, 2),

@@ -367,6 +367,37 @@ def test_table_csv_checks_the_header_radius(tmp_path, monkeypatch):
         gr.read_table_csv(path)
 
 
+@pytest.mark.parametrize("radius", [3.5, 3.0])
+def test_tables_reject_a_non_integer_radius(tmp_path, radius):
+    with pytest.raises(ValueError, match="radius must be an integer"):
+        gr.green_table_bessel(0.4, radius=radius)
+    with pytest.raises(ValueError, match="radius must be an integer"):
+        gr.green_free_fft(64, 0.5, radius=radius)
+    path = os.path.join(tmp_path, "table.csv")
+    gr.write_table_csv(gr.green_table_bessel(0.4, radius=3), path)
+    _rewrite_header(path, radius=radius)
+    with pytest.raises(ValueError, match="radius must be an integer"):
+        gr.read_table_csv(path)
+
+
+def test_fft_rejects_a_non_integer_grid():
+    # read as it stands, grid 64.5 gives a (1,0,0) entry of 0.06315 that passes
+    # validate and its periodization bound, against 0.06456 from grid 64
+    with pytest.raises(ValueError, match="grid_size must be an integer"):
+        gr.green_free_fft(64.5, 0.5, radius=4)
+    with pytest.raises(ValueError, match="grid_size must be an integer"):
+        gr.green_free_fft(64.0, 0.5, radius=4)
+
+
+def test_tables_read_numpy_integer_sizes():
+    fft = gr.green_free_fft(np.int64(64), 0.5, radius=np.int32(4))
+    assert type(fft.grid_size) is int and type(fft.radius) is int
+    assert fft.value((1, 0, 0)) == gr.green_free_fft(64, 0.5, radius=4).value((1, 0, 0))
+    bessel = gr.green_table_bessel(0.4, radius=np.int64(3))
+    assert type(bessel.radius) is int
+    assert bessel.value((1, 2, 0)) == gr.green_table_bessel(0.4, radius=3).value((1, 2, 0))
+
+
 def test_fft_table_items_agree_with_value():
     # FFT entries are permutation-symmetric only to rounding; both reads take (|x1|, |x2|, |x3|)
     table = gr.green_free_fft(128, 0.05, radius=12)
