@@ -60,8 +60,6 @@ __all__ = [
     "resolvent_column",
     "FractionalMomentEstimate",
     "fractional_moment",
-    "MomentDifferenceResult",
-    "moment_difference",
     "CriterionResult",
     "finite_volume_criterion",
     "XiEstimate",
@@ -300,18 +298,20 @@ def _krylov_columns(side, energy, pot_grid, rhs_index, etas, tol):
     return None
 
 
-def _resolvent_columns(box: Box, potential, lam, energy, ys, etas, tol):
+def _resolvent_columns(box: Box, potential, context: EnergyContext, ys, etas, tol):
     """Columns {y: [R(., y) per eta]}, splu fallbacks, largest iteration count.
 
-    Each Krylov column must meet |(H + E + i eta) u - delta_y| <= RESIDUAL_TOL;
-    a column that does not, or every column when the seed breaks down, is
-    solved by `resolvent_column` at the same eta and counted as a fallback.
+    R is the resolvent at the context's (lam, E) on `potential`.  Each Krylov
+    column must meet |(H + E + i eta) u - delta_y| <= RESIDUAL_TOL; a column
+    that does not, or every column when the seed breaks down, is solved by
+    `resolvent_column` at the same eta and counted as a fallback.
     """
     _check_site_budget(box)
     if not etas:
         raise ValueError("the eta schedule is empty")
     if any(eta < 0 for eta in etas):
         raise ValueError("eta must be >= 0")
+    lam, energy = context.lam, context.energy
     shape = (box.side,) * 3
     pot_grid = None if lam == 0.0 else (lam * potential).reshape(shape)
     out, fallbacks, iterations, h = {}, 0, 0, None
@@ -350,8 +350,7 @@ def _sample_average(box: Box, context: EnergyContext, ys, etas, samples: int,
     for isamp in range(samples if lam != 0.0 else 1):
         pot = (sample_potential(box, DensitySpec(), seed, isamp) if lam != 0.0
                else np.zeros(box.n_sites))
-        cols, fell_back, its = _resolvent_columns(box, pot, lam, context.energy, ys,
-                                                  etas, tol)
+        cols, fell_back, its = _resolvent_columns(box, pot, context, ys, etas, tol)
         fallbacks += fell_back
         iterations = max(iterations, its)
         obs.append(observe(cols))
@@ -408,59 +407,6 @@ def fractional_moment(box: Box, context: EnergyContext, s: float, pairs,
 
 
 @dataclass(frozen=True)
-class MomentDifferenceResult:
-    s: float
-    pairs: tuple
-    estimates: np.ndarray = field(repr=False)
-    stderrs: np.ndarray = field(repr=False)
-    fitted_c1: float = 0.0
-    excluded_pairs: tuple = ()
-    samples: int = 0
-    fallbacks: int = 0          # columns redone by factorization
-    krylov_iterations: int = 0  # largest seed CG iteration count
-
-
-def moment_difference(box: Box, context: EnergyContext, s: float, pairs,
-                      samples: int, seed: int = 0,
-                      eta: float = 0.0) -> MomentDifferenceResult:
-    """E|R(x,y) - R_r(x,y)|^s with the box-consistent free resolvent.
-
-    Pairs outside the window |x-y| < (E*)^{-1/2} are excluded with notice.
-    """
-    if not (0 < s < 0.5):
-        raise ValueError("s must be in (0, 1/2)")
-    if samples < 1:  # before the free columns are solved
-        raise ValueError("samples must be >= 1")
-    window = context.estar ** -0.5
-    kept, excluded = [], []
-    for x, y in pairs:
-        d = math.dist(x, y)
-        (kept if d < window else excluded).append((tuple(x), tuple(y)))
-    if not kept:
-        raise ValueError(f"no pairs inside the window |x-y| < {window:g}")
-    index = {site: box.index(site) for pair in kept for site in pair}
-    ys = sorted({y for _, y in kept})
-    free, free_fallbacks, free_its = _resolvent_columns(
-        box, np.zeros(box.n_sites), 0.0, context.estar, ys, (eta,), KRYLOV_TOL)
-
-    def observe(cols):
-        return [abs(cols[y][0][index[x]] - free[y][0][index[x]]) ** s
-                for x, y in kept]
-
-    est, err, fallbacks, iterations = _sample_average(
-        box, context, ys, (eta,), samples, seed, KRYLOV_TOL, observe)
-    if context.lam > 0:
-        c1 = max(e * (math.dist(x, y) + 1.0) ** (s / 2.0) / context.lam**s
-                 for e, (x, y) in zip(est, kept))
-    else:
-        c1 = 0.0
-    return MomentDifferenceResult(s=s, pairs=tuple(kept), estimates=est, stderrs=err,
-                                  fitted_c1=float(c1), excluded_pairs=tuple(excluded),
-                                  samples=samples, fallbacks=fallbacks + free_fallbacks,
-                                  krylov_iterations=max(iterations, free_its))
-
-
-@dataclass(frozen=True)
 class CriterionResult:
     """Outcome of the finite-volume fractional-moment criterion."""
 
@@ -504,6 +450,8 @@ def finite_volume_criterion(L: int, context: EnergyContext, s: float,
         raise ValueError("s must be in (0, 1/4)")
     if not (0 < b < 1):
         raise ValueError("b must be in (0, 1)")
+    if not (0 < B_s < math.inf):  # B_s <= 0 would pass any box vacuously
+        raise ValueError("B_s must be > 0 and finite")
     box = Box(side=2 * L)
     _check_site_budget(box)  # before the boundary shell is built
     bidx = box.boundary_indices()

@@ -54,7 +54,7 @@ from .anderson import Box, _direct_solver, build_hamiltonian
 from .density import DensitySpec
 from .diagrams import cumulant_coefficient
 from .errors import CombinatorialBudgetError, TruncationError
-from .green import _decay_distances, _green_octant
+from .green import _decay_distances, _green_octant, green_free
 from .graphvalues import log_damping_constant
 from .rng import substream
 from .selfenergy import EnergyContext
@@ -461,9 +461,11 @@ def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
 
     l = 1 is lam^2 sum_z rx^2 ry^2; l = 2 is lam^4 [S_{{1,4},{2,5}} +
     S_{{1,5},{2,4}} + c_4 S_{4-block}], the pair sums by FFT convolution with
-    G^2 (`_convolve_same`). Raises ValueError for a site outside the cube and
-    TruncationError when the cube's boundary shell carries more than
-    TRUNCATION_TOL of the l=1 sum.
+    G^2 (`_convolve_same`). A caller's `kernel` must be the one
+    `_green_kernel(context.estar, 2 * box_radius)` builds: one of another
+    shape, or whose centre is not G(0) at E* to 1e-9, raises ValueError, as
+    does a site outside the cube. Raises TruncationError when the cube's
+    boundary shell carries more than TRUNCATION_TOL of the l=1 sum.
     """
     if order not in (1, 2):
         raise ValueError("l must be 1 or 2")
@@ -473,6 +475,11 @@ def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
         cube.index(site)  # ValueError for a site outside, before the kernel
     if kernel is None:
         kernel = _green_kernel(context.estar, 2 * b)
+    elif kernel.shape != (4 * b + 1,) * 3 or not math.isclose(
+            kernel[2 * b, 2 * b, 2 * b], green_free((0, 0, 0), context.estar),
+            rel_tol=1e-9):
+        raise ValueError(f"kernel is not G over [-{2 * b}, {2 * b}]^3 at "
+                         f"E* = {context.estar:g}")
     rx = _shifted_field(kernel, 2 * b, b, x_site)
     ry = _shifted_field(kernel, 2 * b, b, y_site)
     trunc = _truncation_ratio(rx, ry, cube)

@@ -242,22 +242,13 @@ def test_fractional_moment_validates_s():
         am.fractional_moment(box, ctx, 1.2, [((0, 0, 0), (1, 0, 0))], samples=2)
 
 
-def test_moment_difference_lam_zero_identically_zero():
-    box = am.Box(side=10)
-    ctx = se.solve_self_energy(0.3, 0.0)
-    res = am.moment_difference(box, ctx, 0.3, [((0, 0, 0), (1, 0, 0))], samples=3,
-                               seed=1)
-    assert np.all(res.estimates == 0.0)
-    assert res.fitted_c1 == 0.0
-
-
 def test_lam_zero_solves_each_column_once(monkeypatch):
     # at lam = 0 every disorder sample sees the same operator
     solve, calls = am._resolvent_columns, []
 
-    def counted(box, potential, lam, energy, ys, etas, tol):
+    def counted(box, potential, context, ys, etas, tol):
         calls.extend(ys)
-        return solve(box, potential, lam, energy, ys, etas, tol)
+        return solve(box, potential, context, ys, etas, tol)
 
     monkeypatch.setattr(am, "_resolvent_columns", counted)
     box = am.Box(side=8)
@@ -266,43 +257,19 @@ def test_lam_zero_solves_each_column_once(monkeypatch):
     est = am.fractional_moment(box, ctx, 0.3, pairs, samples=6, seed=2)
     assert sorted(calls) == [(0, 0, 0), (1, 0, 0)]
     assert np.all(est.stderrs == 0.0)
-    calls.clear()
-    am.moment_difference(box, ctx, 0.3, pairs, samples=6, seed=2)
-    # one free column and one lam = 0 column per y
-    assert sorted(calls) == [(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 0, 0)]
 
 
-def test_moment_difference_rejects_zero_samples_before_solving(monkeypatch):
+@pytest.mark.parametrize("call", [
+    lambda ctx: am.fractional_moment(am.Box(side=6), ctx, 0.3,
+                                     [((0, 0, 0), (1, 0, 0))], samples=0),
+    lambda ctx: am.finite_volume_criterion(3, ctx, 0.2, samples=0),
+], ids=["fractional_moment", "criterion"])
+def test_zero_samples_are_rejected_before_solving(monkeypatch, call):
     calls = []
     monkeypatch.setattr(am, "_resolvent_columns", lambda *args: calls.append(args))
-    ctx = se.solve_self_energy(0.45, 0.5)
-    with pytest.raises(ValueError):
-        am.moment_difference(am.Box(side=6), ctx, 0.3, [((0, 0, 0), (1, 0, 0))],
-                             samples=0)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        call(se.solve_self_energy(0.45, 0.5))
     assert calls == []
-
-
-def test_moment_difference_window_exclusion():
-    box = am.Box(side=10)
-    ctx = se.solve_self_energy(0.45, 0.5)  # E* ~ 0.36: window ~ 1.67
-    res = am.moment_difference(box, ctx, 0.3,
-                               [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (3, 0, 0))],
-                               samples=5, seed=1)
-    assert len(res.pairs) == 1
-    assert res.excluded_pairs == (((0, 0, 0), (3, 0, 0)),)
-
-
-def test_moment_difference_c1_stable_and_decreasing():
-    box = am.Box(side=12)
-    c1s = []
-    pairs = [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (1, 1, 0))]
-    for lam in (0.3, 0.5):
-        energy = se.energy_of_estar(0.3, lam)
-        ctx = se.solve_self_energy(energy, lam)
-        res = am.moment_difference(box, ctx, 0.3, pairs, samples=60, seed=6)
-        c1s.append(res.fitted_c1)
-        assert res.estimates[0] > res.estimates[1]  # decays with |x-y|
-    assert abs(c1s[0] - c1s[1]) / max(c1s) < 0.5
 
 
 def test_criterion_lam_zero_deterministic_and_consistent():
@@ -551,9 +518,7 @@ def test_hop_table_stencil_is_the_six_slice_stencil(side, lam, shift):
         box, ctx, 0.3, [((1, 0, 0), (0, 0, 0)), ((4, 0, 0), (0, 0, 0))], samples=2),
     lambda box, ctx: am.fractional_moment(
         box, ctx, 0.3, [((1, 0, 0), (0, 0, 0)), ((0, 0, 3), (0, 0, 4))], samples=2),
-    lambda box, ctx: am.moment_difference(
-        box, ctx, 0.3, [((1, 0, 0), (0, 0, 0)), ((4, 0, 0), (3, 0, 0))], samples=2),
-], ids=["fracmom_x", "fracmom_second_y", "moment_difference_x"])
+], ids=["fracmom_x", "fracmom_second_y"])
 def test_sites_are_indexed_before_the_first_solve(monkeypatch, call):
     def no_solve(*args):
         raise AssertionError("a Krylov run before the sites were checked")
@@ -590,12 +555,11 @@ def test_moments_need_no_sparse_hamiltonian(monkeypatch):
     box = am.Box(side=8)
     ctx = se.solve_self_energy(0.45, 0.5)
     pairs = [((1, 0, 0), (0, 0, 0)), ((0, 1, 1), (1, 0, 0))]
-    est = am.fractional_moment(box, ctx, 0.3, pairs, samples=3, seed=2)
-    assert est.fallbacks == 0
-    assert 0 < est.krylov_iterations < am.KRYLOV_MAXIT
-    diff = am.moment_difference(box, ctx, 0.3, pairs[:1], samples=2, seed=2, eta=1e-3)
-    assert diff.fallbacks == 0
-    assert 0 < diff.krylov_iterations < am.KRYLOV_MAXIT
+    for etas in (am.DEFAULT_ETA_SCHEDULE, (1e-3,)):
+        est = am.fractional_moment(box, ctx, 0.3, pairs, samples=3, eta_schedule=etas,
+                                   seed=2)
+        assert est.fallbacks == 0
+        assert 0 < est.krylov_iterations < am.KRYLOV_MAXIT
 
 
 def _splu_column(box, context, eta, y, seed):
@@ -639,6 +603,15 @@ def test_criterion_validates_inputs():
         am.finite_volume_criterion(5, ctx, s=0.3)  # s >= 1/4
     with pytest.raises(ValueError):
         am.finite_volume_criterion(5, ctx, s=0.2, b=1.5)
+
+
+@pytest.mark.parametrize("B_s", [0.0, -1.0, math.nan, math.inf])
+def test_criterion_rejects_a_vacuous_prefactor_before_solving(monkeypatch, B_s):
+    # B_s <= 0 makes every value pass; a non-finite one makes it meaningless
+    monkeypatch.setattr(am, "_krylov_columns", _no_solve)
+    ctx = se.EnergyContext.from_estar(0.0, 0.3)
+    with pytest.raises(ValueError, match="B_s must be > 0 and finite"):
+        am.finite_volume_criterion(3, ctx, s=0.2, B_s=B_s)
 
 
 def test_correlation_fit_synthetic_exponential():

@@ -106,6 +106,9 @@ def test_out_of_range_flags_are_config_errors(tmp_path):
                 "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "expansion_terms.txt").exists()  # a rejected run writes nothing
     assert run(["criterion", "--boxl", "4", "--energy", "-1", "--out", str(tmp_path)]) == 2
+    # a prefactor B_s <= 0 would make the criterion pass vacuously
+    assert run(["criterion", "--boxl", "3", "--lam", "0", "--estar", "0.3", "--s", "0.2",
+                "--bs", "0", "--out", str(tmp_path)]) == 2
     # orders below 1 have no graph; negative radii have no table
     assert run(["diagrams", "--n", "0", "--out", str(tmp_path)]) == 2
     assert run(["diagram-value", "--n", "0", "--out", str(tmp_path)]) == 2

@@ -655,6 +655,21 @@ def test_l2_diagram_moment_equals_dense_double_sum(context_factory, b, estar):
     assert value == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("estar, radius", [(0.1, 10), (0.45, 12)],
+                         ids=["wrong_estar", "wrong_radius"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_diagram_moment_rejects_a_mismatched_kernel(context_factory, order, estar,
+                                                     radius):
+    # b = 5 sums over the radius-10 kernel at the context's E* = 0.45; taken
+    # unchecked, these two gave 8.1x and 1.8x the l=2 value
+    ctx = context_factory(0.5, 0.45)
+    x, y, b = (0, 0, 0), (1, 0, 0), 5
+    own = ex.diagram_moment(order, ctx, x, y, b, kernel=ex._green_kernel(0.45, 2 * b))
+    assert own == ex.diagram_moment(order, ctx, x, y, b)
+    with pytest.raises(ValueError, match=r"kernel is not G over \[-10, 10\]\^3"):
+        ex.diagram_moment(order, ctx, x, y, b, kernel=ex._green_kernel(estar, radius))
+
+
 @pytest.mark.parametrize("b", range(1, 13))
 @pytest.mark.parametrize("estar", [0.45, 0.1, 0.01])
 def test_convolve_same_equals_fftconvolve(b, estar):

@@ -14,9 +14,6 @@ import lifshitzlab
 MODULES = [lifshitzlab, *(importlib.import_module(f"lifshitzlab.{m.name}")
                           for m in pkgutil.iter_modules(lifshitzlab.__path__))]
 ROOT = Path(__file__).resolve().parents[1]
-# exported without a caller: the E|R - R_r|^s estimate is an instrument kept
-# for the criterion work, not a test oracle
-UNCALLED_EXPORTS = {"moment_difference"}
 
 
 def _referenced_names():
@@ -47,6 +44,6 @@ def test_all_lists_every_public_definition(module):
 
 def test_every_export_has_a_caller_outside_the_tests():
     used = _referenced_names()
-    uncalled = {name for m in MODULES for name in getattr(m, "__all__", ())
-                if name not in used}
-    assert uncalled == UNCALLED_EXPORTS
+    uncalled = [f"{m.__name__}.{name}" for m in MODULES
+                for name in getattr(m, "__all__", ()) if name not in used]
+    assert not uncalled, f"exported without a caller outside the tests: {uncalled}"
