@@ -343,6 +343,7 @@ def _sample_average(box: Box, context: EnergyContext, ys, etas, samples: int,
     count.  At lam = 0 every sample sees the same operator, so one solve
     serves them all and the stderr is exactly 0.
     """
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     lam = context.lam
@@ -482,19 +483,27 @@ def correlation_length_fit(decay_samples, s: float) -> XiEstimate:
     """Weighted least-squares fit of log(moment) vs distance; xi = -s/slope.
 
     `decay_samples` is a list of (distance, moment) or (distance, moment,
-    stderr) tuples.  Non-decaying data yields a flagged result, not an error.
+    stderr) tuples of E|R|^s.  Non-decaying data yields a flagged result, not
+    an error; s outside (0, 1] (1 is the first moment), a non-finite or
+    non-positive distance and a non-finite moment or stderr are ValueErrors.
     """
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"s must be in (0, 1], got {s!r}")
     rows = [tuple(t) for t in decay_samples]
     if len(rows) < 4:
         raise ValueError("need at least 4 distances")
     dists = np.array([r[0] for r in rows], dtype=float)
+    moments = np.array([r[1] for r in rows], dtype=float)
+    serr = np.array([r[2] if len(r) > 2 else 0.0 for r in rows], dtype=float)
+    if not np.all(np.isfinite(dists) & (dists > 0)):
+        raise ValueError(f"distances must be finite and > 0, got {dists.tolist()}")
+    if not np.all(np.isfinite(moments) & np.isfinite(serr)):
+        raise ValueError("moments and stderrs must be finite")
     if dists.max() < 3.0 * dists.min():
         raise ValueError("distances must span at least a factor of 3")
-    moments = np.array([r[1] for r in rows], dtype=float)
     if np.any(moments <= 0):
         return XiEstimate(xi=math.inf, ci_low=0.0, ci_high=math.inf,
                           slope=0.0, no_decay=True)
-    serr = np.array([r[2] if len(r) > 2 else 0.0 for r in rows], dtype=float)
     # weights on log(moment): var(log m) ~ (stderr/m)^2; uniform if unknown
     w = np.ones_like(moments)
     known = serr > 0

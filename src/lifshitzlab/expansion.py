@@ -25,7 +25,11 @@ second one that enumerates every string and filters it by this rule.
 Disorder moments E A_l^2 are estimated two ways: termwise Monte Carlo over
 the potential, and the gate-free partition sum evaluated with truncated
 lattice sums of the free Green function.  Their agreement is the numerical
-witness of the tadpole cancellation that the renormalization buys.  The l=2
+witness of the tadpole cancellation that the renormalization buys.  One
+private evaluator, `_lattice_moment`, holds the truncation guard and the
+l=1 and l=2 sums, on the kernel and fields of its caller: `diagram_moment`
+(the moment MC's prediction) and the decay-envelope fit, which each build
+their kernel themselves, so no public caller can supply one.  The l=2
 Monte Carlo never forms the (n, n) Green matrix of the cube: it evaluates
 its quadratic form from the lower triangle of the symmetrised form, stored
 as column panels of two x-slabs, split by the reflections that leave the
@@ -37,10 +41,8 @@ exactly into an even and an odd part on the half axis, with the image
 kernel [S(z, z') +- S(z, R z')] / 2, and the mirror's c leftover slabs
 couple to both through the tail rows of their panels.  At the sites every
 caller uses, 0 and (1, 0, 0), all three axes fold into twelve sectors whose
-panels take 0.084 x 8 n^2 bytes (16 MB at b = 8, 0.15 GB at b = 12), 0.60 of
-the four sectors of axes 1 and 2 alone (0.14 x 8 n^2) and against
-0.56 x 8 n^2 for the cube's own lower panels.  The draw is folded
-samples-minor, so every panel is one product t^T @ u.
+panels take 0.084 x 8 n^2 bytes (16 MB at b = 8, 0.15 GB at b = 12).  The
+draw is folded samples-minor, so every panel is one product t^T @ u.
 """
 
 import itertools
@@ -54,7 +56,7 @@ from .anderson import Box, _direct_solver, build_hamiltonian
 from .density import DensitySpec
 from .diagrams import cumulant_coefficient
 from .errors import CombinatorialBudgetError, TruncationError
-from .green import _decay_distances, _green_octant, green_free
+from .green import _decay_distances, _green_octant, _integer
 from .graphvalues import log_damping_constant
 from .rng import substream
 from .selfenergy import EnergyContext
@@ -355,8 +357,8 @@ def _sector_panels(kernel: np.ndarray, box_radius: int, x_site, y_site):
     side = 2 * b + 1
     view, centres, x, y = _fold_frame(x_site, y_site)
     octant = kernel[2 * b:, 2 * b:, 2 * b:]
-    rx3 = _shifted_field(kernel, 2 * b, b, x).reshape((side,) * 3)
-    ry3 = _shifted_field(kernel, 2 * b, b, y).reshape((side,) * 3)
+    rx3 = _shifted_field(kernel, b, x).reshape((side,) * 3)
+    ry3 = _shifted_field(kernel, b, y).reshape((side,) * 3)
     axes = [(c, _axis_sectors(b, c)) for c in centres]
     c = centres[0]
     sectors = []
@@ -425,11 +427,10 @@ def _convolve_same(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
                      for f, n in zip(full, a.shape))]
 
 
-def _shifted_field(kernel: np.ndarray, radius: int, box_radius: int, site) -> np.ndarray:
-    """Field z -> G(z - site) over the cube [-box_radius, box_radius]^3, flattened."""
+def _shifted_field(kernel: np.ndarray, box_radius: int, site) -> np.ndarray:
+    """Field z -> G(z - site) over [-b, b]^3, flattened, from the kernel over [-2b, 2b]^3."""
     b = box_radius
-    sl = tuple(slice(radius - b - int(c), radius + b + 1 - int(c)) for c in site)
-    return kernel[sl].ravel()
+    return kernel[tuple(slice(b - int(c), 3 * b + 1 - int(c)) for c in site)].ravel()
 
 
 @dataclass(frozen=True)
@@ -448,57 +449,55 @@ class MomentComparison:
         return (self.mc_estimate - self.prediction) / self.mc_stderr
 
 
-def _truncation_ratio(rx, ry, cube: Box):
-    """Boundary-shell share of the l=1 lattice sum (truncation health check)."""
-    w = rx**2 * ry**2
-    total = float(np.sum(w))
-    return float(np.sum(w[cube.boundary_indices()])) / total if total > 0 else 0.0
+def _moment_cube(order: int, box_radius: int, sites) -> Box:
+    """The cube [-b, b]^3; ValueError for an l other than 1 or 2 or a site outside it."""
+    if order not in (1, 2):
+        raise ValueError("l must be 1 or 2")
+    cube = Box(side=2 * box_radius + 1)
+    for site in sites:
+        cube.index(site)
+    return cube
 
 
-def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
-                   box_radius: int, kernel: np.ndarray = None) -> float:
-    """Gate-free partition lattice sum for E A_l^2 over the cube, l in {1, 2}.
+def _lattice_moment(order: int, lam: float, kernel: np.ndarray, rx: np.ndarray,
+                    ry: np.ndarray, cube: Box) -> float:
+    """Gate-free partition lattice sum for E A_l^2 over the cube, l in {1, 2},
+    on the kernel over [-2b, 2b]^3 and the sites' fields rx, ry of the caller.
 
     l = 1 is lam^2 sum_z rx^2 ry^2; l = 2 is lam^4 [S_{{1,4},{2,5}} +
     S_{{1,5},{2,4}} + c_4 S_{4-block}], the pair sums by FFT convolution with
-    G^2 (`_convolve_same`). A caller's `kernel` must be the one
-    `_green_kernel(context.estar, 2 * box_radius)` builds: one of another
-    shape, or whose centre is not G(0) at E* to 1e-9, raises ValueError, as
-    does a site outside the cube. Raises TruncationError when the cube's
-    boundary shell carries more than TRUNCATION_TOL of the l=1 sum.
+    G^2 (`_convolve_same`). TruncationError when the cube's boundary shell
+    carries more than TRUNCATION_TOL of the l=1 sum.
     """
-    if order not in (1, 2):
-        raise ValueError("l must be 1 or 2")
-    b = box_radius
-    cube = Box(side=2 * b + 1)
-    for site in (x_site, y_site):
-        cube.index(site)  # ValueError for a site outside, before the kernel
-    if kernel is None:
-        kernel = _green_kernel(context.estar, 2 * b)
-    elif kernel.shape != (4 * b + 1,) * 3 or not math.isclose(
-            kernel[2 * b, 2 * b, 2 * b], green_free((0, 0, 0), context.estar),
-            rel_tol=1e-9):
-        raise ValueError(f"kernel is not G over [-{2 * b}, {2 * b}]^3 at "
-                         f"E* = {context.estar:g}")
-    rx = _shifted_field(kernel, 2 * b, b, x_site)
-    ry = _shifted_field(kernel, 2 * b, b, y_site)
-    trunc = _truncation_ratio(rx, ry, cube)
-    if trunc > TRUNCATION_TOL:
+    w = rx**2 * ry**2
+    total = float(np.sum(w))
+    shell = float(np.sum(w[cube.boundary_indices()])) / total if total > 0 else 0.0
+    if shell > TRUNCATION_TOL:
         raise TruncationError(
-            f"boundary shell carries {trunc:.2e} of the lattice sum "
-            f"(tolerance {TRUNCATION_TOL:g}); enlarge box_radius beyond {b}"
+            f"boundary shell carries {shell:.2e} of the lattice sum "
+            f"(tolerance {TRUNCATION_TOL:g}); enlarge box_radius beyond {cube.side // 2}"
         )
-    lam = context.lam
     if order == 1:
-        return lam**2 * float(np.sum(rx**2 * ry**2))
-    side = 2 * b + 1
+        return lam**2 * total
     k2 = kernel**2
-    rx3, ry3 = rx.reshape(side, side, side), ry.reshape(side, side, side)
+    rx3, ry3 = (f.reshape((cube.side,) * 3) for f in (rx, ry))
     s1 = float(np.sum(rx3**2 * _convolve_same(ry3**2, k2)))
     mixed = rx3 * ry3
     s2 = float(np.sum(mixed * _convolve_same(mixed, k2)))
-    s3 = kernel[2 * b, 2 * b, 2 * b]**2 * float(np.sum(rx3**2 * ry3**2))
+    s3 = kernel[(kernel.shape[0] // 2,) * 3]**2 * total
     return float(lam**4 * (s1 + s2 + cumulant_coefficient(4) * s3))
+
+
+def diagram_moment(order: int, context: EnergyContext, x_site, y_site,
+                   box_radius: int) -> float:
+    """Gate-free partition lattice sum for E A_l^2, l in {1, 2}, over the cube
+    [-box_radius, box_radius]^3 (`_lattice_moment`), on a Green kernel it builds
+    itself once l and the sites pass `_moment_cube` (ValueError otherwise)."""
+    b = box_radius
+    cube = _moment_cube(order, b, (x_site, y_site))
+    kernel = _green_kernel(context.estar, 2 * b)
+    return _lattice_moment(order, context.lam, kernel, _shifted_field(kernel, b, x_site),
+                           _shifted_field(kernel, b, y_site), cube)
 
 
 def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
@@ -506,42 +505,35 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
                          seed: int = 0) -> MomentComparison:
     """Disorder-MC of A_l(x,y)^2 vs the gate-free diagram sum, l in {1, 2}.
 
-    The MC terms run over the cube [-box_radius, box_radius]^3 on the kernel
-    that `diagram_moment` sums for the prediction, so only statistical error
-    separates them. For l = 2 each sample's A_2 is lam^2 (rx o v)^T G (ry o v)
-    - sigma sum_z rx ry, the quadratic form read from the lower column panels
-    of its reflection sectors (`_sector_panels`). With no folded axis these
-    hold about (1/2 + 1/(2b+1)) x 8 n^2 bytes, n = (2b+1)^3, half the
-    products of a dense (n, n) G; each folded axis about halves that again,
-    so the on-axis sites x = 0, y = (1, 0, 0), whose three axes fold, need
-    0.084 x 8 n^2 bytes (16 MB at b = 8, against 108 MB unfolded). Each batch
-    is DensitySpec().sample(rng, (m, n)) on the order's substream.
+    The prediction is `diagram_moment` on the same cube, which checks l, the
+    sites and the truncation before the MC builds its kernel. For l = 2 each
+    sample's A_2 is lam^2 (rx o v)^T G (ry o v) - sigma sum_z rx ry, read from
+    the lower column panels of its reflection sectors (`_sector_panels`): at
+    x = 0, y = (1, 0, 0) all three axes fold, and the panels take 0.084 x 8 n^2
+    bytes, n = (2b+1)^3 (16 MB at b = 8). Each batch is DensitySpec().sample(
+    rng, (m, n)) on the order's substream. `samples` is an integer >= 2.
 
     A_2^2 is heavy-tailed at E* = 0.1, b = 8: a run of a few hundred samples
     that misses the tail reports both a low mean and a low stderr, so its
     `z_score` is unreliable (lam = 0.3, x = 0, y = (1, 0, 0), 200 samples:
     seeds 1-6 gave z = 0.62, 0.56, -7.84, 0.34, -1.18 and -0.81).
     """
+    samples = _integer(samples, "samples")
     if samples < 2:
         raise ValueError("samples must be >= 2 for a standard error")
     b = box_radius
-    cube = Box(side=2 * b + 1)
-    for site in (x_site, y_site):
-        cube.index(site)  # ValueError for a site outside, before the kernel
+    prediction = diagram_moment(order, context, x_site, y_site, b)
     lam, sigma = context.lam, context.sigma
     kernel = _green_kernel(context.estar, 2 * b)
-    prediction = diagram_moment(order, context, x_site, y_site, b, kernel=kernel)
-    rx = _shifted_field(kernel, 2 * b, b, x_site)
-    ry = _shifted_field(kernel, 2 * b, b, y_site)
+    rx, ry = (_shifted_field(kernel, b, site) for site in (x_site, y_site))
     if order == 2:
         sectors = _sector_panels(kernel, b, x_site, y_site)
 
     density = DensitySpec()
     rng = substream(seed, "moment-mc", order)
     vals = np.empty(samples)
-    done = 0
     pxy = float(np.sum(rx * ry))
-    while done < samples:
+    for done in range(0, samples, MC_BATCH):
         m = min(MC_BATCH, samples - done)
         v = density.sample(rng, (m, rx.size))
         if order == 1:
@@ -549,7 +541,6 @@ def mc_moment_Al_squared(order: int, context: EnergyContext, x_site, y_site,
         else:
             a = lam**2 * _sector_quadratic_form(sectors, v, b) - sigma * pxy
         vals[done:done + m] = a**2
-        done += m
         del v  # free this draw before the next one
     mc = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
@@ -580,29 +571,24 @@ def check_decay_envelope(order: int, context: EnergyContext, distances,
     lower bound for the fitted rate; the constant K is fitted as the smallest
     value for which (4l)! E* (K ln^9(e+1/E*) lam^2 / sqrt(E*))^l e^{-rate r}
     dominates the computed moments.  Distances are integers: anything else, or
-    fewer than two distinct ones, raises ValueError; a box_margin too small for
-    the distances raises TruncationError from `diagram_moment`.
+    fewer than two distinct ones, an l other than 1 or 2 or a site outside the
+    cube raises ValueError before the kernel is built; a box_margin too small
+    for the distances raises TruncationError from `_lattice_moment`.
     """
     distances = _decay_distances(distances)
     b = max(distances) // 2 + box_margin
+    pairs = [((-(r // 2), 0, 0), (r - r // 2, 0, 0)) for r in distances]
+    cube = _moment_cube(order, b, [site for pair in pairs for site in pair])
     kernel = _green_kernel(context.estar, 2 * b)
-    vals = []
-    for r in distances:
-        half = r // 2
-        x = (-half, 0, 0)
-        y = (r - half, 0, 0)
-        vals.append(diagram_moment(order, context, x, y, b, kernel=kernel))
-    rates = np.polyfit(np.array(distances, dtype=float), np.log(vals), 1)
-    fitted_rate = -float(rates[0])
-    env_rate = math.sqrt(context.estar / 3.0)
+    vals = [_lattice_moment(order, context.lam, kernel, _shifted_field(kernel, b, x),
+                            _shifted_field(kernel, b, y), cube) for x, y in pairs]
     lam, estar = context.lam, context.estar
+    env_rate = math.sqrt(estar / 3.0)
     base = math.factorial(4 * order) * estar * (lam**2 / math.sqrt(estar)) ** order
     log9 = log_damping_constant(estar, 1.0)
-    k_fit = max(
-        (v * math.exp(env_rate * r) / base) ** (1.0 / order) / log9
-        for r, v in zip(distances, vals)
-    )
+    k_fit = max((v * math.exp(env_rate * r) / base) ** (1.0 / order) / log9
+                for r, v in zip(distances, vals))
+    rate = -float(np.polyfit(np.array(distances, dtype=float), np.log(vals), 1)[0])
     return DecayEnvelopeReport(order=order, estar=estar, distances=tuple(distances),
-                               moments=tuple(float(v) for v in vals),
-                               fitted_rate=fitted_rate, envelope_rate=env_rate,
-                               fitted_K=float(k_fit))
+                               moments=tuple(vals), fitted_rate=rate,
+                               envelope_rate=env_rate, fitted_K=float(k_fit))

@@ -227,10 +227,14 @@ class BoundAssembly:
 def assemble_An_bound(n: int, lam: float, estar: float,
                       k_const: float = 1.0) -> BoundAssembly:
     """Assemble the order-n bound and the stopping order (4N)^4 = 1/ratio."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if not (0 < estar < 1):
         raise ValueError("estar must be in (0, 1)")
-    if lam <= 0 or n < 1:
-        raise ValueError("need lam > 0 and n >= 1")
+    if not (math.isfinite(lam) and lam > 0) or n < 1:
+        raise ValueError("need a finite lam > 0 and n >= 1")
     c_val = log_damping_constant(estar, k_const)
     ratio = c_val * lam**2 / math.sqrt(estar)
     if ratio >= 1.0:

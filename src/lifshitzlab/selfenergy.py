@@ -103,8 +103,8 @@ def energy_of_estar(estar: float, lam: float) -> float:
     """E(E*) = E* + lam^2 I1(E*), the inverse of the self-energy map."""
     if not (math.isfinite(estar) and estar >= 0):
         raise ValueError("estar must be >= 0 and finite")
-    if not math.isfinite(lam):
-        raise ValueError("lam must be finite")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be >= 0 and finite")
     if lam == 0.0:
         return estar
     return estar + lam**2 * torus_integral_I1(estar)

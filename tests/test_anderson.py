@@ -260,15 +260,18 @@ def test_lam_zero_solves_each_column_once(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda ctx: am.fractional_moment(am.Box(side=6), ctx, 0.3,
-                                     [((0, 0, 0), (1, 0, 0))], samples=0),
-    lambda ctx: am.finite_volume_criterion(3, ctx, 0.2, samples=0),
+    lambda ctx, n: am.fractional_moment(am.Box(side=6), ctx, 0.3,
+                                        [((0, 0, 0), (1, 0, 0))], samples=n),
+    lambda ctx, n: am.finite_volume_criterion(3, ctx, 0.2, samples=n),
 ], ids=["fractional_moment", "criterion"])
 def test_zero_samples_are_rejected_before_solving(monkeypatch, call):
     calls = []
     monkeypatch.setattr(am, "_resolvent_columns", lambda *args: calls.append(args))
+    ctx = se.solve_self_energy(0.45, 0.5)
     with pytest.raises(ValueError, match="samples must be >= 1"):
-        call(se.solve_self_energy(0.45, 0.5))
+        call(ctx, 0)
+    with pytest.raises(ValueError, match="samples must be an integer, got 2.5"):
+        call(ctx, 2.5)
     assert calls == []
 
 
@@ -639,6 +642,27 @@ def test_correlation_fit_input_validation():
         am.correlation_length_fit([(1, 0.5), (2, 0.4), (3, 0.3)], s=0.5)
     with pytest.raises(ValueError):
         am.correlation_length_fit([(2, 0.5), (3, 0.4), (4, 0.3), (5, 0.2)], s=0.5)
+
+
+@pytest.mark.parametrize("data, s, message", [
+    ([(1, .5), (2, .25), (3, math.inf), (4, .06)], 0.5, "moments and stderrs must be finite"),
+    ([(1, .5), (2, .25), (3, math.nan), (4, .06)], 0.5, "moments and stderrs must be finite"),
+    ([(1, .5, .01), (2, .25, math.nan), (3, .12, .01), (4, .06, .01)], 0.5,
+     "moments and stderrs must be finite"),
+    ([(1, .5), (math.nan, .25), (3, .12), (4, .06)], 0.5, "distances must be finite"),
+    ([(1, .5), (2, .25), (3, .12), (math.inf, .06)], 0.5, "distances must be finite"),
+    ([(0, .5), (2, .25), (3, .12), (4, .06)], 0.5, "distances must be finite and > 0"),
+    ([(-4, .5), (2, .25), (3, .12), (4, .06)], 0.5, "distances must be finite and > 0"),
+    ([(1, .5), (2, .25), (3, .12), (4, .06)], 0.0, r"s must be in \(0, 1\]"),
+    ([(1, .5), (2, .25), (3, .12), (4, .06)], 1.5, r"s must be in \(0, 1\]"),
+    ([(1, .5), (2, .25), (3, .12), (4, .06)], math.nan, r"s must be in \(0, 1\]"),
+], ids=["inf_moment", "nan_moment", "nan_stderr", "nan_distance", "inf_distance",
+        "zero_distance", "negative_distance", "s_zero", "s_above_one", "s_nan"])
+def test_correlation_fit_rejects_non_finite_and_out_of_range_inputs(data, s, message):
+    # the inf moment gave XiEstimate(xi=nan, ci_low=nan, no_decay=False) with a
+    # RuntimeWarning, and a NaN distance xi = nan
+    with pytest.raises(ValueError, match=message):
+        am.correlation_length_fit(data, s)
 
 
 def test_full_determinism_of_estimates():

@@ -252,10 +252,48 @@ def test_moment_l2_matches_diagram_sum(context_factory):
     assert abs(cmp2.z_score) < 3.0
 
 
-def test_moment_rejects_order_three(context_factory):
-    with pytest.raises(ValueError):
+def no_kernel(*args):
+    raise AssertionError("kernel built before the arguments were checked")
+
+
+def test_moment_rejects_order_three(context_factory, monkeypatch):
+    monkeypatch.setattr(ex, "_green_kernel", no_kernel)
+    with pytest.raises(ValueError, match="l must be 1 or 2"):
         ex.mc_moment_Al_squared(3, context_factory(0.5, 0.45), (0, 0, 0), (1, 0, 0),
                                 samples=10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: ex.diagram_moment(3, ctx, (0, 0, 0), (1, 0, 0), 5),
+    lambda ctx: ex.check_decay_envelope(3, ctx, [2, 4]),
+], ids=["diagram_moment", "decay_envelope"])
+def test_order_three_is_a_value_error_before_the_kernel(context_factory, monkeypatch,
+                                                         call):
+    monkeypatch.setattr(ex, "_green_kernel", no_kernel)
+    with pytest.raises(ValueError, match="l must be 1 or 2"):
+        call(context_factory(0.5, 0.45))
+
+
+@pytest.mark.parametrize("samples, message", [
+    (1, "samples must be >= 2"), (2.5, "samples must be an integer"),
+    ("10", "samples must be an integer"),
+])
+def test_moment_mc_samples_are_integers_checked_before_the_kernel(context_factory,
+                                                                  monkeypatch, samples,
+                                                                  message):
+    monkeypatch.setattr(ex, "_green_kernel", no_kernel)
+    with pytest.raises(ValueError, match=message):
+        ex.mc_moment_Al_squared(1, context_factory(0.5, 0.45), (0, 0, 0), (1, 0, 0),
+                                samples=samples)
+
+
+def test_moment_mc_takes_a_numpy_integer_sample_count(context_factory):
+    ctx = context_factory(0.5, 0.45)
+    cmp = ex.mc_moment_Al_squared(1, ctx, (0, 0, 0), (1, 0, 0), samples=np.int64(20),
+                                  box_radius=3)
+    assert cmp.samples == 20 and type(cmp.samples) is int
+    assert cmp == ex.mc_moment_Al_squared(1, ctx, (0, 0, 0), (1, 0, 0), samples=20,
+                                          box_radius=3)
 
 
 @pytest.mark.parametrize("site", [(6, 0, 0), (-6, 0, 0), (0, 5, -6), (0, 0, 6)])
@@ -266,13 +304,23 @@ def test_moment_rejects_order_three(context_factory):
 ], ids=["diagram_moment", "mc_moment"])
 def test_site_outside_the_cube_is_a_value_error(context_factory, monkeypatch, call,
                                                 which, site):
-    def no_kernel(*args):
-        raise AssertionError("kernel built before the sites were checked")
-
     monkeypatch.setattr(ex, "_green_kernel", no_kernel)
     x, y = (site, (0, 0, 0)) if which == "x" else ((0, 0, 0), site)
     with pytest.raises(ValueError, match=r"site \(.*\) outside the cube \[-5, 5\]\^3"):
         call(context_factory(0.5, 0.45), x, y)
+
+
+@pytest.mark.parametrize("distances, box_margin, cube", [
+    ([2, 5], 0, 2), ([4, 6], -1, 2),
+])
+def test_decay_envelope_site_outside_the_cube_is_a_value_error(context_factory,
+                                                               monkeypatch, distances,
+                                                               box_margin, cube):
+    # r = 5 puts y at (3, 0, 0), one past the b = 5 // 2 + 0 cube
+    monkeypatch.setattr(ex, "_green_kernel", no_kernel)
+    with pytest.raises(ValueError, match=rf"outside the cube \[-{cube}, {cube}\]\^3"):
+        ex.check_decay_envelope(1, context_factory(0.5, 0.45), distances,
+                                box_margin=box_margin)
 
 
 @pytest.mark.parametrize("call", [
@@ -315,9 +363,6 @@ def test_mc_moment_decay_rate(context_factory):
 @pytest.mark.parametrize("distances", [[4], [4, 4]])
 def test_decay_envelope_needs_two_distinct_distances(context_factory, monkeypatch,
                                                      distances):
-    def no_kernel(*args):
-        raise AssertionError("kernel built before the distances were checked")
-
     monkeypatch.setattr(ex, "_green_kernel", no_kernel)
     with pytest.raises(ValueError, match="two distinct distances"):
         ex.check_decay_envelope(1, context_factory(0.5, 0.45), distances)
@@ -326,9 +371,6 @@ def test_decay_envelope_needs_two_distinct_distances(context_factory, monkeypatc
 @pytest.mark.parametrize("distances", [[2.7, 4.2], [2, 4.0], [np.float64(2), 4], ["2", 4]])
 def test_decay_envelope_rejects_non_integer_distances(context_factory, monkeypatch,
                                                       distances):
-    def no_kernel(*args):
-        raise AssertionError("kernel built before the distances were checked")
-
     monkeypatch.setattr(ex, "_green_kernel", no_kernel)
     with pytest.raises(ValueError, match="must be integers"):
         ex.check_decay_envelope(1, context_factory(0.05, 0.5), distances, box_margin=3)
@@ -339,6 +381,15 @@ def test_decay_envelope_takes_numpy_integer_distances(context_factory):
     rep = ex.check_decay_envelope(1, ctx, np.array([2, 4]), box_margin=3)
     assert rep.distances == (2, 4)
     assert rep.fitted_rate == ex.check_decay_envelope(1, ctx, [2, 4], box_margin=3).fitted_rate
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_decay_envelope_moments_are_diagram_moments(context_factory, order):
+    # one kernel for every distance gives the values of one kernel per pair
+    ctx, distances, b = context_factory(0.5, 0.05), (4, 5, 8), 8
+    rep = ex.check_decay_envelope(order, ctx, distances, box_margin=4)
+    assert rep.moments == tuple(ex.diagram_moment(order, ctx, (-(r // 2), 0, 0),
+                                                  (r - r // 2, 0, 0), b) for r in distances)
 
 
 def test_decay_envelope_l1(context_factory):
@@ -440,8 +491,8 @@ def test_panel_quadratic_form_equals_dense_oracle(b, estar):
     gmat = dense_green_matrix(kernel, b)
     v = np.random.default_rng(b).uniform(-1.0, 1.0, size=(7, (2 * b + 1) ** 3))
     for x, y in FOLD_PAIRS + MIRROR_PAIRS:
-        rx = ex._shifted_field(kernel, 2 * b, b, x)
-        ry = ex._shifted_field(kernel, 2 * b, b, y)
+        rx = ex._shifted_field(kernel, b, x)
+        ry = ex._shifted_field(kernel, b, y)
         sectors = ex._sector_panels(kernel, b, x, y)
         dense = np.einsum("ma,ac,mc->m", v * rx, gmat, v * ry)
         np.testing.assert_allclose(ex._sector_quadratic_form(sectors, v, b), dense,
@@ -454,8 +505,8 @@ def test_panel_quadratic_form_equals_dense_oracle(b, estar):
 def test_unfolded_sector_form_is_the_window_panel_form(b, estar, x, y):
     # no folded axis: one sector, one image of weight 1, the same panels
     kernel = ex._green_kernel(estar, 2 * b)
-    rx = ex._shifted_field(kernel, 2 * b, b, x)
-    ry = ex._shifted_field(kernel, 2 * b, b, y)
+    rx = ex._shifted_field(kernel, b, x)
+    ry = ex._shifted_field(kernel, b, y)
     sectors = ex._sector_panels(kernel, b, x, y)
     assert [c for c, _ in sectors[1]] == [None] * 3 and len(sectors[2]) == 1
     oracle = window_green_panels(kernel, b, rx, ry)
@@ -522,8 +573,8 @@ def test_mirror_sectors_cover_the_axis(b):
 def dense_mc_moment_l2(ctx, x_site, y_site, samples, b, seed):
     """The l=2 moment MC with the dense (n, n) Green matrix (test oracle): (mean, stderr)."""
     kernel = ex._green_kernel(ctx.estar, 2 * b)
-    rx = ex._shifted_field(kernel, 2 * b, b, x_site)
-    ry = ex._shifted_field(kernel, 2 * b, b, y_site)
+    rx = ex._shifted_field(kernel, b, x_site)
+    ry = ex._shifted_field(kernel, b, y_site)
     gmat = dense_green_matrix(kernel, b)
     rng = substream(seed, "moment-mc", 2)
     pxy = float(np.sum(rx * ry))
@@ -572,7 +623,7 @@ def test_l1_moment_mc_reads_the_stream_batch_by_batch(context_factory):
     b, x, y, samples, seed = 4, (0, 0, 0), (1, 0, 0), 1200, 6
     cmp1 = ex.mc_moment_Al_squared(1, ctx, x, y, samples=samples, box_radius=b, seed=seed)
     kernel = ex._green_kernel(ctx.estar, 2 * b)
-    w = ex._shifted_field(kernel, 2 * b, b, x) * ex._shifted_field(kernel, 2 * b, b, y)
+    w = ex._shifted_field(kernel, b, x) * ex._shifted_field(kernel, b, y)
     rng = substream(seed, "moment-mc", 1)
     vals = []
     for m in (ex.MC_BATCH, ex.MC_BATCH, samples - 2 * ex.MC_BATCH):
@@ -655,29 +706,14 @@ def test_l2_diagram_moment_equals_dense_double_sum(context_factory, b, estar):
     assert value == pytest.approx(exact, rel=1e-12)
 
 
-@pytest.mark.parametrize("estar, radius", [(0.1, 10), (0.45, 12)],
-                         ids=["wrong_estar", "wrong_radius"])
-@pytest.mark.parametrize("order", [1, 2])
-def test_diagram_moment_rejects_a_mismatched_kernel(context_factory, order, estar,
-                                                     radius):
-    # b = 5 sums over the radius-10 kernel at the context's E* = 0.45; taken
-    # unchecked, these two gave 8.1x and 1.8x the l=2 value
-    ctx = context_factory(0.5, 0.45)
-    x, y, b = (0, 0, 0), (1, 0, 0), 5
-    own = ex.diagram_moment(order, ctx, x, y, b, kernel=ex._green_kernel(0.45, 2 * b))
-    assert own == ex.diagram_moment(order, ctx, x, y, b)
-    with pytest.raises(ValueError, match=r"kernel is not G over \[-10, 10\]\^3"):
-        ex.diagram_moment(order, ctx, x, y, b, kernel=ex._green_kernel(estar, radius))
-
-
 @pytest.mark.parametrize("b", range(1, 13))
 @pytest.mark.parametrize("estar", [0.45, 0.1, 0.01])
 def test_convolve_same_equals_fftconvolve(b, estar):
     # the l=2 pair-sum convolutions of diagram_moment, against scipy.signal
     kernel = ex._green_kernel(estar, 2 * b)
     side = 2 * b + 1
-    rx = ex._shifted_field(kernel, 2 * b, b, (0, 0, 0)).reshape((side,) * 3)
-    ry = ex._shifted_field(kernel, 2 * b, b, (1, 0, 0)).reshape((side,) * 3)
+    rx = ex._shifted_field(kernel, b, (0, 0, 0)).reshape((side,) * 3)
+    ry = ex._shifted_field(kernel, b, (1, 0, 0)).reshape((side,) * 3)
     k2 = kernel**2
     for field in (ry**2, rx * ry):
         assert np.array_equal(ex._convolve_same(field, k2),

@@ -255,6 +255,21 @@ def test_assemble_outside_window_error():
         gv.assemble_An_bound(2, 0.5, 0.01)
 
 
+@pytest.mark.parametrize("n, lam, message", [
+    (1.5, 1e-4, "n must be an integer, got 1.5"), ("2", 1e-4, "n must be an integer"),
+    (2, math.nan, "need a finite lam > 0"), (2, math.inf, "need a finite lam > 0"),
+    (2, -1e-4, "need a finite lam > 0"), (0, 1e-4, "n >= 1"),
+])
+def test_assemble_bound_rejects_non_integer_order_and_non_finite_lam(n, lam, message):
+    # n = 1.5 assembled a bound with chosen_N = 2; lam = nan failed inside math.ceil
+    with pytest.raises(ValueError, match=message):
+        gv.assemble_An_bound(n, lam, 0.5)
+
+
+def test_assemble_bound_takes_a_numpy_integer_order():
+    assert gv.assemble_An_bound(np.int64(2), 1e-4, 0.5) == gv.assemble_An_bound(2, 1e-4, 0.5)
+
+
 def test_bound_minimum_near_chosen_order():
     ba = gv.assemble_An_bound(1, 1e-4, 0.5)
     n_min, _ = bound_minimum(1e-4, 0.5)

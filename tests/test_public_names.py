@@ -47,3 +47,40 @@ def test_every_export_has_a_caller_outside_the_tests():
     uncalled = [f"{m.__name__}.{name}" for m in MODULES
                 for name in getattr(m, "__all__", ()) if name not in used]
     assert not uncalled, f"exported without a caller outside the tests: {uncalled}"
+
+
+def _module_imports(tree):
+    """(bound name, line) of each import in the module body, also under a
+    top-level if or try; __future__ imports bind nothing to use."""
+    stack, found = list(tree.body), []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.ExceptHandler):
+            stack.extend(node.body)
+        elif isinstance(node, ast.Import):
+            found += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [(a.asname or a.name, node.lineno) for a in node.names]
+    return found
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_module_keeps_an_unused_import():
+    dead = []
+    for top in ("src/lifshitzlab", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            used |= _exported(tree)
+            dead += [f"{path.relative_to(ROOT)}:{line} {name}"
+                     for name, line in _module_imports(tree) if name not in used]
+    assert not dead, f"module-level imports with no use: {sorted(dead)}"

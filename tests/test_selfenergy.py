@@ -168,6 +168,13 @@ def test_energy_of_estar_lam_zero():
     assert se.energy_of_estar(0.37, 0.0) == 0.37
 
 
+def test_energy_of_estar_rejects_negative_lam(monkeypatch):
+    # energy_of_estar(0.3, -0.5) returned 0.394, the E of lam = +0.5
+    monkeypatch.setattr(se, "_trapezoid", no_quadrature)
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        se.energy_of_estar(0.3, -0.5)
+
+
 def test_energy_of_estar_zero_limit():
     # E(E*) -> lam^2 I1(0) as E* -> 0+, with the sqrt(E*) approach envelope
     lam = 0.2
