@@ -190,8 +190,8 @@ def _direct_solver(hamiltonian, energy: float, eta: float):
 def resolvent_column(hamiltonian, energy: float, eta: float, box: Box,
                      y_site) -> np.ndarray:
     """Column u of (H + E + i eta) u = delta_y by direct sparse factorization."""
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be >= 0 and finite, got {eta}")
     rhs = np.zeros(hamiltonian.shape[0], dtype=complex if eta > 0 else float)
     rhs[box.index(y_site)] = 1.0
     return _direct_solver(hamiltonian, energy, eta)(rhs)
@@ -309,8 +309,8 @@ def _resolvent_columns(box: Box, potential, context: EnergyContext, ys, etas, to
     _check_site_budget(box)
     if not etas:
         raise ValueError("the eta schedule is empty")
-    if any(eta < 0 for eta in etas):
-        raise ValueError("eta must be >= 0")
+    if not all(math.isfinite(eta) and eta >= 0 for eta in etas):
+        raise ValueError(f"every eta must be >= 0 and finite, got {list(etas)}")
     lam, energy = context.lam, context.energy
     shape = (box.side,) * 3
     pot_grid = None if lam == 0.0 else (lam * potential).reshape(shape)
@@ -483,9 +483,12 @@ def correlation_length_fit(decay_samples, s: float) -> XiEstimate:
     """Weighted least-squares fit of log(moment) vs distance; xi = -s/slope.
 
     `decay_samples` is a list of (distance, moment) or (distance, moment,
-    stderr) tuples of E|R|^s.  Non-decaying data yields a flagged result, not
-    an error; s outside (0, 1] (1 is the first moment), a non-finite or
-    non-positive distance and a non-finite moment or stderr are ValueErrors.
+    stderr) tuples of E|R|^s.  Rows are weighted by (moment / stderr)^2 when
+    every stderr is > 0 and uniformly when none is (all 0 or missing, as at
+    lam = 0).  Non-decaying data yields a flagged result, not an error; s
+    outside (0, 1] (1 is the first moment), a non-finite or non-positive
+    distance, a non-finite moment or stderr, a negative stderr and rows that
+    mix a positive stderr with a zero or missing one are ValueErrors.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must be in (0, 1], got {s!r}")
@@ -499,15 +502,17 @@ def correlation_length_fit(decay_samples, s: float) -> XiEstimate:
         raise ValueError(f"distances must be finite and > 0, got {dists.tolist()}")
     if not np.all(np.isfinite(moments) & np.isfinite(serr)):
         raise ValueError("moments and stderrs must be finite")
+    known = serr > 0
+    if np.any(serr < 0) or (known.any() and not known.all()):
+        raise ValueError(f"stderrs must be all > 0 or all 0 or missing, got "
+                         f"{serr.tolist()}")
     if dists.max() < 3.0 * dists.min():
         raise ValueError("distances must span at least a factor of 3")
     if np.any(moments <= 0):
         return XiEstimate(xi=math.inf, ci_low=0.0, ci_high=math.inf,
                           slope=0.0, no_decay=True)
-    # weights on log(moment): var(log m) ~ (stderr/m)^2; uniform if unknown
-    w = np.ones_like(moments)
-    known = serr > 0
-    w[known] = (moments[known] / serr[known]) ** 2
+    # weights on log(moment): var(log m) ~ (stderr/m)^2
+    w = (moments / serr) ** 2 if known.all() else np.ones_like(moments)
     y = np.log(moments)
     x = dists
     wsum = w.sum()

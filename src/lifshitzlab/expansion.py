@@ -585,7 +585,7 @@ def check_decay_envelope(order: int, context: EnergyContext, distances,
     lam, estar = context.lam, context.estar
     env_rate = math.sqrt(estar / 3.0)
     base = math.factorial(4 * order) * estar * (lam**2 / math.sqrt(estar)) ** order
-    log9 = log_damping_constant(estar, 1.0)
+    log9 = log_damping_constant(estar)
     k_fit = max((v * math.exp(env_rate * r) / base) ** (1.0 / order) / log9
                 for r, v in zip(distances, vals))
     rate = -float(np.polyfit(np.array(distances, dtype=float), np.log(vals), 1)[0])

@@ -197,10 +197,10 @@ def continuum_pairing_integral(graph: FeynmanGraph, estar: float,
                               method="importance-MC")
 
 
-def log_damping_constant(estar: float, k_const: float = 1.0) -> float:
-    """C(E*) = K ln^9(e + 1/E*), the positive normalization of K ln^9 E*."""
+def log_damping_constant(estar: float) -> float:
+    """C(E*) = ln^9(e + 1/E*), the positive normalization of ln^9 E* (constant K = 1)."""
     _check_estar(estar)
-    return k_const * math.log(math.e + 1.0 / estar) ** 9
+    return math.log(math.e + 1.0 / estar) ** 9
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,6 @@ class BoundAssembly:
     n: int
     lam: float
     estar: float
-    k_const: float
     c_of_estar: float
     ratio: float           # C(E*) lam^2 / sqrt(E*)
     bound_value: float
@@ -224,8 +223,7 @@ class BoundAssembly:
             raise ValueError("bound must be >= 0 and chosen_N >= 1")
 
 
-def assemble_An_bound(n: int, lam: float, estar: float,
-                      k_const: float = 1.0) -> BoundAssembly:
+def assemble_An_bound(n: int, lam: float, estar: float) -> BoundAssembly:
     """Assemble the order-n bound and the stopping order (4N)^4 = 1/ratio."""
     try:
         n = operator.index(n)
@@ -235,7 +233,7 @@ def assemble_An_bound(n: int, lam: float, estar: float,
         raise ValueError("estar must be in (0, 1)")
     if not (math.isfinite(lam) and lam > 0) or n < 1:
         raise ValueError("need a finite lam > 0 and n >= 1")
-    c_val = log_damping_constant(estar, k_const)
+    c_val = log_damping_constant(estar)
     ratio = c_val * lam**2 / math.sqrt(estar)
     if ratio >= 1.0:
         raise OutsideLifshitzWindowError(
@@ -246,9 +244,8 @@ def assemble_An_bound(n: int, lam: float, estar: float,
     bound = math.exp(log_bound) if log_bound < 700 else math.inf
     chosen = max(1, math.ceil((1.0 / ratio) ** 0.25 / 4.0))
     b_exp = math.log(ratio) / math.log(lam) if lam != 1.0 else math.nan
-    return BoundAssembly(n=n, lam=lam, estar=estar, k_const=k_const,
-                         c_of_estar=c_val, ratio=ratio, bound_value=bound,
-                         log_bound_value=log_bound, chosen_N=chosen,
+    return BoundAssembly(n=n, lam=lam, estar=estar, c_of_estar=c_val, ratio=ratio,
+                         bound_value=bound, log_bound_value=log_bound, chosen_N=chosen,
                          lambda_exponent=b_exp)
 
 

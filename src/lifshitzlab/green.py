@@ -9,9 +9,14 @@ Two independent evaluation routes:
   convergent here (Trefethen & Weideman, SIAM Rev. 56, 2014), with a nested
   half-grid error estimate (a second sum at half the step where that estimate
   fails) plus a bound on the tail beyond the grid, held to BESSEL_RELTOL; a
-  whole octant is one matrix product.  E* = 0 is allowed: the grid then ends
-  at T_FAR.  Where `ive` is NaN (t >= 2^30) its three-term Hankel expansion
-  takes over.  The grid is fixed, so every call's nodes are a prefix of it:
+  whole octant is one matrix product.  Its factor entries below _FLUSH = 2^-511
+  are set to 0, so the product runs on normal numbers only; since ive <= 1 a
+  value loses less than _FLUSH (nodes + sum_k w_k): 1.3e-151 at E* >= 0.05,
+  1.6e-122 at E* = 0, where sum_k w_k is about T_FAR.  That bound joins the
+  error held to BESSEL_RELTOL, so a value small enough for the flush to matter
+  fails instead of changing.  E* = 0 is allowed: the grid then ends at T_FAR.
+  Where `ive` is NaN (t >= 2^30) its three-term Hankel expansion takes over.
+  The grid is fixed, so every call's nodes are a prefix of it:
   the `ive` rows are kept per process, per (order, step), grown on demand to
   the longest prefix a call has used and read-only; each call slices them and
   checks the Hankel range of its own prefix.  A non-finite E* is a ValueError;
@@ -72,6 +77,7 @@ T_FAR = 1e32           # grid end at E* = 0; the dropped tail is below 2.6e-17
 HANKEL_TOL = 1e-5      # largest mu / (8t) at which three Hankel terms are exact
 BESSEL_RELTOL = 1e-10  # relative error contract of the Bessel-integral route
 FFT_TOL = 1e-8         # largest periodization bound an FFT table may carry
+_FLUSH = 2.0**-511     # octant product factor entries below this are set to 0
 # sqrt(2E*)|x| past which a failed green_free check is a TailDepthError: near the
 # continuum limit the integrand's peak in u = ln t has width (sqrt(2E*)|x|)^(-1/2),
 # and the step-h rule's relative error 2 exp(-2 pi^2 / (h^2 sqrt(2E*)|x|)) reaches
@@ -89,11 +95,14 @@ def _integer(value, what: str) -> int:
 
 
 def _lattice_site(site) -> tuple:
-    """The coordinates of a lattice site as ints; a non-integer one is a ValueError."""
+    """The three coordinates of a lattice site as ints; anything else is a ValueError."""
     try:
-        return tuple(operator.index(c) for c in site)
+        coords = tuple(operator.index(c) for c in site)
     except TypeError:
         raise ValueError(f"site {tuple(site)} has a non-integer coordinate") from None
+    if len(coords) != 3:
+        raise ValueError(f"site {coords} has {len(coords)} coordinates, not 3")
+    return coords
 
 
 # Bessel rows kept per process.  Every call's nodes are a prefix of one fixed
@@ -156,11 +165,13 @@ def _trapezoid(orders, estar, rmax, reltol, power, contract, what):
     """contract(ive(n, t_k) rows for n in orders, weights h t_k^(1+p) e^{-E* t_k}), checked.
 
     With p = power this is int_0^inf t^p e^{-E* t} prod_n ive(n, t) dt, held to
-    reltol.  t_max covers the e^{-E* t} tail and the peak near t = rmax / sqrt(2 E*),
-    capped at T_FAR.  The error estimate (every other node; where that fails, a
-    second sum at h/2) is floored at summation rounding and carries a bound on the
-    tail beyond t_max.  A value that is NaN or not positive fails; `what(i)` names
-    the i-th entry of the flattened result in the error.
+    reltol.  `contract` returns the sums and an absolute bound on the terms it
+    dropped (0 for an exact product).  t_max covers the e^{-E* t} tail and the peak
+    near t = rmax / sqrt(2 E*), capped at T_FAR.  The error estimate (every other
+    node; where that fails, a second sum at h/2) is floored at summation rounding
+    and carries the dropped-term bound and a bound on the tail beyond t_max.  A
+    value that is NaN or not positive fails; `what(i)` names the i-th entry of the
+    flattened result in the error.
     """
     if not (math.isfinite(estar) and estar >= 0):
         raise ValueError("estar must be >= 0 and finite")
@@ -178,13 +189,14 @@ def _trapezoid(orders, estar, rmax, reltol, power, contract, what):
         return tab, step * t * np.exp(-estar * t) * t**power
 
     tab, w = weighted(_STEP, nodes)
-    val = contract(tab, w)
-    floor = nodes * np.finfo(float).eps * val
-    err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])), floor) + tail
+    val, dropped = contract(tab, w)
+    floor, bounds = nodes * np.finfo(float).eps * val, tail + dropped
+    coarse, _ = contract(tab[:, ::2], 2.0 * w[::2])
+    err = np.maximum(np.abs(val - coarse), floor) + bounds
     if np.any(err > reltol * val):
         # the half-grid difference is the error of the 2h rule; |S_h - S_{h/2}| is that of S_h
-        err = np.maximum(np.abs(val - contract(*weighted(_STEP / 2, 2 * nodes - 1))),
-                         floor) + tail
+        fine, _ = contract(*weighted(_STEP / 2, 2 * nodes - 1))
+        err = np.maximum(np.abs(val - fine), floor) + bounds
     bad = np.flatnonzero(~((val > 0.0) & (err <= reltol * val)))
     if bad.size:
         i = bad[0]
@@ -204,7 +216,11 @@ def _green_octant(estar: float, radius: int, rmax: float = math.inf) -> np.ndarr
 
     def contract(tab, w):
         ab = (tab[:, None, :] * tab[None, :, :]).reshape(len(tab) ** 2, -1)
-        return (ab @ (tab * w).T).reshape((len(tab),) * 3)[keys]
+        right = (tab * w).T
+        # products of kept entries stay normal (>= 2^-1022), so no GEMM step is subnormal
+        ab[ab < _FLUSH] = 0.0
+        right[right < _FLUSH] = 0.0
+        return (ab @ right).reshape((len(tab),) * 3)[keys], _FLUSH * (len(w) + w.sum())
 
     out = np.full(ball.shape, np.nan)
     out[ball] = _trapezoid(range(radius + 1), estar, min(rmax, math.sqrt(3.0) * radius),
@@ -224,7 +240,7 @@ def green_free(x, estar: float) -> float:
     r = math.hypot(*key)
     try:
         return float(_trapezoid(key, estar, r, BESSEL_RELTOL, 0,
-                                lambda tab, w: np.prod(tab, axis=0) @ w,
+                                lambda tab, w: (np.prod(tab, axis=0) @ w, 0.0),
                                 lambda i: f"x={tuple(x)}"))
     except NonConvergenceError as err:
         depth = math.sqrt(2.0 * estar) * r
@@ -465,7 +481,7 @@ def check_asymptotics(distances, estar: float) -> AsymptoticsReport:
     if kappa * max(distances) > 50.0:
         raise ValueError("range too deep: sqrt(2E*) |x| must stay below 50")
     vals = _trapezoid([0, *distances], estar, max(distances), BESSEL_RELTOL, 0,
-                      lambda tab, w: (tab[1:] * tab[0] ** 2) @ w,
+                      lambda tab, w: ((tab[1:] * tab[0] ** 2) @ w, 0.0),
                       lambda i: f"axis distance {distances[i]}")
     rs = np.array(distances, dtype=float)
     ratios = vals * 2.0 * math.pi * (rs + 1.0) * np.exp(kappa * rs)

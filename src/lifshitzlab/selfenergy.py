@@ -63,7 +63,7 @@ def dispersion(p):
 def _origin_moment(estar: float, power: int) -> float:
     """int_T3 d^3p / (e(p) + estar)^(power+1) from the heat-kernel provider."""
     return float(_trapezoid((0,), estar, 0.0, QUAD_TOL, power,
-                            lambda tab, w: tab[0] ** 3 @ w,
+                            lambda tab, w: (tab[0] ** 3 @ w, 0.0),
                             lambda i: f"origin, power {power}"))
 
 

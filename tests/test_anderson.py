@@ -46,6 +46,16 @@ def test_box_indexing_roundtrip_and_boundary():
         am.Box(side=11).index((0, -6, 0))
 
 
+@pytest.mark.parametrize("site", [(), (1, 2), (1, 2, 3, 4)])
+def test_sites_have_three_coordinates(site):
+    # green_free read (1, 2) as a 2D and (1, 2, 3, 4) as a 4D lattice point
+    table = gr.green_table_bessel(0.3, radius=3)
+    for read in (lambda: gr.green_free(site, 0.3), lambda: table.value(site),
+                 lambda: am.Box(side=6).index(site)):
+        with pytest.raises(ValueError, match=rf"has {len(site)} coordinates, not 3"):
+            read()
+
+
 @pytest.mark.parametrize("coord", [0.7, -0.9, 1.5])
 def test_box_rejects_non_integer_coordinates(coord):
     # int() would truncate 0.7 and -0.9 to the origin and 1.5 to site 1
@@ -543,6 +553,26 @@ def test_empty_eta_schedule_is_rejected_before_solving(monkeypatch):
                              samples=2, eta_schedule=())
 
 
+@pytest.mark.parametrize("etas", [(-1e-3,), (math.nan,), (math.nan, 1e-3), (1e-3, math.inf)])
+def test_bad_eta_is_rejected_before_solving(monkeypatch, etas):
+    # a NaN leaked StopIteration from the Krylov run, an infinite eta divided by zero
+    monkeypatch.setattr(am, "_krylov_columns", _no_solve)
+    ctx = se.solve_self_energy(0.45, 0.5)
+    with pytest.raises(ValueError, match="every eta must be >= 0 and finite"):
+        am.fractional_moment(am.Box(side=6), ctx, 0.3, [((1, 0, 0), (0, 0, 0))],
+                             samples=2, eta_schedule=etas)
+
+
+@pytest.mark.parametrize("eta", [-1e-3, math.nan, math.inf])
+def test_direct_column_rejects_a_bad_eta(eta, monkeypatch):
+    # a NaN eta fell through both branches and solved the real eta = 0 column
+    monkeypatch.setattr(am, "_direct_solver", _no_solve)
+    box = am.Box(side=4)
+    h = am.build_hamiltonian(box, am.sample_potential(box, DensitySpec(), 0, 0), 0.5)
+    with pytest.raises(ValueError, match="eta must be >= 0 and finite"):
+        am.resolvent_column(h, 0.45, eta, box, (0, 0, 0))
+
+
 def test_empty_pair_list_is_rejected_before_solving(monkeypatch):
     monkeypatch.setattr(am, "_krylov_columns", _no_solve)
     ctx = se.solve_self_energy(0.45, 0.5)
@@ -631,6 +661,14 @@ def test_correlation_fit_lam_zero_green_moments():
     assert fit.xi == pytest.approx(1.0 / math.sqrt(2 * estar), rel=0.10)
 
 
+def test_correlation_fit_weights_all_or_no_rows_by_stderr():
+    rows = [(1, .5), (2, .25), (3, .12), (4, .06)]
+    uniform = am.correlation_length_fit(rows, s=0.5)
+    assert am.correlation_length_fit([(*r, 0.0) for r in rows], s=0.5) == uniform
+    weighted = am.correlation_length_fit([(*r, .01) for r in rows], s=0.5)
+    assert weighted.xi == pytest.approx(0.70959, abs=1e-5) != uniform.xi
+
+
 def test_correlation_fit_no_decay_flag():
     data = [(r, 0.1 + 0.01 * r) for r in (2, 4, 6, 8)]
     fit = am.correlation_length_fit(data, s=0.5)
@@ -656,11 +694,16 @@ def test_correlation_fit_input_validation():
     ([(1, .5), (2, .25), (3, .12), (4, .06)], 0.0, r"s must be in \(0, 1\]"),
     ([(1, .5), (2, .25), (3, .12), (4, .06)], 1.5, r"s must be in \(0, 1\]"),
     ([(1, .5), (2, .25), (3, .12), (4, .06)], math.nan, r"s must be in \(0, 1\]"),
+    ([(1, .5, .01), (2, .25, -.01), (3, .12, .01), (4, .06, .01)], 0.5, "stderrs must be"),
+    ([(1, .5, .01), (2, .25, 0.0), (3, .12, .01), (4, .06, .01)], 0.5, "stderrs must be"),
+    ([(1, .5, .01), (2, .25), (3, .12, .01), (4, .06, .01)], 0.5, "stderrs must be"),
 ], ids=["inf_moment", "nan_moment", "nan_stderr", "nan_distance", "inf_distance",
-        "zero_distance", "negative_distance", "s_zero", "s_above_one", "s_nan"])
+        "zero_distance", "negative_distance", "s_zero", "s_above_one", "s_nan",
+        "negative_stderr", "mixed_zero_stderr", "mixed_missing_stderr"])
 def test_correlation_fit_rejects_non_finite_and_out_of_range_inputs(data, s, message):
     # the inf moment gave XiEstimate(xi=nan, ci_low=nan, no_decay=False) with a
-    # RuntimeWarning, and a NaN distance xi = nan
+    # RuntimeWarning, a NaN distance xi = nan, and the stderr rows xi = 0.70319
+    # (a row without a positive stderr weighed 1)
     with pytest.raises(ValueError, match=message):
         am.correlation_length_fit(data, s)
 

@@ -102,6 +102,10 @@ def test_out_of_range_flags_are_config_errors(tmp_path):
                 "--samples", "0", "--out", str(tmp_path)]) == 2
     assert run(["fracmom", "--lam", "0.5", "--energy", "0.45", "--box", "6",
                 "--samples", "0", "--distances", "1,2", "--out", str(tmp_path)]) == 2
+    # a NaN eta leaked StopIteration from the Krylov run (exit 1)
+    assert run(["fracmom", "--lam", "0.5", "--energy", "0.45", "--box", "6",
+                "--samples", "1", "--distances", "1,2", "--etas", "nan,1e-3",
+                "--out", str(tmp_path)]) == 2
     assert run(["expand-verify", "--N", "2", "--box", "8", "--cancellation-samples", "1",
                 "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "expansion_terms.txt").exists()  # a rejected run writes nothing

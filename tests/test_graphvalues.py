@@ -38,14 +38,14 @@ def torus_continuum_constant(estar: float, grid: int = 64) -> float:
     return float(np.max((p2 + estar) / (e + estar)))
 
 
-def bound_minimum(lam: float, estar: float, k_const: float = 1.0, n_max: int = None):
+def bound_minimum(lam: float, estar: float, n_max: int = None):
     """(argmin_n, min log bound) of the order-n bound; minimum sits near chosen_N."""
-    first = gv.assemble_An_bound(1, lam, estar, k_const)
+    first = gv.assemble_An_bound(1, lam, estar)
     if n_max is None:
         n_max = 4 * first.chosen_N
     best_n, best = 1, first.log_bound_value
     for n in range(2, n_max + 1):
-        lb = gv.assemble_An_bound(n, lam, estar, k_const).log_bound_value
+        lb = gv.assemble_An_bound(n, lam, estar).log_bound_value
         if lb < best:
             best_n, best = n, lb
     return best_n, best

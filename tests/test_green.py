@@ -492,12 +492,13 @@ def per_call_trapezoid(orders, estar, rmax, reltol, power, contract, what):
         return per_call_ive_rows(orders, t), step * t * np.exp(-estar * t) * t**power
 
     tab, w = rows(gr._STEP, nodes)
-    val = contract(tab, w)
+    val, dropped = contract(tab, w)
     floor = nodes * np.finfo(float).eps * val
-    err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])), floor) + tail
+    err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])[0]), floor) \
+        + tail + dropped
     if np.any(err > reltol * val):
-        err = np.maximum(np.abs(val - contract(*rows(gr._STEP / 2, 2 * nodes - 1))),
-                         floor) + tail
+        err = np.maximum(np.abs(val - contract(*rows(gr._STEP / 2, 2 * nodes - 1))[0]),
+                         floor) + tail + dropped
     bad = np.flatnonzero(~((val > 0.0) & (err <= reltol * val)))
     if bad.size:
         raise NonConvergenceError(what(bad[0]), achieved=float(err.flat[bad[0]]))
@@ -563,6 +564,26 @@ def test_octants_equal_per_call_route_exactly(estar, radius):
     for build in (lambda: gr._green_octant(estar, radius),          # the kernel cube
                   lambda: gr.green_table_bessel(estar, radius)._data):  # NaN off the ball
         assert np.array_equal(build(), per_call(build), equal_nan=True)
+
+
+@pytest.mark.parametrize("estar, radius", [
+    *((e, r) for e in (0.0, 1e-9, 1e-4, 0.05, 0.45, 3.0) for r in (4, 12, 16, 40)),
+    (5.0, 64),  # smallest cube entry 1.8e-140
+])
+def test_flushed_octants_equal_the_unflushed_product(estar, radius, monkeypatch):
+    cube = gr._green_octant(estar, radius)
+    ball = gr.green_table_bessel(estar, radius)._data
+    monkeypatch.setattr(gr, "_FLUSH", 0.0)  # flushes nothing: the plain ab @ (tab * w).T
+    assert np.array_equal(cube, gr._green_octant(estar, radius))
+    assert np.array_equal(ball, gr.green_table_bessel(estar, radius)._data, equal_nan=True)
+
+
+def test_flushed_terms_are_counted_by_the_check(monkeypatch):
+    # without the dropped-term bound, this flush moves the table by up to 3e-11
+    # relative and no other part of the check notices
+    monkeypatch.setattr(gr, "_FLUSH", 1e-17)
+    with pytest.raises(NonConvergenceError, match="octant entry"):
+        gr.green_table_bessel(0.45, radius=12)
 
 
 @pytest.mark.parametrize("estar, x", [(2.0, (11, 42, 47)), (5.0, (0, 22, 60))])
