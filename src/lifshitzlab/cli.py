@@ -194,8 +194,8 @@ class RunManifest:
             "notes": self.notes,
         }
         path = os.path.join(outdir, f"{self.command}_manifest.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        with open(path, "w") as fh:  # one string: json.dump writes chunk by chunk
+            fh.write(json.dumps(payload, indent=1, sort_keys=True))
         return path
 
 
@@ -391,6 +391,7 @@ RUNNERS = {
 }
 
 
+@functools.cache  # one parser per process: parsing leaves an argparse parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lifshitzlab",
@@ -418,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         file_values = read_config_file(args.config) if args.config else {}
         flag_values = {k: v for k, v in vars(args).items()

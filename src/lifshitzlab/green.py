@@ -48,10 +48,12 @@ FFT tables contract each axis in its own order, so they are
 permutation-symmetric only to rounding, by their measured `symmetry_defect`.
 """
 
+import io
 import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +80,7 @@ HANKEL_TOL = 1e-5      # largest mu / (8t) at which three Hankel terms are exact
 BESSEL_RELTOL = 1e-10  # relative error contract of the Bessel-integral route
 FFT_TOL = 1e-8         # largest periodization bound an FFT table may carry
 _FLUSH = 2.0**-511     # octant product factor entries below this are set to 0
+_EPS = sys.float_info.epsilon  # summation rounding floor of the trapezoid, per node
 # sqrt(2E*)|x| past which a failed green_free check is a TailDepthError: near the
 # continuum limit the integrand's peak in u = ln t has width (sqrt(2E*)|x|)^(-1/2),
 # and the step-h rule's relative error 2 exp(-2 pi^2 / (h^2 sqrt(2E*)|x|)) reaches
@@ -97,9 +100,13 @@ def _integer(value, what: str) -> int:
 def _lattice_site(site) -> tuple:
     """The three coordinates of a lattice site as ints; anything else is a ValueError."""
     try:
-        coords = tuple(operator.index(c) for c in site)
+        coords = tuple(site)
     except TypeError:
-        raise ValueError(f"site {tuple(site)} has a non-integer coordinate") from None
+        raise ValueError(f"site {site!r} is not a sequence of 3 coordinates") from None
+    try:
+        coords = tuple(operator.index(c) for c in coords)
+    except TypeError:
+        raise ValueError(f"site {coords} has a non-integer coordinate") from None
     if len(coords) != 3:
         raise ValueError(f"site {coords} has {len(coords)} coordinates, not 3")
     return coords
@@ -186,20 +193,21 @@ def _trapezoid(orders, estar, rmax, reltol, power, contract, what):
 
     def weighted(step, count):
         tab, t = _ive_rows(orders, step, count)
-        return tab, step * t * np.exp(-estar * t) * t**power
+        w = step * t * np.exp(-estar * t)
+        return tab, w * t**power if power else w
 
     tab, w = weighted(_STEP, nodes)
     val, dropped = contract(tab, w)
-    floor, bounds = nodes * np.finfo(float).eps * val, tail + dropped
+    floor, bounds = nodes * _EPS * val, tail + dropped
     coarse, _ = contract(tab[:, ::2], 2.0 * w[::2])
     err = np.maximum(np.abs(val - coarse), floor) + bounds
     if np.any(err > reltol * val):
         # the half-grid difference is the error of the 2h rule; |S_h - S_{h/2}| is that of S_h
         fine, _ = contract(*weighted(_STEP / 2, 2 * nodes - 1))
         err = np.maximum(np.abs(val - fine), floor) + bounds
-    bad = np.flatnonzero(~((val > 0.0) & (err <= reltol * val)))
-    if bad.size:
-        i = bad[0]
+    good = (val > 0.0) & (err <= reltol * val)
+    if not good.all():
+        i = np.flatnonzero(~good)[0]
         raise NonConvergenceError(
             f"Bessel trapezoid at {what(i)}, estar={estar:g}: achieved "
             f"{err.flat[i]:.2e} absolute on value {val.flat[i]:.3e}",
@@ -405,11 +413,19 @@ def write_table_csv(table: GreenTable, path):
             fh.write("".join(f"{x1},{j},{k},{v!r}\n" for j, k, v in zip(x2, x3, vals)))
 
 
+_ROW_DTYPE = np.dtype([("x1", np.int64), ("x2", np.int64), ("x3", np.int64),
+                       ("value", np.float64)])
+
+
 def read_table_csv(path) -> GreenTable:
     """Inverse of `write_table_csv`.
 
-    A wrong header (a missing key, or a radius `_check_radius` rejects), a
-    truncated file or a row outside the radius ball raises ValueError.
+    Raises ValueError for a wrong header (a missing key, or a radius
+    `_check_radius` rejects), wrong columns, an empty body, a blank line, a
+    row without exactly three integer coordinates and one number, a row
+    outside the radius ball, a non-finite value, two rows that give one
+    octant entry (sign-flip images of each other) different values, and a
+    ball site no row gives (a truncated file).
     """
     with open(path) as fh:
         header = json.loads(fh.readline().lstrip("# ").strip())
@@ -421,14 +437,46 @@ def read_table_csv(path) -> GreenTable:
         if columns != "x1,x2,x3,value":
             raise ValueError(f"{path}: expected columns x1,x2,x3,value, got {columns!r}")
         radius = _check_radius(header["radius"])
-        data = np.full((radius + 1,) * 3, np.nan)
-        for line in fh:
-            i, j, k, v = line.strip().split(",")
-            i, j, k = abs(int(i)), abs(int(j)), abs(int(k))
-            if i * i + j * j + k * k > radius**2:
-                raise ValueError(f"{path}: row {line.strip()!r} lies outside the "
-                                 f"radius-{radius} ball")
-            data[i, j, k] = float(v)
+        body = fh.read()
+    # loadtxt skips blank lines and warns on no data: both are malformed tables here
+    if not body:
+        raise ValueError(f"{path}: no rows after the column line")
+    if body.startswith("\n") or "\n\n" in body:
+        raise ValueError(f"{path}: blank line among the rows")
+    try:
+        rows = np.loadtxt(io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",",
+                          comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+    def row(i):
+        return repr(body.split("\n")[i].strip())
+
+    sites = np.stack([rows["x1"], rows["x2"], rows["x3"]])
+    # the bounds first: squares of coordinates beyond them may wrap in int64
+    out = np.any((sites < -radius) | (sites > radius), axis=0) \
+        | (np.sum(sites * sites, axis=0) > radius**2)
+    if out.any():
+        raise ValueError(f"{path}: row {row(np.flatnonzero(out)[0])} lies outside the "
+                         f"radius-{radius} ball")
+    values = rows["value"]
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{path}: row {row(np.flatnonzero(bad)[0])} has a non-finite "
+                         "value")
+    octant = np.abs(sites)
+    data = np.full((radius + 1,) * 3, np.nan)
+    data[tuple(octant)] = values
+    stored = data[tuple(octant)]
+    clash = np.flatnonzero(stored != values)
+    if clash.size:  # sign-flip images of one entry disagree; name a pair in file order
+        i = clash[0]
+        entry = octant[:, i]
+        j = np.flatnonzero(np.all(octant == entry[:, None], axis=0)
+                           & (values == stored[i]))[0]
+        first, second = sorted((i, j))
+        raise ValueError(f"{path}: rows {row(first)} and {row(second)} give the octant "
+                         f"entry {tuple(entry.tolist())} different values")
     table = GreenTable(estar=float(header["estar"]), radius=radius,
                        method=header["method"], tolerance=float(header["tolerance"]),
                        grid_size=int(header.get("grid_size", 0)), _data=data)

@@ -56,6 +56,19 @@ def test_sites_have_three_coordinates(site):
             read()
 
 
+@pytest.mark.parametrize("read", ["green_free", "table_value", "box_index",
+                                  "box_distance_to_boundary"])
+def test_a_scalar_site_is_a_value_error(read):
+    # the message once called tuple(5) inside the handler: a TypeError, which the
+    # CLI does not map to exit 2
+    table, box = gr.green_table_bessel(0.3, radius=3), am.Box(side=6)
+    fn = {"green_free": lambda: gr.green_free(5, 0.3), "table_value": lambda: table.value(5),
+          "box_index": lambda: box.index(5),
+          "box_distance_to_boundary": lambda: box.distance_to_boundary(5)}[read]
+    with pytest.raises(ValueError, match="site 5 is not a sequence of 3 coordinates"):
+        fn()
+
+
 @pytest.mark.parametrize("coord", [0.7, -0.9, 1.5])
 def test_box_rejects_non_integer_coordinates(coord):
     # int() would truncate 0.7 and -0.9 to the origin and 1.5 to site 1

@@ -1,9 +1,12 @@
+import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +420,111 @@ def test_table_csv_rejects_row_outside_the_ball(tmp_path, row):
         gr.read_table_csv(path)
 
 
+def per_line_read_table_csv(path):
+    """`read_table_csv` one body line at a time, each through str.split, int and
+    float (test oracle; it accepts rows that disagree with their sign-flip images,
+    the last one read winning, and non-finite values a later image covers)."""
+    with open(path) as fh:
+        header = json.loads(fh.readline().lstrip("# ").strip())
+        missing = [k for k in ("estar", "method", "tolerance", "radius")
+                   if not isinstance(header, dict) or k not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+        columns = fh.readline().strip()
+        if columns != "x1,x2,x3,value":
+            raise ValueError(f"{path}: expected columns x1,x2,x3,value, got {columns!r}")
+        radius = gr._check_radius(header["radius"])
+        data = np.full((radius + 1,) * 3, np.nan)
+        for line in fh:
+            i, j, k, v = line.strip().split(",")
+            i, j, k = abs(int(i)), abs(int(j)), abs(int(k))
+            if i * i + j * j + k * k > radius**2:
+                raise ValueError(f"{path}: row {line.strip()!r} lies outside the "
+                                 f"radius-{radius} ball")
+            data[i, j, k] = float(v)
+    table = gr.GreenTable(estar=float(header["estar"]), radius=radius,
+                          method=header["method"], tolerance=float(header["tolerance"]),
+                          grid_size=int(header.get("grid_size", 0)), _data=data)
+    table.validate()
+    return table
+
+
+@pytest.mark.parametrize("radius", [0, 5, 12])
+@pytest.mark.parametrize("build", [lambda r: gr.green_table_bessel(0.05, radius=r),
+                                   lambda r: gr.green_free_fft(128, 0.05, radius=r)],
+                         ids=["bessel", "fft"])
+def test_table_csv_reader_equals_the_per_line_oracle(build, radius, tmp_path):
+    path = os.path.join(tmp_path, "table.csv")
+    table = build(radius)
+    gr.write_table_csv(table, path)
+    got, want = gr.read_table_csv(path), per_line_read_table_csv(path)
+    assert np.array_equal(got._data, want._data, equal_nan=True)
+    ball = table._ball_mask()  # fft tables hold the whole cube
+    assert np.array_equal(got._data[ball], table._data[ball])
+    assert (got.estar, got.radius, got.method, got.tolerance, got.grid_size) == \
+        (want.estar, want.radius, want.method, want.tolerance, want.grid_size)
+
+
+def _table_lines(tmp_path, radius=3):
+    path = os.path.join(tmp_path, "table.csv")
+    gr.write_table_csv(gr.green_table_bessel(0.4, radius=radius), path)
+    with open(path) as fh:
+        return path, fh.readlines()
+
+
+# edits of a radius-3 table's lines, each of which leaves the file malformed
+MALFORMED = {
+    "wrong_columns": lambda lines: [lines[0], "x,y,z,value\n", *lines[2:]],
+    "truncated": lambda lines: lines[: len(lines) // 2],
+    "coordinate_1.0": lambda lines: [*lines, "1.0,0,0,0.06\n"],
+    "coordinate_1.5": lambda lines: [*lines, "1.5,0,0,0.06\n"],
+    "three_fields": lambda lines: [*lines, "1,0,0\n"],
+    "five_fields": lambda lines: [*lines, "1,0,0,0.06,0\n"],
+    "outside_ball": lambda lines: [*lines, "2,2,2,0.06\n"],
+    "empty_body": lambda lines: lines[:2],
+    "blank_line": lambda lines: [*lines[:5], "\n", *lines[5:]],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED))
+def test_table_csv_reader_rejects_what_the_per_line_oracle_rejects(edit, tmp_path):
+    path, lines = _table_lines(tmp_path)
+    with open(path, "w") as fh:
+        fh.writelines(MALFORMED[edit](lines))
+    match = "outside" if edit == "outside_ball" else None
+    with pytest.raises(ValueError, match=match):
+        per_line_read_table_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on an empty body
+        with pytest.raises(ValueError, match=match):
+            gr.read_table_csv(path)
+
+
+@pytest.mark.parametrize("row,match", [("-1,0,0,0.5", "different values"),
+                                       ("-1,0,0,inf", "non-finite"),
+                                       ("-1,0,0,nan", "non-finite")])
+def test_table_csv_reader_rejects_a_row_its_sign_flip_image_overrides(row, match,
+                                                                      tmp_path):
+    # read line by line, the image of (-1, 0, 0) written later replaces the bad row
+    path, lines = _table_lines(tmp_path, radius=2)
+    with open(path, "w") as fh:
+        fh.writelines([*lines[:2], row + "\n", *lines[2:]])
+    want = gr.green_table_bessel(0.4, radius=2).value((1, 0, 0))
+    assert per_line_read_table_csv(path).value((-1, 0, 0)) == want
+    with pytest.raises(ValueError, match=rf"{re.escape(repr(row))}.*{match}|"
+                                         rf"{match}.*{re.escape(repr(row))}"):
+        gr.read_table_csv(path)
+
+
+def test_table_csv_reader_names_both_disagreeing_images(tmp_path):
+    path, lines = _table_lines(tmp_path, radius=2)
+    with open(path, "a") as fh:
+        fh.write("0,0,-2,0.5\n")
+    with pytest.raises(ValueError, match=r"rows '0,0,-2,0\.\d+' and '0,0,-2,0\.5' "
+                                         r"give the octant entry \(0, 0, 2\)"):
+        gr.read_table_csv(path)
+
+
 def test_table_validate_positivity():
     table = gr.green_table_bessel(0.4, radius=4)
     table.validate()
@@ -476,8 +584,17 @@ def per_call_ive_rows(orders, t):
     return tab
 
 
-def per_call_trapezoid(orders, estar, rmax, reltol, power, contract, what):
-    """`green._trapezoid` with ive evaluated on fresh nodes at every call (test oracle)."""
+def fresh_ive_rows(orders, step, count):
+    """ive(n, t_k) rows and nodes t_k evaluated afresh for one call."""
+    t = np.exp(gr._U_MIN + step * np.arange(count))
+    return per_call_ive_rows(orders, t), t
+
+
+def per_call_trapezoid(orders, estar, rmax, reltol, power, contract, what,
+                       rows=fresh_ive_rows):
+    """`green._trapezoid` written out plainly, every weight times t**power and every
+    check indexed, on `rows(orders, step, count)`: by default ive evaluated on fresh
+    nodes at every call (test oracle)."""
     if not (math.isfinite(estar) and estar >= 0):
         raise ValueError("estar must be >= 0 and finite")
     tmax = gr.T_FAR if estar == 0 else \
@@ -487,17 +604,17 @@ def per_call_trapezoid(orders, estar, rmax, reltol, power, contract, what):
     tail = 2.0 * (2.0 * math.pi) ** -1.5 * tmax ** (power - 0.5) \
         * math.exp(-estar * tmax) / slack if slack > 0 else math.inf
 
-    def rows(step, count):
-        t = np.exp(gr._U_MIN + step * np.arange(count))
-        return per_call_ive_rows(orders, t), step * t * np.exp(-estar * t) * t**power
+    def weighted(step, count):
+        tab, t = rows(orders, step, count)
+        return tab, step * t * np.exp(-estar * t) * t**power
 
-    tab, w = rows(gr._STEP, nodes)
+    tab, w = weighted(gr._STEP, nodes)
     val, dropped = contract(tab, w)
     floor = nodes * np.finfo(float).eps * val
     err = np.maximum(np.abs(val - contract(tab[:, ::2], 2.0 * w[::2])[0]), floor) \
         + tail + dropped
     if np.any(err > reltol * val):
-        err = np.maximum(np.abs(val - contract(*rows(gr._STEP / 2, 2 * nodes - 1))[0]),
+        err = np.maximum(np.abs(val - contract(*weighted(gr._STEP / 2, 2 * nodes - 1))[0]),
                          floor) + tail + dropped
     bad = np.flatnonzero(~((val > 0.0) & (err <= reltol * val)))
     if bad.size:
@@ -543,6 +660,21 @@ def test_table_route_equals_per_call_route_exactly(fresh_rows):
     assert got == per_call(table_route_values)
     # warm rows (all now longer than most calls need) give the same values again
     assert table_route_values() == got
+
+
+@pytest.mark.parametrize("estar", [0.0, 1e-9, 1e-4, 0.05, 3.0])
+def test_trapezoid_bookkeeping_equals_the_plain_copy_bit_for_bit(estar):
+    # same rows, so only the trimmed bookkeeping (no t**0, one check pass) differs
+    def values():
+        out = [se.torus_integral_I1(estar), gr.green_free((3, -1, 2), estar)]
+        return [repr(v) for v in out + ([se.torus_integral_I2(estar)] if estar else [])]
+
+    plain = functools.partial(per_call_trapezoid, rows=gr._ive_rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_trapezoid", plain)
+        mp.setattr(se, "_trapezoid", plain)
+        want = values()
+    assert values() == want
 
 
 def test_results_do_not_depend_on_call_order(monkeypatch):
