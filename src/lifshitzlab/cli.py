@@ -391,7 +391,6 @@ RUNNERS = {
 }
 
 
-@functools.cache  # one parser per process: parsing leaves an argparse parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lifshitzlab",
@@ -419,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         file_values = read_config_file(args.config) if args.config else {}
         flag_values = {k: v for k, v in vars(args).items()

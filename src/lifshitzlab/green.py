@@ -48,7 +48,6 @@ FFT tables contract each axis in its own order, so they are
 permutation-symmetric only to rounding, by their measured `symmetry_defect`.
 """
 
-import io
 import itertools
 import json
 import math
@@ -104,7 +103,7 @@ def _lattice_site(site) -> tuple:
     except TypeError:
         raise ValueError(f"site {site!r} is not a sequence of 3 coordinates") from None
     try:
-        coords = tuple(operator.index(c) for c in coords)
+        coords = tuple(map(operator.index, coords))
     except TypeError:
         raise ValueError(f"site {coords} has a non-integer coordinate") from None
     if len(coords) != 3:
@@ -291,7 +290,7 @@ class GreenTable:
     _data: np.ndarray = field(repr=False, default=None)  # octant cube, [|x1|, |x2|, |x3|]
 
     def value(self, x) -> float:
-        a, b, c = (abs(t) for t in _lattice_site(x))
+        a, b, c = map(abs, _lattice_site(x))
         if a * a + b * b + c * c > self.radius**2:
             raise KeyError(f"{tuple(x)} outside tabulated ball radius {self.radius}")
         return float(self._data[a, b, c])
@@ -402,30 +401,37 @@ def green_free_fft(grid_size: int, estar: float, radius: int = 20) -> GreenTable
 
 
 def write_table_csv(table: GreenTable, path):
-    """CSV with columns x1,x2,x3,value and a JSON header comment line."""
+    """CSV with columns x1,x2,x3,value and a JSON header comment line.
+
+    Rows run over the ball in `items()` order.  Each octant entry's `repr` is
+    formatted once for all its sign-flip images, and each (x2, x3) pair once
+    for every x1 slab.
+    """
     header = {"estar": table.estar, "method": table.method,
               "tolerance": table.tolerance, "radius": table.radius,
               "grid_size": table.grid_size}
+    r = table.radius
+    plane = np.indices((2 * r + 1,) * 2).reshape(2, -1) - r
+    d2 = np.sum(plane * plane, axis=0)
+    cols = np.array([f",{j},{k}," for j, k in plane.T.tolist()], dtype=object)
+    entry = np.abs(plane[0]) * (r + 1) + np.abs(plane[1])  # flat (|x2|, |x3|) in a layer
+    text = np.array([repr(v) for v in table._data.ravel().tolist()], dtype=object)
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(header) + "\n")
         fh.write("x1,x2,x3,value\n")
-        for x1, x2, x3, vals in table._slabs():
-            fh.write("".join(f"{x1},{j},{k},{v!r}\n" for j, k, v in zip(x2, x3, vals)))
-
-
-_ROW_DTYPE = np.dtype([("x1", np.int64), ("x2", np.int64), ("x3", np.int64),
-                       ("value", np.float64)])
+        for x1 in range(-r, r + 1):
+            keep = d2 <= r * r - x1 * x1
+            rows = f"{x1}" + cols[keep] + text[abs(x1) * (r + 1) ** 2 + entry[keep]] + "\n"
+            fh.write("".join(rows.tolist()))
 
 
 def read_table_csv(path) -> GreenTable:
     """Inverse of `write_table_csv`.
 
-    Raises ValueError for a wrong header (a missing key, or a radius
-    `_check_radius` rejects), wrong columns, an empty body, a blank line, a
-    row without exactly three integer coordinates and one number, a row
-    outside the radius ball, a non-finite value, two rows that give one
-    octant entry (sign-flip images of each other) different values, and a
-    ball site no row gives (a truncated file).
+    A wrong header (a missing key, or a radius `_check_radius` rejects), a
+    truncated file, a row outside the radius ball, a non-finite value, or a
+    row that gives its octant entry another value than an earlier sign-flip
+    image of it did raises ValueError.
     """
     with open(path) as fh:
         header = json.loads(fh.readline().lstrip("# ").strip())
@@ -437,46 +443,24 @@ def read_table_csv(path) -> GreenTable:
         if columns != "x1,x2,x3,value":
             raise ValueError(f"{path}: expected columns x1,x2,x3,value, got {columns!r}")
         radius = _check_radius(header["radius"])
-        body = fh.read()
-    # loadtxt skips blank lines and warns on no data: both are malformed tables here
-    if not body:
-        raise ValueError(f"{path}: no rows after the column line")
-    if body.startswith("\n") or "\n\n" in body:
-        raise ValueError(f"{path}: blank line among the rows")
-    try:
-        rows = np.loadtxt(io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",",
-                          comments=None, ndmin=1)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-    def row(i):
-        return repr(body.split("\n")[i].strip())
-
-    sites = np.stack([rows["x1"], rows["x2"], rows["x3"]])
-    # the bounds first: squares of coordinates beyond them may wrap in int64
-    out = np.any((sites < -radius) | (sites > radius), axis=0) \
-        | (np.sum(sites * sites, axis=0) > radius**2)
-    if out.any():
-        raise ValueError(f"{path}: row {row(np.flatnonzero(out)[0])} lies outside the "
-                         f"radius-{radius} ball")
-    values = rows["value"]
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"{path}: row {row(np.flatnonzero(bad)[0])} has a non-finite "
-                         "value")
-    octant = np.abs(sites)
+        values = {}  # octant entry -> value, which its sign-flip images must repeat
+        for line in fh:
+            line = line.strip()
+            i, j, k, v = line.split(",")
+            i, j, k, v = abs(int(i)), abs(int(j)), abs(int(k)), float(v)
+            if i * i + j * j + k * k > radius**2:
+                raise ValueError(f"{path}: row {line!r} lies outside the "
+                                 f"radius-{radius} ball")
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: row {line!r} has a non-finite value")
+            old = values.setdefault((i, j, k), v)
+            if old != v:
+                raise ValueError(f"{path}: row {line!r} gives the octant entry "
+                                 f"{(i, j, k)} another value than the {old!r} of an "
+                                 "earlier row")
     data = np.full((radius + 1,) * 3, np.nan)
-    data[tuple(octant)] = values
-    stored = data[tuple(octant)]
-    clash = np.flatnonzero(stored != values)
-    if clash.size:  # sign-flip images of one entry disagree; name a pair in file order
-        i = clash[0]
-        entry = octant[:, i]
-        j = np.flatnonzero(np.all(octant == entry[:, None], axis=0)
-                           & (values == stored[i]))[0]
-        first, second = sorted((i, j))
-        raise ValueError(f"{path}: rows {row(first)} and {row(second)} give the octant "
-                         f"entry {tuple(entry.tolist())} different values")
+    if values:
+        data[tuple(zip(*values))] = list(values.values())
     table = GreenTable(estar=float(header["estar"]), radius=radius,
                        method=header["method"], tolerance=float(header["tolerance"]),
                        grid_size=int(header.get("grid_size", 0)), _data=data)

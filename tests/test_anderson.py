@@ -46,27 +46,20 @@ def test_box_indexing_roundtrip_and_boundary():
         am.Box(side=11).index((0, -6, 0))
 
 
-@pytest.mark.parametrize("site", [(), (1, 2), (1, 2, 3, 4)])
-def test_sites_have_three_coordinates(site):
+@pytest.mark.parametrize("site,match", [
+    pytest.param((), "has 0 coordinates, not 3", id="site0"),
+    pytest.param((1, 2), "has 2 coordinates, not 3", id="site1"),
+    pytest.param((1, 2, 3, 4), "has 4 coordinates, not 3", id="site2"),
+    # the message once called tuple(5) inside the handler: a TypeError, not exit 2
+    pytest.param(5, "site 5 is not a sequence of 3 coordinates", id="scalar"),
+])
+def test_sites_have_three_coordinates(site, match):
     # green_free read (1, 2) as a 2D and (1, 2, 3, 4) as a 4D lattice point
-    table = gr.green_table_bessel(0.3, radius=3)
-    for read in (lambda: gr.green_free(site, 0.3), lambda: table.value(site),
-                 lambda: am.Box(side=6).index(site)):
-        with pytest.raises(ValueError, match=rf"has {len(site)} coordinates, not 3"):
-            read()
-
-
-@pytest.mark.parametrize("read", ["green_free", "table_value", "box_index",
-                                  "box_distance_to_boundary"])
-def test_a_scalar_site_is_a_value_error(read):
-    # the message once called tuple(5) inside the handler: a TypeError, which the
-    # CLI does not map to exit 2
     table, box = gr.green_table_bessel(0.3, radius=3), am.Box(side=6)
-    fn = {"green_free": lambda: gr.green_free(5, 0.3), "table_value": lambda: table.value(5),
-          "box_index": lambda: box.index(5),
-          "box_distance_to_boundary": lambda: box.distance_to_boundary(5)}[read]
-    with pytest.raises(ValueError, match="site 5 is not a sequence of 3 coordinates"):
-        fn()
+    for read in (lambda: gr.green_free(site, 0.3), lambda: table.value(site),
+                 lambda: box.index(site), lambda: box.distance_to_boundary(site)):
+        with pytest.raises(ValueError, match=match):
+            read()
 
 
 @pytest.mark.parametrize("coord", [0.7, -0.9, 1.5])

@@ -301,55 +301,6 @@ def test_outdir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "diagram_census.json").exists()
 
 
-def _cli_subprocess(argv):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    return subprocess.run([sys.executable, "-m", "lifshitzlab.cli", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-
-
-def _without_times(files):
-    """Output bytes, each manifest with its start and finish times taken out."""
-    out = {}
-    for name, data in files.items():
-        if name.endswith("_manifest.json"):
-            manifest = json.loads(data)
-            assert manifest.pop("started") <= manifest.pop("finished")
-            data = manifest
-        out[name] = data
-    return out
-
-
-def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path, capsys):
-    # one parser serves every call of a process; its outputs must not depend on that
-    argvs = [["selfenergy", "--lam", "0.1", "--count", "3"],
-             ["green", "--estar", "0.3", "--radius", "3"],
-             ["diagrams", "--n", "2"],
-             ["green", "--estar", "0.5", "--radius", "4", "--method", "fft",
-              "--grid", "64", "--asymptotics-min", "2", "--asymptotics-max", "6"]]
-    for i, argv in enumerate(argvs):
-        out = tmp_path / str(i)
-        assert run([*argv, "--out", str(out)]) == 0
-        in_process = _without_times(snapshot(out))
-        proc = _cli_subprocess([*argv, "--out", str(out)])
-        assert proc.returncode == 0, proc.stderr
-        assert _without_times(snapshot(out)) == in_process
-        assert proc.stdout == capsys.readouterr().out
-
-
-def test_parser_errors_leave_the_next_call_working(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["selfenergy", "--no-such-flag", "1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["--version"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.strip() == cli.__version__
-    assert run(["selfenergy", "--lam", "0.1", "--count", "3", "--out", str(tmp_path)]) == 0
-    with open(os.path.join(DATA, "selfenergy_count3_golden.csv"), "rb") as fh:
-        assert (tmp_path / "selfenergy.csv").read_bytes() == fh.read()
-
-
 def test_manifest_bytes_are_one_json_dumps(tmp_path):
     assert run(["diagrams", "--n", "2", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "diagrams_manifest.json").read_text()
