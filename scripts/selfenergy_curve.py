@@ -6,6 +6,7 @@ fitted lower bound c in E* >= c lam^(4-eps) at the window edge.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -24,6 +25,9 @@ def main():
     for lam in (float(t) for t in args.couplings.split(",")):
         lo = se.threshold_E_eps(lam, args.epsilon)
         hi = lam**2 * se.i1_zero() + lam
+        if hi < lo:
+            sys.exit(f"empty window at lam={lam:g}, eps={args.epsilon:g}: its upper "
+                     f"edge lam^2 I1(0) + lam = {hi:g} lies below E_eps = {lo:g}")
         print(f"\nlam = {lam}: window [{lo:.6g}, {hi:.6g}]")
         print(f"{'E':>12} {'E*':>12} {'sigma':>12} {'residual':>10}")
         for energy in np.linspace(lo, hi, args.count):

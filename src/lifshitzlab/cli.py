@@ -228,6 +228,9 @@ def run_selfenergy(cfg):
                           "where the self-energy equation has no solution")
     lo = se.threshold_E_eps(lam, eps)
     hi = lam**2 * se.i1_zero() + lam
+    if hi < lo:
+        raise ConfigError(f"empty window at lam={lam:g}, eps={eps:g}: its upper edge "
+                          f"lam^2 I1(0) + lam = {hi:g} lies below E_eps = {lo:g}")
     rows = []
     for energy in np.linspace(lo, hi, cfg["count"]):
         ctx = se.solve_self_energy(float(energy), lam, epsilon=eps)

@@ -39,7 +39,6 @@ flagged in the assembly record.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +47,7 @@ import numpy as np
 from .diagrams import (FeynmanGraph, classify_superficial_convergence,
                        spanning_tree_decomposition)
 from .errors import NonIntegrableError, OutsideLifshitzWindowError
+from .green import _integer
 from .rng import substream
 from .selfenergy import dispersion
 
@@ -75,10 +75,7 @@ class MCParams:
     stream: str = "graphvalue"
 
     def __post_init__(self):
-        try:
-            operator.index(self.samples)
-        except TypeError:
-            raise ValueError(f"samples must be an integer, got {self.samples!r}") from None
+        _integer(self.samples, "samples")
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
 
@@ -225,10 +222,7 @@ class BoundAssembly:
 
 def assemble_An_bound(n: int, lam: float, estar: float) -> BoundAssembly:
     """Assemble the order-n bound and the stopping order (4N)^4 = 1/ratio."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
+    n = _integer(n, "n")
     if not (0 < estar < 1):
         raise ValueError("estar must be in (0, 1)")
     if not (math.isfinite(lam) and lam > 0) or n < 1:

@@ -297,22 +297,10 @@ class GreenTable:
 
     def items(self):
         """Iterate (lattice vector, value) over the full ball, x3 fastest."""
-        for x1, x2, x3, vals in self._slabs():
-            yield from zip(zip(itertools.repeat(x1), x2, x3), vals)
-
-    def _slabs(self):
-        """(x1, x2 list, x3 list, value list) per x1 slab of the ball, x3 fastest.
-
-        One mask over the (x2, x3) plane serves every slab, so no ball-sized
-        list of Python objects is alive at once.
-        """
         r = self.radius
-        plane = np.indices((2 * r + 1,) * 2).reshape(2, -1) - r
-        d2 = np.sum(plane * plane, axis=0)
-        for x1 in range(-r, r + 1):
-            x2, x3 = plane[:, d2 <= r * r - x1 * x1]
-            vals = self._data[abs(x1), np.abs(x2), np.abs(x3)]
-            yield x1, x2.tolist(), x3.tolist(), vals.tolist()
+        for x in itertools.product(range(-r, r + 1), repeat=3):
+            if x[0] * x[0] + x[1] * x[1] + x[2] * x[2] <= r * r:
+                yield x, float(self._data[abs(x[0]), abs(x[1]), abs(x[2])])
 
     def fitted_envelope_constant(self) -> float:
         """Smallest K with value(x) <= K / (|x| + 1) over the table."""

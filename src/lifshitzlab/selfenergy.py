@@ -7,7 +7,10 @@ The self-energy sigma at coupling lam and energy E > 0 solves
     sigma = lam^2 * I1(E - sigma),    I1(s) = int_T3 d^3p / (e(p) + s),
 
 which we invert through the strictly increasing branch of
-E(E*) = E* + lam^2 I1(E*).
+E(E*) = E* + lam^2 I1(E*).  E is convex in E* (I1'' > 0) with its minimum at
+the branch point E*_c where lam^2 I2(E*_c) = 1, so Newton started right of
+E*_c reaches the root in one step from the right and then descends to it:
+no bracket is needed.
 
 The torus integrals are the free Green function at the origin.  By the
 Laplace identity 1/(e + s)^(p+1) = int_0^inf t^p e^{-(e+s)t} dt / p! and
@@ -105,8 +108,6 @@ def energy_of_estar(estar: float, lam: float) -> float:
         raise ValueError("estar must be >= 0 and finite")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be >= 0 and finite")
-    if lam == 0.0:
-        return estar
     return estar + lam**2 * torus_integral_I1(estar)
 
 
@@ -116,8 +117,6 @@ def threshold_E_eps(lam: float, epsilon: float = 1.0) -> float:
         raise ValueError("lam must be >= 0 and finite")
     if not (0 < epsilon < 4):
         raise ValueError("epsilon must be in (0, 4)")
-    if lam == 0.0:
-        return 0.0
     return lam**2 * i1_zero() + lam ** (4.0 - epsilon)
 
 
@@ -146,8 +145,6 @@ class EnergyContext:
 
     def residual(self) -> float:
         """|sigma - lam^2 I1(estar)| of the fixed point."""
-        if self.lam == 0.0:
-            return abs(self.sigma)
         return abs(self.sigma - self.lam**2 * torus_integral_I1(self.estar))
 
     @classmethod
@@ -162,8 +159,8 @@ class EnergyContext:
 def solve_self_energy(energy: float, lam: float, epsilon: float = 1.0) -> EnergyContext:
     """Invert E(E*) = E on its increasing branch and return the solved context.
 
-    Bisection brackets the root, a safeguarded Newton iteration polishes it;
-    the fixed-point residual is driven below NEWTON_TOL * max(1, E).
+    Plain Newton steps from a clamped guess drive the fixed-point residual
+    below NEWTON_TOL * max(1, E).
     """
     if not (math.isfinite(energy) and energy > 0):
         raise ValueError("energy must be > 0 and finite")
@@ -171,7 +168,7 @@ def solve_self_energy(energy: float, lam: float, epsilon: float = 1.0) -> Energy
         raise ValueError("lam must be >= 0 and finite")
     if not (0 < epsilon < 4):
         raise ValueError("epsilon must be in (0, 4)")
-    if lam == 0.0:
+    if lam == 0.0:  # the guess below, (sqrt(E))^2, may round above E
         return EnergyContext(lam=0.0, energy=energy, estar=energy, sigma=0.0)
     thresh = threshold_E_eps(lam, epsilon)
     if energy < thresh * (1.0 - 1e-12):
@@ -181,13 +178,14 @@ def solve_self_energy(energy: float, lam: float, epsilon: float = 1.0) -> Energy
         )
 
     i10 = i1_zero()
-    # E >= E_eps guarantees the root lies on the increasing branch above
-    # lo = 4 (lam^2 I1(0))^2, and f(hi) > 0 holds for hi >= E since I1 > 0.
+    # f(E*) = E(E*) - E is convex (I1'' = 2 int (e + E*)^-3 > 0) with its
+    # minimum at the branch point E*_c, where lam^2 I2(E*_c) = 1.  E >= E_eps
+    # > lam^2 I1(0) = E(0) puts the root right of E*_c, and I2(s) <= 0.436/sqrt(s),
+    # I2(s) <= 1/s^2 give E*_c <= min(0.19 lam^4, lam), below both lo and
+    # max(6, E).  So the clamped start lies right of E*_c, the first Newton
+    # step lands at or right of the root and every later step descends to it.
     lo = 4.0 * (lam**2 * i10) ** 2
     hi = max(6.0, energy)
-
-    def f(t):
-        return energy_of_estar(t, lam) - energy
 
     # initial guess from E(E*) ~ E* + lam^2 (I1(0) - (sqrt(2)/2pi) sqrt(E*))
     beta = math.sqrt(2.0) / (2.0 * math.pi) * lam**2
@@ -197,20 +195,12 @@ def solve_self_energy(energy: float, lam: float, epsilon: float = 1.0) -> Energy
 
     tol = NEWTON_TOL * max(1.0, energy)
     for _ in range(200):
-        fx = f(x)
-        if fx > 0:
-            hi = x
-        else:
-            lo = x
+        fx = energy_of_estar(x, lam) - energy
         if abs(fx) < tol:
             break
-        deriv = 1.0 - lam**2 * torus_integral_I2(x)
-        xn = x - fx / deriv if deriv > 0 else None
-        if xn is None or not (lo < xn < hi):
-            xn = 0.5 * (lo + hi)
-        x = xn
+        x = x - fx / (1.0 - lam**2 * torus_integral_I2(x))
     else:
-        raise NonConvergenceError("self-energy Newton/bisection did not converge",
-                                  achieved=abs(f(x)))
+        raise NonConvergenceError("self-energy Newton iteration did not converge",
+                                  achieved=abs(fx))
 
     return EnergyContext(lam=lam, energy=energy, estar=x, sigma=energy - x)

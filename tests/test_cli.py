@@ -9,6 +9,7 @@ import pytest
 
 from lifshitzlab import anderson as am
 from lifshitzlab import cli
+from lifshitzlab import expansion as ex
 from lifshitzlab import green as gr
 from lifshitzlab import selfenergy as se
 
@@ -201,6 +202,15 @@ def test_readme_selfenergy_residuals_reach_rounding(tmp_path):
     assert max(float(row.split(",")[3]) for row in rows) <= 1e-13
 
 
+@pytest.mark.parametrize("lam, eps", [("0.1", "3.5"), ("1.5", "1")])
+def test_selfenergy_window_upside_down_is_a_config_error(tmp_path, lam, eps, capsys):
+    # lam^2 I1(0) + lam lies below E_eps = lam^2 I1(0) + lam^(4-eps)
+    assert run(["selfenergy", "--lam", lam, "--epsilon", eps, "--count", "5",
+                "--out", str(tmp_path)]) == 2
+    assert "lies below E_eps" in capsys.readouterr().err
+    assert snapshot(tmp_path) == {}
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # energy far below the admissible window
     assert run(["fracmom", "--lam", "0.5", "--energy", "0.01", "--samples", "2",
@@ -278,6 +288,66 @@ def test_fracmom_run(tmp_path):
     assert "eta_variation" in summary
     assert summary["fallbacks"] == 0
     assert 0 < summary["krylov_iterations"] < am.KRYLOV_MAXIT
+
+
+def test_fracmom_run_fits_xi_on_the_middle_eta(tmp_path):
+    # four distances spanning a factor of 4: the summary carries the decay fit
+    assert run(["fracmom", "--lam", "0.5", "--energy", "0.45", "--box", "10",
+                "--samples", "4", "--distances", "1,2,3,4", "--out", str(tmp_path)]) == 0
+    rows = [row.split(",") for row in (tmp_path / "fracmom.csv").read_text().split()[1:]]
+    mid = [(int(row[0].split(":")[0]), float(row[4]), float(row[5]))
+           for row in rows if row[3] == "0.001"]
+    fit = am.correlation_length_fit(mid, 0.3)
+    summary = json.loads((tmp_path / "fracmom_summary.json").read_text())
+    assert len(mid) == 4
+    assert (summary["xi"], summary["xi_ci"], summary["no_decay"]) == \
+        (fit.xi, [fit.ci_low, fit.ci_high], fit.no_decay)
+
+
+def test_expand_verify_cancellation_is_the_l1_moment_mc(tmp_path):
+    assert run(["expand-verify", "--N", "1", "--box", "6", "--seed", "5",
+                "--cancellation-samples", "200", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "expand_verify.json").read_text())
+    cmp1 = ex.mc_moment_Al_squared(1, se.EnergyContext.from_estar(0.5, 0.5), (0, 0, 0),
+                                   (1, 0, 0), samples=200, box_radius=5, seed=5)
+    assert report["cancellation_l1"] == {"mc": cmp1.mc_estimate, "stderr": cmp1.mc_stderr,
+                                         "prediction": cmp1.prediction, "z": cmp1.z_score}
+
+
+@pytest.mark.parametrize("value", ["false", "0", "No", "off"])
+def test_config_file_boolean_equals_the_flag(tmp_path, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gate_free = {value}\n")
+    by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+    assert run(["diagrams", "--n", "2", "--config", str(cfg), "--out", str(by_file)]) == 0
+    assert run(["diagrams", "--n", "2", "--no-gate-free", "--out", str(by_flag)]) == 0
+    assert (by_file / "diagram_census.json").read_bytes() == \
+        (by_flag / "diagram_census.json").read_bytes()
+
+
+def test_config_file_skips_comment_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a self-energy sweep\n\n   \nlam = 0.1\n  # count = 9\ncount = 2\n")
+    assert run(["selfenergy", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    config = json.loads((tmp_path / "out" / "selfenergy_manifest.json").read_text())["config"]
+    assert (config["lam"], config["count"]) == (0.1, 2)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["diagrams", "--n", "2"], "gate_free = maybe\n"),
+    (["selfenergy"], "lam = 0.1\ncount 3\n"),
+    (["selfenergy", "--lam", "0.1", "--count", "three"], None),
+    (["selfenergy", "--lam", "abc"], None),
+    (["green", "--estar", "0.5", "--radius", "3", "--method", "quad"], None),
+], ids=["bad-boolean", "line-without-equals", "int-flag", "float-flag", "green-method"])
+def test_bad_input_is_a_config_error_and_writes_nothing(tmp_path, argv, lines, capsys):
+    out = tmp_path / "out"
+    if lines is not None:
+        (tmp_path / "run.cfg").write_text(lines)
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_criterion_run(tmp_path):

@@ -84,3 +84,17 @@ def test_no_module_keeps_an_unused_import():
             dead += [f"{path.relative_to(ROOT)}:{line} {name}"
                      for name, line in _module_imports(tree) if name not in used]
     assert not dead, f"module-level imports with no use: {sorted(dead)}"
+
+
+def test_no_module_binds_a_top_level_definition_twice():
+    # a second `def` of one name rebinds it at import, so the first is dead code
+    rebound = []
+    for top in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            seen = set()
+            for node in ast.parse(path.read_text(), str(path)).body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if node.name in seen:
+                        rebound.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+                    seen.add(node.name)
+    assert not rebound, f"top-level names defined twice: {rebound}"

@@ -52,6 +52,15 @@ def test_selfenergy_curve_script():
         assert len(residuals) == count and max(residuals) < 1e-10
 
 
+def test_selfenergy_curve_script_rejects_an_upside_down_window():
+    # at lam = 0.1, eps = 3.5 the sweep's upper edge lam^2 I1(0) + lam is below E_eps
+    proc = launch("selfenergy_curve.py", "--couplings", "0.1", "--epsilon", "3.5",
+                  "--count", "3")
+    assert proc.returncode != 0 and "Traceback" not in proc.stderr
+    assert "upper edge lam^2 I1(0) + lam = 0.105055 lies below E_eps = 0.321282" \
+        in proc.stderr
+
+
 def test_diagram_census_script():
     out = run_script("diagram_census.py", "--nmax", "2")
     assert "n = 2: 2 pairings, 2 superficially convergent" in out

@@ -221,6 +221,58 @@ def test_solve_inverts_energy_of_estar():
         assert abs(ctx.estar - estar) < 1e-10
 
 
+def _window_grid():
+    """(lam, eps, E): 40 couplings to 0.9, four eps, E_eps and 25 energies to 60."""
+    for lam in np.geomspace(1e-3, 0.9, 40):
+        for eps in (0.5, 1.0, 2.0, 3.5):
+            edge = se.threshold_E_eps(float(lam), eps)
+            for energy in (edge, *np.geomspace(edge, 60.0, 25)):
+                yield float(lam), eps, float(energy)
+
+
+def test_newton_takes_at_most_three_steps_and_then_descends(monkeypatch):
+    # convexity of E(E*) right of the branch point: the first step lands at or
+    # right of the root and later iterates fall monotonically onto it
+    iterates, slopes = [], []
+    energy_of_estar, i2 = se.energy_of_estar, se.torus_integral_I2
+    monkeypatch.setattr(se, "energy_of_estar",
+                        lambda x, lam: iterates.append(x) or energy_of_estar(x, lam))
+    monkeypatch.setattr(se, "torus_integral_I2",
+                        lambda x: slopes.append(x) or i2(x))
+    solves = 0
+    for lam, eps, energy in _window_grid():
+        iterates.clear()
+        slopes.clear()
+        se.solve_self_energy(energy, lam, epsilon=eps)
+        solves += 1
+        assert len(slopes) <= 3, (lam, eps, energy)
+        assert all(a >= b for a, b in zip(iterates[1:], iterates[2:])), (lam, eps, energy)
+    assert solves == 4160
+
+
+@pytest.mark.parametrize("lam, eps", [(1.1, 3.5), (1.5, 1.0), (2.0, 1.0)])
+def test_solve_at_the_window_edge_for_strong_coupling(lam, eps):
+    # lo = 4 (lam^2 I1(0))^2 lies above the root here; a bracket from lo failed
+    energy = se.threshold_E_eps(lam, eps)
+    ctx = se.solve_self_energy(energy, lam, epsilon=eps)
+    assert ctx.residual() <= se.NEWTON_TOL * max(1.0, energy)
+    assert 1.0 - lam**2 * se.torus_integral_I2(ctx.estar) > 0.0  # increasing branch
+
+
+def test_from_estar_is_a_fixed_point_the_solver_returns():
+    points = 0
+    for lam in (0.05, 0.1, 0.2, 0.3, 0.5, 0.8):
+        for estar in (0.01, 0.05, 0.1, 0.3, 0.45, 1.0, 3.0):
+            ctx = se.EnergyContext.from_estar(lam, estar)
+            if ctx.energy < se.threshold_E_eps(lam):
+                continue
+            points += 1
+            assert ctx.residual() <= se.NEWTON_TOL * max(1.0, ctx.energy)
+            assert se.solve_self_energy(ctx.energy, lam).estar == \
+                pytest.approx(estar, rel=1e-12, abs=0.0)
+    assert points == 33
+
+
 def test_solve_below_window_raises():
     lam = 0.1
     with pytest.raises(BelowLifshitzWindowError):
@@ -280,7 +332,7 @@ def no_quadrature(*args):
         "solve_lam", "threshold"])
 def test_non_finite_inputs_are_rejected_before_quadrature(call, bad, monkeypatch):
     # NaN passed every `<= 0` check: I1(nan) was nan, solve_self_energy ran 200
-    # Newton/bisection steps, and E* = inf ended in NonConvergenceError on a zero value
+    # Newton steps, and E* = inf ended in NonConvergenceError on a zero value
     se.i1_zero()  # cached before the quadrature is switched off
     monkeypatch.setattr(se, "_trapezoid", no_quadrature)
     with pytest.raises(ValueError):
