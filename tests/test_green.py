@@ -418,6 +418,30 @@ def test_table_csv_rejects_row_outside_the_ball(tmp_path, row):
         gr.read_table_csv(path)
 
 
+def items_write_table_csv(table, path):
+    """`write_table_csv` with one f-string and one repr per `items()` row (test oracle)."""
+    header = {"estar": table.estar, "method": table.method,
+              "tolerance": table.tolerance, "radius": table.radius,
+              "grid_size": table.grid_size}
+    with open(path, "w") as fh:
+        fh.write("# " + json.dumps(header) + "\n")
+        fh.write("x1,x2,x3,value\n")
+        fh.write("".join(f"{x1},{x2},{x3},{v!r}\n" for (x1, x2, x3), v in table.items()))
+
+
+@pytest.mark.parametrize("radius", [0, 5, 12])
+@pytest.mark.parametrize("build", [lambda r: gr.green_table_bessel(0.05, radius=r),
+                                   lambda r: gr.green_free_fft(128, 0.05, radius=r)],
+                         ids=["bessel", "fft"])
+def test_table_csv_writer_equals_the_per_row_oracle(build, radius, tmp_path):
+    table = build(radius)
+    got, want = os.path.join(tmp_path, "got.csv"), os.path.join(tmp_path, "want.csv")
+    gr.write_table_csv(table, got)
+    items_write_table_csv(table, want)
+    with open(got, "rb") as a, open(want, "rb") as b:
+        assert a.read() == b.read()
+
+
 def _table_lines(tmp_path, radius=3):
     path = os.path.join(tmp_path, "table.csv")
     gr.write_table_csv(gr.green_table_bessel(0.4, radius=radius), path)
